@@ -13,10 +13,9 @@
 package ipdb
 
 import (
-	"hash/fnv"
-	"math/rand"
 	"sort"
 
+	"activegeo/internal/netsim"
 	"activegeo/internal/proxy"
 )
 
@@ -71,11 +70,8 @@ func (d *Database) Lookup(s *proxy.Server) string {
 	if v, ok := d.agreement[s.Provider]; ok {
 		p = v
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(d.Name))
-	_, _ = h.Write([]byte(s.Host.Addr))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	if rng.Float64() < p {
+	h := netsim.NewKeyHash().Str(d.Name).Str(s.Host.Addr)
+	if netsim.SeedFloat64s(int64(h), 1)[0] < p {
 		return s.ClaimedCountry
 	}
 	return s.TrueCountry

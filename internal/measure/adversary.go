@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"fmt"
 	"math/rand"
 
 	"activegeo/internal/atlas"
@@ -152,9 +151,11 @@ func (a *AdversarialProxiedTool) MeasureAll(lms []*atlas.Landmark, rng *rand.Ran
 // same FNV-1a host hash the fault layer uses for its pure structural
 // draws — never the measurement RNG, so attack membership is a property
 // of the configuration, not of scheduling. As in netsim's Outage, the
-// hash seeds a throwaway generator rather than being used as raw bits:
-// FNV's avalanche on near-identical IDs is too weak for direct use.
+// hash of "kind|seed|id" seeds a generator rather than being used as raw
+// bits (FNV's avalanche on near-identical IDs is too weak for direct
+// use); netsim.SeedFloat64s reads that generator's first draw without
+// building it.
 func hashFraction(seed int64, kind, id string) float64 {
-	h := netsim.HashID(netsim.HostID(fmt.Sprintf("%s|%d|%s", kind, seed, id)))
-	return rand.New(rand.NewSource(int64(h))).Float64()
+	h := netsim.NewKeyHash().Str(kind).Str("|").Int(seed).Str("|").Str(id)
+	return netsim.SeedFloat64s(int64(h), 1)[0]
 }

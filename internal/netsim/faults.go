@@ -197,24 +197,33 @@ func (n *Network) Faults() FaultConfig {
 // fault config, host ID): derived through the HashID stream like every
 // other per-host property, independent of measurement order.
 func (n *Network) Outage(id HostID) (startMs, endMs float64, ok bool) {
-	cfg := n.Faults()
+	return n.outage(n.Faults(), id)
+}
+
+// outage is Outage under the fault configuration cfg.
+func (n *Network) outage(cfg FaultConfig, id HostID) (startMs, endMs float64, ok bool) {
 	if cfg.OutageFraction <= 0 {
 		return 0, 0, false
 	}
-	s := HashID(HostID(fmt.Sprintf("outage|%d|%s", n.seed, id)))
-	r := rand.New(rand.NewSource(int64(s)))
-	if r.Float64() >= cfg.OutageFraction {
+	h := NewKeyHash().Str("outage|").Int(n.seed).Str("|").Str(string(id))
+	u := SeedFloat64s(int64(h), 3)
+	if u[0] >= cfg.OutageFraction {
 		return 0, 0, false
 	}
-	startMs = r.Float64() * cfg.Horizon()
-	dur := (0.5 + r.Float64()) * cfg.outageMean()
+	startMs = u[1] * cfg.Horizon()
+	dur := (0.5 + u[2]) * cfg.outageMean()
 	return startMs, startMs + dur, true
 }
 
 // HostDown reports whether the host is inside its outage window at the
 // given campaign time.
 func (n *Network) HostDown(id HostID, atMs float64) bool {
-	start, end, ok := n.Outage(id)
+	return n.down(n.Faults(), id, atMs)
+}
+
+// down is HostDown under the fault configuration cfg.
+func (n *Network) down(cfg FaultConfig, id HostID, atMs float64) bool {
+	start, end, ok := n.outage(cfg, id)
 	return ok && atMs >= start && atMs < end
 }
 
@@ -241,8 +250,12 @@ func (n *Network) SessionDisconnectMs(rng *rand.Rand) (atMs float64, ok bool) {
 // may be nil (the session is then pinned to campaign time zero and
 // nothing advances).
 func (n *Network) Probe(from, to HostID, port int, rng *rand.Rand, clk *Clock) (float64, error) {
-	cfg := n.Faults()
-	if at := clk.NowMs(); cfg.OutageFraction > 0 && n.HostDown(to, at) {
+	// One snapshot of the fault configuration and the hosts judges the
+	// whole probe, even while SetFaults re-arms the network.
+	n.mu.RLock()
+	cfg, src, dst := n.faults, n.hosts[from], n.hosts[to]
+	n.mu.RUnlock()
+	if at := clk.NowMs(); n.down(cfg, to, at) {
 		clk.Advance(LostProbeTimeoutMs)
 		return 0, fmt.Errorf("%s at t=%.0fms: %w", to, at, ErrHostOutage)
 	}
@@ -250,7 +263,7 @@ func (n *Network) Probe(from, to HostID, port int, rng *rand.Rand, clk *Clock) (
 		clk.Advance(LostProbeTimeoutMs)
 		return 0, fmt.Errorf("%s→%s: %w", from, to, ErrProbeLost)
 	}
-	rtt, err := n.TCPConnect(from, to, port, rng)
+	rtt, err := n.connect(src, dst, port, rng)
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
 			// A full SYN-retransmission cycle ran before the give-up:

@@ -140,6 +140,38 @@ func TestOutagePureFunction(t *testing.T) {
 	}
 }
 
+// TestProbeOutageMatchesOutage: Probe fails with ErrHostOutage exactly
+// when the probe's campaign time falls inside Outage(to)'s window under
+// the armed config — before, inside and after each window.
+func TestProbeOutageMatchesOutage(t *testing.T) {
+	n := faultNet(t, 23)
+	n.SetFaults(FaultConfig{OutageFraction: 0.5})
+	ids := []HostID{"ff-lm-paris", "ff-lm-nyc", "ff-lm-tokyo", "ff-client"}
+	rng := rand.New(rand.NewSource(6))
+	windows := 0
+	for _, id := range ids {
+		start, end, ok := n.Outage(id)
+		times := []float64{0, 1000, 30000, 59999}
+		if ok {
+			windows++
+			times = append(times, start, (start+end)/2, end-1e-6, end, end+1)
+		}
+		for _, at := range times {
+			_, err := n.Probe("ff-client", id, 80, rng, &Clock{ms: at})
+			want := ok && at >= start && at < end
+			if got := errors.Is(err, ErrHostOutage); got != want {
+				t.Errorf("%s at t=%v: outage verdict %v, Outage window [%v,%v) ok=%v", id, at, got, start, end, ok)
+			}
+			if want != n.HostDown(id, at) {
+				t.Errorf("%s at t=%v: HostDown disagrees with the window", id, at)
+			}
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no host drew an outage window at fraction 0.5")
+	}
+}
+
 // TestProbeLossInjects: at high injected loss, probes fail with
 // ErrProbeLost, charge simulated timeout, and are classified transient.
 func TestProbeLossInjects(t *testing.T) {

@@ -31,7 +31,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -279,6 +278,7 @@ func countryQuality(code string) Quality {
 
 // pathProfile captures the deterministic properties of one host pair.
 type pathProfile struct {
+	gcKm        float64 // great-circle distance between the endpoints
 	distKm      float64 // effective routed distance (may include hub detour)
 	inflation   float64 // multiplicative detour factor ≥ 1.15
 	jitterMean  float64 // mean of exponential queueing jitter, ms
@@ -348,6 +348,7 @@ func (n *Network) profile(a, b *Host) pathProfile {
 	jitterMean *= 0.5 + 1.5*u2
 
 	return pathProfile{
+		gcKm:        d,
 		distKm:      eff,
 		inflation:   inflation,
 		jitterMean:  jitterMean,
@@ -376,72 +377,88 @@ func (n *Network) nearestHub(p geo.Point) geo.Point {
 // seed as baseSeed ^ HashID(id) makes the stream a pure function of the
 // (seed, id) pair, independent of iteration and scheduling order.
 func HashID(id HostID) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return h.Sum64()
+	return uint64(NewKeyHash().Str(string(id)))
 }
 
 // pairUniforms derives two deterministic uniforms in [0,1) from the seed
-// and the unordered host pair.
+// and the unordered host pair: the first two draws of a generator seeded
+// with the hash of "seed|a|b" (see hashdraw.go).
 func (n *Network) pairUniforms(a, b HostID) (float64, float64) {
 	if b < a {
 		a, b = b, a
 	}
-	s := HashID(HostID(fmt.Sprintf("%d|%s|%s", n.seed, a, b)))
-	r := rand.New(rand.NewSource(int64(s)))
-	return r.Float64(), r.Float64()
+	h := NewKeyHash().Int(n.seed).Str("|").Str(string(a)).Str("|").Str(string(b))
+	u := SeedFloat64s(int64(h), 2)
+	return u[0], u[1]
 }
 
-// BaseRTTMs returns the minimum (uncongested) round-trip time between two
-// hosts in milliseconds: propagation along the inflated path plus access
-// delays, never below the physical floor.
-func (n *Network) BaseRTTMs(a, b HostID) (float64, error) {
+// selfRTTMs is the round-trip time from a host to itself.
+const selfRTTMs = 0.1
+
+// pair returns the hosts with the given IDs (nil if unknown) under one
+// read lock.
+func (n *Network) pair(a, b HostID) (*Host, *Host) {
 	n.mu.RLock()
-	ha, hb := n.hosts[a], n.hosts[b]
-	n.mu.RUnlock()
-	if ha == nil || hb == nil {
-		return 0, ErrUnknownHost
-	}
-	if a == b {
-		return 0.1, nil
-	}
-	p := n.profile(ha, hb)
-	floor := 2 * geo.DistanceKm(ha.Loc, hb.Loc) / geo.BaselineSpeedKmPerMs
+	defer n.mu.RUnlock()
+	return n.hosts[a], n.hosts[b]
+}
+
+// baseRTT is BaseRTTMs for the profiled pair of distinct hosts.
+func (p *pathProfile) baseRTT() float64 {
+	floor := 2 * p.gcKm / geo.BaselineSpeedKmPerMs
 	rtt := 2*p.distKm*p.inflation/geo.BaselineSpeedKmPerMs + p.accessDelay
 	// Paths that leave the metro area cross provider edges and exchange
 	// points: a distance-independent routing overhead that intra-data-
 	// center traffic never pays. This is what separates the sub-5 ms
 	// same-LAN RTTs (§8.1's co-location heuristic) from even the
 	// shortest inter-city paths.
-	if geo.DistanceKm(ha.Loc, hb.Loc) > 50 {
+	if p.gcKm > 50 {
 		rtt += wanOverheadMs
 	}
 	if rtt < floor {
 		rtt = floor
 	}
-	return rtt, nil
+	return rtt
+}
+
+// sample is SampleRTTMs for the profiled pair of distinct hosts a, b.
+func (n *Network) sample(a, b *Host, p *pathProfile, rng *rand.Rand) float64 {
+	base := p.baseRTT()
+	extraBase, extraJitter := n.congestionFor(a, b)
+	rtt := base + extraBase + rng.ExpFloat64()*(p.jitterMean+extraJitter)
+	if rng.Float64() < p.spikeProb {
+		rtt += rng.ExpFloat64() * p.spikeMean
+	}
+	return rtt
+}
+
+// BaseRTTMs returns the minimum (uncongested) round-trip time between two
+// hosts in milliseconds: propagation along the inflated path plus access
+// delays, never below the physical floor.
+func (n *Network) BaseRTTMs(a, b HostID) (float64, error) {
+	ha, hb := n.pair(a, b)
+	if ha == nil || hb == nil {
+		return 0, ErrUnknownHost
+	}
+	if ha == hb {
+		return selfRTTMs, nil
+	}
+	p := n.profile(ha, hb)
+	return p.baseRTT(), nil
 }
 
 // SampleRTTMs returns one measured round-trip time: the base RTT plus
 // queueing jitter and occasional congestion spikes drawn from rng.
 func (n *Network) SampleRTTMs(a, b HostID, rng *rand.Rand) (float64, error) {
-	base, err := n.BaseRTTMs(a, b)
-	if err != nil {
-		return 0, err
+	ha, hb := n.pair(a, b)
+	if ha == nil || hb == nil {
+		return 0, ErrUnknownHost
 	}
-	if a == b {
-		return base, nil
+	if ha == hb {
+		return selfRTTMs, nil
 	}
-	n.mu.RLock()
-	ha, hb := n.hosts[a], n.hosts[b]
-	n.mu.RUnlock()
 	p := n.profile(ha, hb)
-	extraBase, extraJitter := n.congestionFor(ha, hb)
-	rtt := base + extraBase + rng.ExpFloat64()*(p.jitterMean+extraJitter)
-	if rng.Float64() < p.spikeProb {
-		rtt += rng.ExpFloat64() * p.spikeMean
-	}
-	return rtt, nil
+	return n.sample(ha, hb, &p, rng), nil
 }
 
 // Ping performs an ICMP echo round trip. It fails if the destination
@@ -478,24 +495,26 @@ var ErrTimeout = errors.New("netsim: connection timed out")
 // timeout — one source of the "high outlier" observations real tools
 // must cope with.
 func (n *Network) TCPConnect(from, to HostID, port int, rng *rand.Rand) (float64, error) {
-	n.mu.RLock()
-	src, dst := n.hosts[from], n.hosts[to]
-	n.mu.RUnlock()
+	src, dst := n.pair(from, to)
+	return n.connect(src, dst, port, rng)
+}
+
+// connect is TCPConnect for hosts already looked up (nil if unknown).
+func (n *Network) connect(src, dst *Host, port int, rng *rand.Rand) (float64, error) {
 	if src == nil || dst == nil {
 		return 0, ErrUnknownHost
 	}
 	if dst.FilteredPorts[port] {
 		return 0, ErrPortFiltered
 	}
+	if src == dst {
+		return selfRTTMs, nil
+	}
 	p := n.profile(src, dst)
 	var penalty, timeout float64 = 0, synRetransmitMs
 	for try := 0; try <= maxSynRetries; try++ {
-		if from == to || rng.Float64() >= p.lossProb {
-			rtt, err := n.SampleRTTMs(from, to, rng)
-			if err != nil {
-				return 0, err
-			}
-			return rtt + penalty, nil
+		if rng.Float64() >= p.lossProb {
+			return n.sample(src, dst, &p, rng) + penalty, nil
 		}
 		penalty += timeout
 		timeout *= 2
@@ -521,13 +540,17 @@ func (n *Network) MinOfSamples(from, to HostID, k int, rng *rand.Rand) (float64,
 	if k < 1 {
 		k = 1
 	}
+	ha, hb := n.pair(from, to)
+	if ha == nil || hb == nil {
+		return 0, ErrUnknownHost
+	}
+	if ha == hb {
+		return selfRTTMs, nil
+	}
+	p := n.profile(ha, hb)
 	best := math.Inf(1)
 	for i := 0; i < k; i++ {
-		v, err := n.SampleRTTMs(from, to, rng)
-		if err != nil {
-			return 0, err
-		}
-		if v < best {
+		if v := n.sample(ha, hb, &p, rng); v < best {
 			best = v
 		}
 	}

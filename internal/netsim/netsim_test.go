@@ -379,11 +379,66 @@ func TestRTTQuickProperties(t *testing.T) {
 	}
 }
 
+// TestHotPathsDoNotAllocate: the primitives every measurement goes
+// through allocate nothing on their success paths.
+func TestHotPathsDoNotAllocate(t *testing.T) {
+	n := newTestNet(t)
+	rng := rand.New(rand.NewSource(3))
+	clk := &Clock{}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"HashID", func() { benchSink = float64(HashID("vpn-17.example")) }},
+		{"BaseRTTMs", func() { benchSink, _ = n.BaseRTTMs("fra", "syd") }},
+		{"SampleRTTMs", func() { benchSink, _ = n.SampleRTTMs("fra", "syd", rng) }},
+		{"TCPConnect", func() { benchSink, _ = n.TCPConnect("fra", "pek", 80, rng) }},
+		{"Probe", func() { benchSink, _ = n.Probe("fra", "pek", 80, rng, clk) }},
+	} {
+		if a := testing.AllocsPerRun(200, c.f); a != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, a)
+		}
+	}
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink float64
+
 func BenchmarkSampleRTT(b *testing.B) {
 	n := newTestNet(b)
 	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = n.SampleRTTMs("fra", "syd", rng)
+		benchSink, _ = n.SampleRTTMs("fra", "syd", rng)
+	}
+}
+
+func BenchmarkTCPConnect(b *testing.B) {
+	n := newTestNet(b)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = n.TCPConnect("fra", "pek", 80, rng)
+	}
+}
+
+// BenchmarkProbeFaulty probes under the default fault profile at 10%
+// loss, rotating over the hosts so outage windows and lost probes (whose
+// errors are formatted) are part of the mix.
+func BenchmarkProbeFaulty(b *testing.B) {
+	n := newTestNet(b)
+	n.SetFaults(DefaultFaults(0.10))
+	ids := []HostID{"fra", "ams", "nyc", "syd", "pek", "fij", "noum"}
+	rng := rand.New(rand.NewSource(1))
+	var clk Clock
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if clk.NowMs() > DefaultHorizonMs {
+			clk = Clock{}
+		}
+		benchSink, _ = n.Probe("fra", ids[i%len(ids)], 80, rng, &clk)
 	}
 }
