@@ -19,7 +19,7 @@
 #   make bench-locate  before/after geometry-kernel timing -> BENCH_locate.json
 #   make bench-faults  robustness sweep: tallies vs injected loss -> BENCH_faults.json
 #   make bench-atlasd  32-client coordination-service load test -> BENCH_atlasd.json
-#   make bench-stream  streaming-audit parity + 100k bounded-memory run -> BENCH_stream.json
+#   make bench-stream  audit-engine incremental check + 100k bounded-memory run -> BENCH_stream.json
 #   make bench-adversary  attack-matrix detection floors (precision/recall) -> BENCH_adversary.json
 #   make bench-constellation  sharded-fleet determinism proof -> BENCH_constellation.json
 
@@ -188,8 +188,8 @@ bench-faults:
 bench-atlasd:
 	$(GO) run ./cmd/benchaudit -mode atlasd -out BENCH_atlasd.json
 
-# Streaming-audit certification: quick-fleet fingerprint parity against
-# the batch oracle (aborts on any verdict delta), then a synthetic
+# Audit-engine certification: a second pass over the unchanged quick
+# fleet must re-measure nothing (aborts otherwise), then a synthetic
 # $(STREAM_SERVERS)-server pass with per-batch heap sampling (aborts if
 # the peak heap exceeds the bounded-memory ceiling or provisioning
 # exceeds the queue+2 batch bound), recorded in BENCH_stream.json.

@@ -13,12 +13,11 @@
 // -telemetry prints per-stage wall/CPU timings and counters to stderr
 // after the run; -progress streams completion counts while it runs.
 //
-// -stream runs the audit through the streaming pipeline (internal/stream)
-// instead of the materializing one: servers flow through bounded batches
-// of -batch servers with at most -queue batches buffered, so peak memory
-// is O(batch) rather than O(fleet). The verdicts are byte-identical to
-// the batch audit's — -stream changes the memory profile, not the
-// answers.
+// Both modes run the one audit engine (internal/stream). By default the
+// audit keeps every server's region for the figures; -stream keeps none:
+// servers flow through bounded batches of -batch servers with at most
+// -queue batches buffered, so peak memory is O(batch) rather than
+// O(fleet). -stream changes the memory profile, not the answers.
 //
 // -faults arms the netsim fault-injection layer with the default mix at
 // -loss (probe loss rate, default 0.1); -loss or -outage alone also arm
@@ -96,7 +95,7 @@ func main() {
 	faultsFlag := flag.Bool("faults", false, "arm fault injection with the default mix at the -loss rate")
 	loss := flag.Float64("loss", 0, "injected probe-loss rate (implies -faults; default 0.1 when -faults is set alone)")
 	outage := flag.Float64("outage", 0, "fraction of landmarks with an outage window (implies -faults; overrides the default mix)")
-	streamFlag := flag.Bool("stream", false, "run the audit through the streaming pipeline (bounded memory, identical verdicts)")
+	streamFlag := flag.Bool("stream", false, "print the tally only, keeping no server's region (bounded memory, identical verdicts)")
 	batchSize := flag.Int("batch", 0, "streaming batch size (0 = default; only with -stream)")
 	queueDepth := flag.Int("queue", 0, "streaming queue depth in batches (0 = default; only with -stream)")
 	flag.Parse()
@@ -138,7 +137,7 @@ func main() {
 		meanCov := 0.0
 		for _, r := range run.Results {
 			if c, ok := run.Coverage[r.ServerID]; ok {
-				meanCov += c.Coverage
+				meanCov += c.Ratio
 			}
 		}
 		meanCov /= float64(len(run.Coverage))
@@ -193,10 +192,10 @@ func main() {
 	}
 }
 
-// runStreaming drives the audit through the bounded-memory streaming
-// pipeline and prints the tally off the columnar store. The verdicts are
-// byte-identical to the batch audit's (the parity is test-pinned); the
-// figure renderings need the materialized run and are batch-mode only.
+// runStreaming runs the audit engine without keeping any server's region
+// and prints the tally off the columnar store. The verdicts are the
+// default mode's; the figure renderings need the regions and are
+// default-mode only.
 func runStreaming(lab *experiments.Lab, tel *telemetry.Collector, start time.Time, batchSize, queueDepth int, provider string, verbose, telFlag bool) {
 	auditor := lab.StreamingAuditor(batchSize, queueDepth)
 	stats, err := auditor.Sync(context.Background(), lab.StreamSource())

@@ -125,39 +125,6 @@ func TestAdversarySweepDeterministicAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestAdversaryStreamingParity: an armed streaming pass must reproduce
-// the armed batch audit's fingerprint byte for byte — cross-validation,
-// landmark exclusion and the population-judged inspections included.
-func TestAdversaryStreamingParity(t *testing.T) {
-	plan := measure.AdversaryPlan{
-		Seed: 42, Attack: measure.AttackInflate, ProxyFraction: 0.3,
-		Aggressiveness: 1, ByzantineFraction: 0.15,
-	}
-	lab1, err := NewLab(tinyAuditConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab1.Adversary = &plan
-	run, err := lab1.Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := Fingerprint(run)
-
-	lab2, err := NewLab(tinyAuditConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab2.Adversary = &plan
-	a := lab2.StreamingAuditor(8, 2)
-	if _, err := a.Sync(context.Background(), lab2.StreamSource()); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Store().Fingerprint(); got != batch {
-		t.Fatalf("armed streaming pass diverged from batch audit:\n--- batch ---\n%s--- stream ---\n%s", batch, got)
-	}
-}
-
 // TestAdversaryStreamingRearmDirties: arming the plan after an honest
 // pass must dirty every row (the verdicts mean something else now), and
 // a disarmed follow-up must restore the honest fingerprint.

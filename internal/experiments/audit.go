@@ -5,20 +5,18 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"activegeo/internal/assess"
 	"activegeo/internal/datacenter"
 	"activegeo/internal/detect"
 	"activegeo/internal/geo"
-	"activegeo/internal/geoloc"
-	"activegeo/internal/grid"
 	"activegeo/internal/iclab"
 	"activegeo/internal/ipdb"
 	"activegeo/internal/mathx"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 	"activegeo/internal/proxy"
+	"activegeo/internal/stream"
 	"activegeo/internal/worldmap"
 )
 
@@ -103,50 +101,17 @@ func (r *Fig14Result) Render() string {
 	return b.String()
 }
 
-// Audit pipeline stage names, as recorded in AuditRun.Errors and the
-// telemetry collector.
-const (
-	StageMeasure = "measure"
-	StageLocate  = "locate"
-)
-
-// ServerError records why one server produced no prediction region: its
-// measurement failed outright (or yielded too few usable samples), or
-// CBG++ localization failed on the measurements it did produce.
-type ServerError struct {
-	Stage string // StageMeasure or StageLocate
-	Err   error
-}
-
-// CoverageNote annotates one server's verdict with what its measurement
-// campaign lost under fault injection: the audit's answer to "how much
-// should this verdict be trusted?".
-type CoverageNote struct {
-	// Planned/Measured count landmarks attempted and landmarks that
-	// produced a usable sample.
-	Planned  int
-	Measured int
-	// Retries and ProbeFailures are the resilience layer's work:
-	// backoff-retry rounds and failed measurement attempts.
-	Retries       int
-	ProbeFailures int
-	// LostLandmarks are the landmarks that never answered (sorted).
-	LostLandmarks []netsim.HostID
-	// Disconnected marks a proxy that hung up mid-campaign;
-	// BudgetExhausted a campaign cut off by its deadline budget.
-	Disconnected    bool
-	BudgetExhausted bool
-	// Coverage is Measured/Planned; Confidence the derived grade
-	// (measure.ConfidenceFull/Degraded/Low).
-	Coverage   float64
-	Confidence string
-}
+// ServerError records why one server produced no prediction region.
+type ServerError = stream.ServerError
 
 // AuditRun is the memoized output of the full §6 pipeline.
 type AuditRun struct {
 	Results []*assess.Result
 	// byServer maps server IDs to results for cross-referencing.
 	byServer map[string]*assess.Result
+	// store is the engine's verdict store the run was read from; it
+	// serializes the run's fingerprint.
+	store *stream.Store
 	// ReclassifiedByDC counts uncertain→(credible|false) flips from the
 	// data-center check; ReclassifiedByGroup from the AS//24 check.
 	ReclassifiedByDC    int
@@ -165,7 +130,7 @@ type AuditRun struct {
 	// Coverage maps server IDs to their degradation annotations. Only
 	// populated when fault injection is armed: on the fault-free path
 	// the map is empty and the audit output is unchanged.
-	Coverage map[string]CoverageNote
+	Coverage map[string]stream.Coverage
 	// Fault-resilience aggregates over all servers.
 	Retries         int
 	ProbeFailures   int
@@ -198,259 +163,77 @@ type AuditRun struct {
 // correction, CBG++ localization, claim assessment, then data-center and
 // metadata disambiguation.
 //
-// The pipeline is deterministic AND parallel: the measurement phase runs
-// through measure.Batch and the localization+assessment phase on a
-// bounded worker pool, with every server drawing from its own stream
-// seeded by (lab seed, server ID) and results merged in fleet order. A
-// serial run (Concurrency: 1) and an N-worker run produce byte-identical
-// verdicts; concurrency changes only the wall-clock time.
+// It is one full-fleet pass of the streaming engine (StreamingAuditor at
+// the default batch geometry), which keeps each batch's per-server
+// results, regions included, for the figures. The final verdicts and
+// aggregates are read back from the engine's store. Every server draws
+// from its own stream seeded by (lab seed, server ID), so a serial run
+// (Concurrency: 1) and an N-worker run produce byte-identical verdicts;
+// concurrency changes only the wall-clock time.
 func (l *Lab) Audit() (*AuditRun, error) {
 	if l.audit != nil {
 		return l.audit, nil
 	}
-	tel := l.Telemetry
 	servers := l.Fleet.Servers()
-	// Cache counters are cumulative over the Env's lifetime; snapshot
-	// them here so the deltas reported below cover this audit only.
-	fieldBefore := l.Env.Field.Stats()
-	var maskBefore grid.MaskStats
-	if l.Env.Masks != nil {
-		maskBefore = l.Env.Masks.Stats()
-	}
 	run := &AuditRun{
+		Results:  make([]*assess.Result, 0, len(servers)),
 		byServer: make(map[string]*assess.Result, len(servers)),
 		Errors:   map[string]ServerError{},
-		Coverage: map[string]CoverageNote{},
+		Coverage: map[string]stream.Coverage{},
+	}
+	cfg := l.streamConfig(0, 0)
+	// Batches arrive in fleet order: a fresh store makes every server
+	// dirty, and the worker writes batches in the order they form.
+	cfg.OnBatchDone = func(bs stream.BatchStats) {
+		for i, r := range bs.Results {
+			run.Results = append(run.Results, r)
+			run.byServer[r.ServerID] = r
+			if e := bs.Errors[i]; e != nil {
+				run.Errors[r.ServerID] = *e
+			}
+		}
+	}
+	auditor := stream.New(cfg)
+	if _, err := auditor.Sync(context.Background(), l.StreamSource()); err != nil {
+		return nil, err
 	}
 
-	// Stage 0 (adversary plan armed only): cross-validate every anchor
-	// against the as-reported calibration mesh. The flagged landmarks
-	// are excluded from every server's localization inputs below, and
-	// the robust mesh fit doubles as the honest-noise baseline the
-	// per-server manipulation detectors compare against.
-	plan := l.Adversary
-	var lmReport *detect.LandmarkReport
-	var inspectCfg detect.InspectConfig
-	if plan.Enabled() {
-		span := tel.StartStage("audit.crossvalidate")
-		edges := detect.MeshEdges(l.Cons, plan.ReportedPosition, plan.ReportBiasMs)
-		lmReport = detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
-		inspectCfg = detect.DefaultInspectConfig()
-		run.AdversaryArmed = true
-		run.Landmarks = lmReport
-		run.FlaggedLandmarks = append([]netsim.HostID(nil), lmReport.Flagged...)
+	store := auditor.Store()
+	run.store = store
+	run.AdversaryArmed = l.Adversary.Enabled()
+	if run.AdversaryArmed {
+		run.Landmarks = auditor.Landmarks()
+		run.FlaggedLandmarks = append([]netsim.HostID(nil), run.Landmarks.Flagged...)
 		run.Inspections = make(map[string]detect.Inspection, len(servers))
-		span.End()
 	}
-
-	// Stage 1: two-phase measurement through every proxy, batched.
-	span := tel.StartStage("audit.measure")
-	proxies := make([]netsim.HostID, len(servers))
-	for i, s := range servers {
-		proxies[i] = s.Host.ID
-	}
-	batch := &measure.Batch{
-		Cons:        l.Cons,
-		Client:      l.Client,
-		Eta:         measure.DefaultEta,
-		Concurrency: l.Concurrency(),
-		Seed:        l.streamSeed(17),
-		Policy:      l.policy(),
-		Adversary:   plan,
-		OnProgress: func(done, total int) {
-			tel.Progress("audit.measure", done, total)
-		},
-	}
-	measured := batch.Run(context.Background(), proxies)
-	span.End()
-
-	// Stage 2: CBG++ localization + claim assessment, worker pool with
-	// per-index slots merged in fleet order.
-	span = tel.StartStage("audit.locate")
-	assessed := make([]*assess.Result, len(servers))
-	serverErrs := make([]*ServerError, len(servers))
-	inspections := make([]detect.Inspection, len(servers))
-	excluded := make([]int, len(servers))
-	var located int64
-	parallelFor(len(servers), l.Concurrency(), func(i int) {
-		s := servers[i]
-		region := l.Env.Grid.NewRegion()
-		var ms []geoloc.Measurement
-		switch {
-		case measured[i].Err != nil:
-			serverErrs[i] = &ServerError{Stage: StageMeasure, Err: measured[i].Err}
-		default:
-			ms = measured[i].Result.Measurements()
-			if run.AdversaryArmed {
-				// Flagged landmarks' reports are poison: drop them from
-				// the localization inputs before fitting a region.
-				kept := make([]geoloc.Measurement, 0, len(ms))
-				for _, m := range ms {
-					if !lmReport.IsFlagged(m.LandmarkID) {
-						kept = append(kept, m)
-					}
-				}
-				excluded[i] = len(ms) - len(kept)
-				ms = kept
-			}
-			if len(ms) < 4 {
-				serverErrs[i] = &ServerError{
-					Stage: StageMeasure,
-					Err:   fmt.Errorf("experiments: only %d usable measurements (need 4)", len(ms)),
-				}
-			} else if r2, lerr := l.CBGpp.Locate(ms); lerr != nil {
-				serverErrs[i] = &ServerError{Stage: StageLocate, Err: lerr}
-			} else {
-				region = r2
-			}
-		}
-		a := assess.Assess(l.Env.Mask, region, string(s.Host.ID), s.Provider, s.ClaimedCountry)
-		if run.AdversaryArmed {
-			if c, ok := region.Centroid(); ok {
-				inspections[i] = detect.InspectServer(ms, c, inspectCfg)
-			}
-		}
-		assessed[i] = a
-		tel.Progress("audit.locate", int(atomic.AddInt64(&located, 1)), len(servers))
-	})
-	span.End()
-
-	// The per-server fits are judged as a population: the honest
-	// majority of servers calibrates the spread/shift gates, so a noisy
-	// network doesn't read as an attack and a quiet one doesn't hide it.
-	if run.AdversaryArmed {
-		byID := make(map[string]detect.Inspection, len(servers))
-		for i, a := range assessed {
-			byID[a.ServerID] = inspections[i]
-		}
-		judged := detect.JudgeServers(byID, inspectCfg)
-		for i, a := range assessed {
-			inspections[i] = judged[a.ServerID]
-			a.ManipulationSuspected = inspections[i].Suspected
-			a.ManipulationScore = inspections[i].Score
-			a.ManipulationReasons = inspections[i].Reasons
-		}
-	}
-
-	for i, a := range assessed {
-		if e := serverErrs[i]; e != nil {
-			run.Errors[a.ServerID] = *e
-			if e.Stage == StageMeasure {
-				run.MeasureFailures++
-			} else {
-				run.LocateFailures++
-			}
-		}
-		if res := measured[i].Result; res != nil && res.Deg != nil {
-			note := coverageNote(res.Deg)
-			run.Coverage[a.ServerID] = note
-			run.Retries += note.Retries
-			run.ProbeFailures += note.ProbeFailures
-			run.LostLandmarks += len(note.LostLandmarks)
-			if note.Disconnected {
-				run.Disconnects++
-			}
-			if note.Confidence != measure.ConfidenceFull {
-				run.DegradedServers++
-			}
-		}
-		if a.VerdictRaw == assess.Uncertain && a.Verdict != assess.Uncertain {
-			run.ReclassifiedByDC++
+	for _, r := range run.Results {
+		id := netsim.HostID(r.ServerID)
+		r.Verdict, r.ProbableCountry, _ = store.VerdictOf(id)
+		if c, ok := store.CoverageOf(id); ok {
+			run.Coverage[r.ServerID] = c
 		}
 		if run.AdversaryArmed {
-			run.ExcludedMeasurements += excluded[i]
-			run.Inspections[a.ServerID] = inspections[i]
-			if a.ManipulationSuspected {
-				run.SuspectedServers++
-			}
+			insp, _ := store.InspectionOf(id)
+			run.Inspections[r.ServerID] = insp
+			r.ManipulationSuspected = insp.Suspected
+			r.ManipulationScore = insp.Score
+			r.ManipulationReasons = insp.Reasons
 		}
-		run.Results = append(run.Results, a)
-		run.byServer[a.ServerID] = a
 	}
-
-	// Stage 3 — Figure 16: metadata disambiguation over provider/AS//24
-	// groups. Groups are disjoint, so traversal order cannot change the
-	// outcome; keys are still sorted for a stable telemetry trace.
-	span = tel.StartStage("audit.disambiguate")
-	groups := l.Fleet.DataCenterGroups()
-	keys := make([]string, 0, len(groups))
-	for key := range groups {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		group := groups[key]
-		if len(group) < 2 {
-			continue
-		}
-		members := make([]*assess.Result, 0, len(group))
-		for _, s := range group {
-			if r, ok := run.byServer[string(s.Host.ID)]; ok {
-				members = append(members, r)
-			}
-		}
-		before := countUncertain(members)
-		assess.DisambiguateGroup(members)
-		run.ReclassifiedByGroup += before - countUncertain(members)
-	}
-	span.End()
-
-	tel.Add("audit.servers", int64(len(servers)))
-	tel.Add("audit.failures.measure", int64(run.MeasureFailures))
-	tel.Add("audit.failures.locate", int64(run.LocateFailures))
-	tel.Add("audit.reclassified.dc", int64(run.ReclassifiedByDC))
-	tel.Add("audit.reclassified.group", int64(run.ReclassifiedByGroup))
-	if run.AdversaryArmed {
-		tel.Add("audit.adversary.flagged", int64(len(run.FlaggedLandmarks)))
-		tel.Add("audit.adversary.excluded", int64(run.ExcludedMeasurements))
-		tel.Add("audit.adversary.suspected", int64(run.SuspectedServers))
-	}
-	if len(run.Coverage) > 0 {
-		tel.Add("audit.faults.retries", int64(run.Retries))
-		tel.Add("audit.faults.probefailures", int64(run.ProbeFailures))
-		tel.Add("audit.faults.lostlandmarks", int64(run.LostLandmarks))
-		tel.Add("audit.faults.disconnects", int64(run.Disconnects))
-		tel.Add("audit.faults.degraded", int64(run.DegradedServers))
-	}
-	fieldAfter := l.Env.Field.Stats()
-	tel.Add("geo.field.hits", int64(fieldAfter.Hits-fieldBefore.Hits))
-	tel.Add("geo.field.misses", int64(fieldAfter.Misses-fieldBefore.Misses))
-	tel.Add("geo.field.evictions", int64(fieldAfter.Evictions-fieldBefore.Evictions))
-	if l.Env.Masks != nil {
-		maskAfter := l.Env.Masks.Stats()
-		tel.Add("geo.mask.hits", int64(maskAfter.Hits-maskBefore.Hits))
-		tel.Add("geo.mask.misses", int64(maskAfter.Misses-maskBefore.Misses))
-		tel.Add("geo.mask.evictions", int64(maskAfter.Evictions-maskBefore.Evictions))
-		tel.Add("geo.mask.refined", int64(maskAfter.RefinedCells-maskBefore.RefinedCells))
-	}
+	st := store.Stats()
+	run.ReclassifiedByDC = st.ReclassifiedByDC
+	run.ReclassifiedByGroup = st.ReclassifiedByGroup
+	run.MeasureFailures = st.MeasureFailures
+	run.LocateFailures = st.LocateFailures
+	run.Retries = st.Retries
+	run.ProbeFailures = st.ProbeFailures
+	run.LostLandmarks = st.LostLandmarks
+	run.Disconnects = st.Disconnects
+	run.DegradedServers = st.DegradedServers
+	run.ExcludedMeasurements = st.ExcludedMeasurements
+	run.SuspectedServers = st.SuspectedServers
 	l.audit = run
 	return run, nil
-}
-
-// coverageNote converts a measurement-layer degradation ledger into the
-// audit's per-server annotation.
-func coverageNote(d *measure.Degradation) CoverageNote {
-	return CoverageNote{
-		Planned:         d.Planned,
-		Measured:        d.Measured,
-		Retries:         d.Retries,
-		ProbeFailures:   d.ProbeFailures,
-		LostLandmarks:   append([]netsim.HostID(nil), d.LostLandmarks...),
-		Disconnected:    d.Disconnected,
-		BudgetExhausted: d.BudgetExhausted,
-		Coverage:        d.Coverage(),
-		Confidence:      d.Confidence(),
-	}
-}
-
-func countUncertain(rs []*assess.Result) int {
-	n := 0
-	for _, r := range rs {
-		if r.Verdict == assess.Uncertain {
-			n++
-		}
-	}
-	return n
 }
 
 // Fig17Result is the overall assessment.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"activegeo/internal/assess"
+	"activegeo/internal/stream"
 )
 
 // tinyAuditConfig is a small-but-nontrivial lab for the determinism
@@ -78,7 +79,7 @@ func TestAuditErrorAccounting(t *testing.T) {
 		if e.Err == nil {
 			t.Errorf("server %s: recorded error with nil Err", id)
 		}
-		if e.Stage != StageMeasure && e.Stage != StageLocate {
+		if e.Stage != stream.StageMeasure && e.Stage != stream.StageLocate {
 			t.Errorf("server %s: unknown stage %q", id, e.Stage)
 		}
 		r, ok := run.byServer[id]

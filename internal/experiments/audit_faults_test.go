@@ -71,8 +71,8 @@ func TestAuditWithFaultsAnnotates(t *testing.T) {
 		if c.Planned < c.Measured || c.Planned != c.Measured+len(c.LostLandmarks) {
 			t.Errorf("server %s: inconsistent note %+v", id, c)
 		}
-		if c.Coverage < 0 || c.Coverage > 1 {
-			t.Errorf("server %s: coverage %v out of range", id, c.Coverage)
+		if c.Ratio < 0 || c.Ratio > 1 {
+			t.Errorf("server %s: coverage %v out of range", id, c.Ratio)
 		}
 		switch c.Confidence {
 		case measure.ConfidenceFull, measure.ConfidenceDegraded, measure.ConfidenceLow:

@@ -1,58 +1,11 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-
-	"activegeo/internal/assess"
-)
-
 // Fingerprint serializes everything observable about an audit run: every
 // per-server verdict in fleet order, the failure records, and the
 // aggregate tallies. Two runs are "identical" iff their fingerprints are
-// byte-equal. The determinism tests pin a golden SHA-256 of this string,
-// and the streaming audit's Store.Fingerprint reproduces the same bytes —
-// that parity is what certifies the streaming pipeline as a drop-in
-// replacement for the materializing one.
+// byte-equal; the determinism tests pin a golden SHA-256 of it. It is
+// the fingerprint of the engine store the run was read from
+// (stream.Store.Fingerprint).
 func Fingerprint(run *AuditRun) string {
-	var b strings.Builder
-	for _, r := range run.Results {
-		cells := 0
-		if r.Region != nil {
-			cells = r.Region.Count()
-		}
-		fmt.Fprintf(&b, "%s|%s|%s|%s|%s|%v|%d", r.ServerID, r.VerdictRaw, r.Verdict,
-			r.ContVerdict, r.ProbableCountry, r.Candidates, cells)
-		if e, ok := run.Errors[r.ServerID]; ok {
-			fmt.Fprintf(&b, "|err:%s:%v", e.Stage, e.Err)
-		}
-		// Coverage annotations only exist under fault injection, so the
-		// fault-free fingerprint is byte-identical to the pre-fault one.
-		if c, ok := run.Coverage[r.ServerID]; ok {
-			fmt.Fprintf(&b, "|cov:%d/%d:r%d:f%d:lost%v:disc%v:budget%v:%.4f:%s",
-				c.Measured, c.Planned, c.Retries, c.ProbeFailures, c.LostLandmarks,
-				c.Disconnected, c.BudgetExhausted, c.Coverage, c.Confidence)
-		}
-		// Adversary annotations only exist when the plan is armed, so
-		// the honest fingerprint is byte-identical to the pre-adversary
-		// one (the golden-SHA regression pins this).
-		if run.AdversaryArmed {
-			fmt.Fprintf(&b, "|adv:%v:%.4f:%v",
-				r.ManipulationSuspected, r.ManipulationScore, r.ManipulationReasons)
-		}
-		b.WriteByte('\n')
-	}
-	t := assess.Tabulate(run.Results)
-	fmt.Fprintf(&b, "tally:%d/%d/%d offcont:%d samecont:%d dc:%d group:%d mfail:%d lfail:%d\n",
-		t.Credible, t.Uncertain, t.False, t.FalseOffContinent, t.UncertainSameCont,
-		run.ReclassifiedByDC, run.ReclassifiedByGroup, run.MeasureFailures, run.LocateFailures)
-	if len(run.Coverage) > 0 {
-		fmt.Fprintf(&b, "faults: retries:%d probefail:%d lost:%d disc:%d degraded:%d\n",
-			run.Retries, run.ProbeFailures, run.LostLandmarks, run.Disconnects, run.DegradedServers)
-	}
-	if run.AdversaryArmed {
-		fmt.Fprintf(&b, "adversary: flagged:%v excluded:%d suspected:%d\n",
-			run.FlaggedLandmarks, run.ExcludedMeasurements, run.SuspectedServers)
-	}
-	return b.String()
+	return run.store.Fingerprint()
 }

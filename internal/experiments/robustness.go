@@ -159,7 +159,7 @@ func (l *Lab) Robustness(lossRates []float64, maxHosts int) (*RobustnessResult, 
 			sum := 0.0
 			for _, r := range run.Results {
 				if c, ok := run.Coverage[r.ServerID]; ok {
-					sum += c.Coverage
+					sum += c.Ratio
 				}
 			}
 			pt.MeanCoverage = sum / float64(len(run.Coverage))

@@ -4,18 +4,21 @@ import (
 	"activegeo/internal/stream"
 )
 
-// StreamingAuditor wires a streaming auditor to the lab's constellation,
-// client, environment, calibrated CBG++ and telemetry, with the same
-// measurement stream seed as the batch Audit (salt 17): every server
-// draws identical randomness on either path, so a streaming pass over
-// the unchanged fleet reproduces Audit's fingerprint byte for byte.
+// StreamingAuditor wires an audit engine to the lab's constellation,
+// client, environment, calibrated CBG++, fault policy, adversary plan
+// and telemetry, with the audit's measurement stream seed (salt 17).
+// Audit is one full-fleet pass of such an auditor; further passes
+// re-measure only the servers whose dependencies changed.
 // batchSize/queueDepth ≤ 0 take the stream package defaults.
 func (l *Lab) StreamingAuditor(batchSize, queueDepth int) *stream.Auditor {
-	return stream.New(stream.Config{
+	return stream.New(l.streamConfig(batchSize, queueDepth))
+}
+
+func (l *Lab) streamConfig(batchSize, queueDepth int) stream.Config {
+	return stream.Config{
 		Cons:        l.Cons,
 		Client:      l.Client,
 		Env:         l.Env,
-		Mask:        l.Env.Mask,
 		Locator:     l.CBGpp,
 		Seed:        l.streamSeed(17),
 		PolicyFn:    l.policy,
@@ -24,11 +27,11 @@ func (l *Lab) StreamingAuditor(batchSize, queueDepth int) *stream.Auditor {
 		BatchSize:   batchSize,
 		QueueDepth:  queueDepth,
 		Telemetry:   l.Telemetry,
-	})
+	}
 }
 
-// StreamSource enumerates the lab's fleet for the streaming auditor, in
-// the same order the batch audit walks it.
+// StreamSource enumerates the lab's fleet for the audit engine, in
+// Fleet.Servers order.
 func (l *Lab) StreamSource() *stream.FleetSource {
 	return stream.NewFleetSource(l.Fleet)
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 	"activegeo/internal/stream"
 )
@@ -15,10 +17,11 @@ import (
 // and returns the store fingerprint plus the pass stats.
 func streamFingerprintAt(t *testing.T, concurrency, batchSize, queueDepth int) (string, stream.PassStats) {
 	t.Helper()
-	lab, err := NewLab(tinyAuditConfig(concurrency))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return armedStreamFingerprint(t, armedLab(t, concurrency, "honest"), batchSize, queueDepth)
+}
+
+func armedStreamFingerprint(t *testing.T, lab *Lab, batchSize, queueDepth int) (string, stream.PassStats) {
+	t.Helper()
 	a := lab.StreamingAuditor(batchSize, queueDepth)
 	stats, err := a.Sync(context.Background(), lab.StreamSource())
 	if err != nil {
@@ -27,64 +30,57 @@ func streamFingerprintAt(t *testing.T, concurrency, batchSize, queueDepth int) (
 	return a.Store().Fingerprint(), stats
 }
 
-// TestStreamingMatchesBatchAudit: one streaming pass over the unchanged
-// tiny fleet must reproduce the batch audit's fingerprint byte for byte.
-// Since the batch fingerprint is itself pinned to a golden SHA-256, this
-// transitively pins the streaming pipeline.
-func TestStreamingMatchesBatchAudit(t *testing.T) {
-	batch := auditFingerprint(auditAt(t, 4))
-	got, stats := streamFingerprintAt(t, 4, 8, 2)
-	if got != batch {
-		t.Fatalf("streaming pass diverged from batch audit:\n--- batch ---\n%s--- stream ---\n%s", batch, got)
+// armedLab builds a fresh tiny lab that is "honest", has fault
+// injection armed ("faults"), or has a lying-proxy and Byzantine-anchor
+// adversary armed ("adversary").
+func armedLab(t *testing.T, concurrency int, arming string) *Lab {
+	t.Helper()
+	cfg := tinyAuditConfig(concurrency)
+	if arming == "faults" {
+		cfg.Faults = netsim.DefaultFaults(0.15)
 	}
-	if stats.Skipped != 0 || stats.Audited != stats.Total {
-		t.Fatalf("first pass over a fresh store must audit everything: %+v", stats)
+	lab, err := NewLab(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if arming == "adversary" {
+		lab.Adversary = &measure.AdversaryPlan{
+			Seed: 42, Attack: measure.AttackInflate, ProxyFraction: 0.3,
+			Aggressiveness: 1, ByzantineFraction: 0.15,
+		}
+	}
+	return lab
 }
 
 // TestStreamingDeterministicAcrossWidths: fingerprints must be identical
 // at any concurrency, batch size and queue depth — scheduling shapes
-// wall-clock only.
+// wall-clock only. Each row's pass must equal Audit's default-geometry
+// pass under the same arming, with fault injection or the adversary
+// armed too: the resilient sessions and the adversarial measurements
+// draw from per-server streams, and landmark cross-validation and the
+// population-judged inspections are whole-pass resolutions.
 func TestStreamingDeterministicAcrossWidths(t *testing.T) {
-	ref, _ := streamFingerprintAt(t, 1, 1, 1)
-	for _, w := range []struct{ conc, batch, queue int }{
-		{2, 4, 1}, {8, 8, 2}, {4, 64, 3},
+	for _, w := range []struct {
+		arming             string
+		conc, batch, queue int
+	}{
+		{"honest", 1, 1, 1}, {"honest", 2, 4, 1}, {"honest", 8, 8, 2}, {"honest", 4, 64, 3},
+		{"faults", 4, 8, 2}, {"adversary", 4, 8, 2},
 	} {
-		got, _ := streamFingerprintAt(t, w.conc, w.batch, w.queue)
-		if got != ref {
-			t.Fatalf("concurrency=%d batch=%d queue=%d diverged:\n--- serial ---\n%s--- parallel ---\n%s",
-				w.conc, w.batch, w.queue, ref, got)
-		}
-	}
-}
-
-// TestStreamingFaultyParity: fingerprint parity must hold with fault
-// injection armed too — the resilient sessions draw from the same
-// per-server streams on both paths.
-func TestStreamingFaultyParity(t *testing.T) {
-	cfg := tinyAuditConfig(4)
-	cfg.Faults = netsim.DefaultFaults(0.15)
-
-	lab1, err := NewLab(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := lab1.Audit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := auditFingerprint(run)
-
-	lab2, err := NewLab(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := lab2.StreamingAuditor(8, 2)
-	if _, err := a.Sync(context.Background(), lab2.StreamSource()); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Store().Fingerprint(); got != batch {
-		t.Fatalf("faulty streaming pass diverged from batch audit:\n--- batch ---\n%s--- stream ---\n%s", batch, got)
+		t.Run(fmt.Sprintf("%s/c%d_b%d_q%d", w.arming, w.conc, w.batch, w.queue), func(t *testing.T) {
+			run, err := armedLab(t, 4, w.arming).Audit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := Fingerprint(run)
+			got, stats := armedStreamFingerprint(t, armedLab(t, w.conc, w.arming), w.batch, w.queue)
+			if got != ref {
+				t.Fatalf("diverged from the default geometry:\n--- default ---\n%s--- this geometry ---\n%s", ref, got)
+			}
+			if stats.Skipped != 0 || stats.Audited != stats.Total {
+				t.Fatalf("first pass over a fresh store must audit everything: %+v", stats)
+			}
+		})
 	}
 }
 
@@ -156,7 +152,6 @@ func TestStreamingChurnStorm(t *testing.T) {
 		Cons:        lab.Cons,
 		Client:      lab.Client,
 		Env:         lab.Env,
-		Mask:        lab.Env.Mask,
 		Locator:     lab.CBGpp,
 		Seed:        lab.Cfg.Seed*1000003 + 17,
 		Concurrency: 4,

@@ -12,22 +12,20 @@ import (
 	"activegeo/internal/atlas"
 	"activegeo/internal/detect"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/grid"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 	"activegeo/internal/telemetry"
-	"activegeo/internal/worldmap"
 )
 
-// Config parameterizes a streaming Auditor. Cons, Client, Env, Mask and
-// Locator must match the batch audit's for fingerprint parity; Seed must
-// be the same measurement base seed (the lab's audit stream seed), since
-// each server's randomness is measure.StreamSeed(Seed, id) on both
-// paths.
+// Config parameterizes a streaming Auditor. Seed is the base seed of
+// the per-server measurement streams: each server's randomness is
+// measure.StreamSeed(Seed, id), so its verdict does not depend on which
+// batch carries it.
 type Config struct {
 	Cons    *atlas.Constellation
 	Client  netsim.HostID
 	Env     *geoloc.Env
-	Mask    *worldmap.Mask
 	Locator geoloc.Algorithm
 
 	// Seed is the base seed of the per-server measurement streams.
@@ -49,8 +47,8 @@ type Config struct {
 	// full — backpressure, not accumulation.
 	QueueDepth int
 
-	// Adversary, when armed, mirrors the batch audit's detection layer:
-	// the calibration mesh is cross-validated before each pass, flagged
+	// Adversary, when armed, switches the detection layer on: the
+	// calibration mesh is cross-validated before each pass, flagged
 	// landmarks' reports are dropped from every server's localization
 	// inputs, and each verdict carries a manipulation inspection judged
 	// against the whole store's population after the pass. nil (or a
@@ -58,28 +56,45 @@ type Config struct {
 	// engine.
 	Adversary *measure.AdversaryPlan
 
-	// Telemetry receives queue-depth and batch-latency distributions
-	// plus audited/skipped counters (nil discards).
+	// Telemetry receives the audit.* stage spans, progress and
+	// counters, queue-depth and batch-latency distributions, and the
+	// audited/skipped counters (nil discards).
 	Telemetry *telemetry.Collector
 
 	// OnBatchDone, if non-nil, is called synchronously from the worker
-	// after each batch is fully assessed, with no measurement in
+	// after each batch is written to the store, with no measurement in
 	// flight — the safe point to apply constellation churn mid-pass.
 	OnBatchDone func(BatchStats)
 }
 
-// BatchStats describes one completed batch.
+// ServerError records why one server produced no prediction region: its
+// measurement failed outright or left too few usable samples
+// (StageMeasure), or localization failed on the samples it did produce
+// (StageLocate).
+type ServerError struct {
+	Stage string
+	Err   error
+}
+
+// BatchStats describes one batch written to the store.
 type BatchStats struct {
 	Pass    uint32
 	Index   int // batch number within the pass, 0-based
 	Servers int
 	WallMs  float64
+	// Results are the batch's assessments in source order, regions
+	// included. Their Verdict and ProbableCountry are pre-group and
+	// their manipulation fields unset: the pass's whole-store
+	// resolution writes the final values to the store, not here.
+	Results []*assess.Result
+	// Errors[i] is why Results[i] has an empty region (nil if located).
+	Errors []*ServerError
 }
 
 // PassStats summarizes one Sync pass.
 type PassStats struct {
 	Total   int // servers enumerated from the source
-	Audited int // servers measured this pass
+	Audited int // servers measured and written to the store this pass
 	Skipped int // servers whose dependency signature was unchanged
 	Batches int
 }
@@ -103,6 +118,10 @@ func New(cfg Config) *Auditor {
 
 // Store exposes the verdict store.
 func (a *Auditor) Store() *Store { return a.store }
+
+// Landmarks returns the last pass's landmark cross-validation report
+// (nil when the adversary layer is disarmed).
+func (a *Auditor) Landmarks() *detect.LandmarkReport { return a.lmReport }
 
 func (a *Auditor) concurrency() int {
 	if a.cfg.Concurrency > 0 {
@@ -172,32 +191,48 @@ type batchItem struct {
 // Sync runs one streaming pass over the source: servers whose dependency
 // signature changed since their last verdict are re-measured in bounded
 // batches; the rest are skipped. After the pass the group metadata
-// refinement is re-resolved over the whole store, so partial deltas
-// compose into exactly the verdicts a full batch audit would produce.
+// refinement and the manipulation judgment are re-resolved over the
+// whole store, so partial deltas compose into exactly the verdicts a
+// full pass would produce.
 //
 // Determinism: each server draws from its own (Seed, ID) stream, batch
 // composition only affects scheduling, and per-batch results are written
 // into per-row slots — so verdicts are a pure function of (store state,
 // source, constellation, faults), at any Concurrency/BatchSize/QueueDepth.
+//
+// A canceled pass returns the context's error without resolving; only
+// the batches written before the cancellation count as audited, and
+// every other dirty row stays dirty for the next pass.
 func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	a.pass++
 	tel := a.cfg.Telemetry
 	prov, _ := src.(Provisioner)
 	stats := PassStats{Total: src.Len()}
+	// Cache counters are cumulative over the Env's lifetime; snapshot
+	// them here so the deltas reported below cover this pass only.
+	caches := a.cacheStats()
 
 	// Stage 0 (adversary plan armed only): cross-validate the anchors
-	// against the as-reported calibration mesh, exactly as the batch
-	// audit does. The flagged set filters every batch's localization
-	// inputs below and is stamped into the store for the fingerprint.
+	// against the as-reported calibration mesh. The flagged set filters
+	// every batch's localization inputs below and is stamped into the
+	// store for the fingerprint; the robust mesh fit doubles as the
+	// honest-noise baseline the per-server detectors compare against.
 	if plan := a.cfg.Adversary; plan.Enabled() {
+		span := tel.StartStage("audit.crossvalidate")
 		edges := detect.MeshEdges(a.cfg.Cons, plan.ReportedPosition, plan.ReportBiasMs)
 		a.lmReport = detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
 		a.store.setAdversary(true, a.lmReport.Flagged)
+		span.End()
 	} else {
 		a.lmReport = nil
 		a.store.setAdversary(false, nil)
 	}
 
+	release := func(batch []batchItem) {
+		if prov != nil {
+			prov.Release(specsOf(batch))
+		}
+	}
 	batches := make(chan []batchItem, a.queueDepth())
 	var feedErr error
 	var wg sync.WaitGroup
@@ -211,11 +246,7 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 				return true
 			}
 			if prov != nil {
-				specs := make([]ServerSpec, len(batch))
-				for i, it := range batch {
-					specs[i] = it.spec
-				}
-				if err := prov.Provision(specs); err != nil {
+				if err := prov.Provision(specsOf(batch)); err != nil {
 					feedErr = fmt.Errorf("stream: provisioning batch: %w", err)
 					return false
 				}
@@ -226,13 +257,7 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 			case <-ctx.Done():
 				// The batch was provisioned but never handed off: release
 				// it here or its hosts leak into the next pass.
-				if prov != nil {
-					specs := make([]ServerSpec, len(batch))
-					for i, it := range batch {
-						specs[i] = it.spec
-					}
-					prov.Release(specs)
-				}
+				release(batch)
 				feedErr = ctx.Err()
 				return false
 			}
@@ -261,35 +286,25 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	}()
 
 	for batch := range batches {
+		// Once canceled, drain without assessing, so every unfinished
+		// row keeps its old signature and stays dirty for the next pass.
 		if ctx.Err() != nil {
-			// Canceled: drain without assessing, so every unfinished row
-			// keeps its old signature and stays dirty for the next pass.
-			if prov != nil {
-				specs := make([]ServerSpec, len(batch))
-				for i, it := range batch {
-					specs[i] = it.spec
-				}
-				prov.Release(specs)
-			}
+			release(batch)
 			continue
 		}
 		start := time.Now()
-		a.runBatch(ctx, batch)
-		if prov != nil {
-			specs := make([]ServerSpec, len(batch))
-			for i, it := range batch {
-				specs[i] = it.spec
-			}
-			prov.Release(specs)
+		bs, written := a.runBatch(ctx, batch, stats.Audited, stats.Total)
+		release(batch)
+		if !written {
+			continue
 		}
-		wallMs := float64(time.Since(start)) / float64(time.Millisecond)
-		tel.Observe("stream.batch.ms", wallMs)
+		bs.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
+		tel.Observe("stream.batch.ms", bs.WallMs)
 		tel.Add("stream.audited", int64(len(batch)))
 		stats.Audited += len(batch)
 		if a.cfg.OnBatchDone != nil {
-			a.cfg.OnBatchDone(BatchStats{
-				Pass: a.pass, Index: stats.Batches, Servers: len(batch), WallMs: wallMs,
-			})
+			bs.Pass, bs.Index = a.pass, stats.Batches
+			a.cfg.OnBatchDone(bs)
 		}
 		stats.Batches++
 	}
@@ -297,25 +312,44 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	if feedErr != nil {
 		return stats, feedErr
 	}
+	if err := ctx.Err(); err != nil {
+		return stats, err
+	}
 
+	span := tel.StartStage("audit.disambiguate")
 	a.store.resolveGroups()
+	span.End()
 	// Like the group refinement, the manipulation judgment is a pure
 	// function of the whole store's per-server fits: re-judging after
 	// every pass makes partial deltas compose into exactly the verdicts
-	// a full batch audit would produce.
+	// a full pass would produce.
 	a.store.resolveAdversary(detect.DefaultInspectConfig())
-	tel.Add("stream.skipped", int64(stats.Skipped))
-	tel.Add("stream.passes", 1)
+	a.recordPass(stats, caches)
 	return stats, nil
 }
 
-// runBatch measures and assesses one batch: the only point where RTT
-// vectors and prediction regions exist, and they die with the batch.
-func (a *Auditor) runBatch(ctx context.Context, batch []batchItem) {
+// specsOf returns the batch's server specs, for the Provisioner.
+func specsOf(batch []batchItem) []ServerSpec {
+	specs := make([]ServerSpec, len(batch))
+	for i, it := range batch {
+		specs[i] = it.spec
+	}
+	return specs
+}
+
+// runBatch measures, locates and assesses one batch and writes it to
+// the store: the only point where RTT vectors and prediction regions
+// exist, and they die with the batch unless OnBatchDone keeps them.
+// done and total place the batch in the pass for progress reporting.
+// It reports false, writing nothing, when cancellation cut the
+// measurement short.
+func (a *Auditor) runBatch(ctx context.Context, batch []batchItem, done, total int) (BatchStats, bool) {
+	tel := a.cfg.Telemetry
 	proxies := make([]netsim.HostID, len(batch))
 	for i, it := range batch {
 		proxies[i] = it.spec.ID
 	}
+	span := tel.StartStage("audit.measure")
 	mb := &measure.Batch{
 		Cons:        a.cfg.Cons,
 		Client:      a.cfg.Client,
@@ -324,30 +358,41 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem) {
 		Seed:        a.cfg.Seed,
 		Policy:      a.policy(),
 		Adversary:   a.cfg.Adversary,
+		OnProgress: func(n, _ int) {
+			tel.Progress("audit.measure", done+n, total)
+		},
 	}
 	measured := mb.Run(ctx, proxies)
+	span.End()
 	if ctx.Err() != nil {
-		// The measurement was cut short by cancellation; don't bake the
-		// partial results into the store — the rows stay dirty.
-		return
+		// Don't bake partial results into the store: the rows stay dirty.
+		return BatchStats{}, false
 	}
 
+	span = tel.StartStage("audit.locate")
 	armed := a.cfg.Adversary.Enabled()
 	inspectCfg := detect.DefaultInspectConfig()
+	bs := BatchStats{
+		Servers: len(batch),
+		Results: make([]*assess.Result, len(batch)),
+		Errors:  make([]*ServerError, len(batch)),
+	}
+	outs := make([]outcome, len(batch))
+	var located atomic.Int64
 	parallelFor(len(batch), a.concurrency(), func(i int) {
 		it := batch[i]
 		o := outcome{spec: it.spec, sig: it.sig, pass: a.pass}
 		region := a.cfg.Env.Grid.NewRegion()
 		var ms []geoloc.Measurement
+		var serr *ServerError
 		switch {
 		case measured[i].Err != nil:
-			o.errStage = StageMeasure
-			o.errMsg = measured[i].Err.Error()
+			serr = &ServerError{Stage: StageMeasure, Err: measured[i].Err}
 		default:
 			ms = measured[i].Result.Measurements()
 			if armed {
 				// Flagged landmarks' reports are poison: drop them before
-				// fitting a region, exactly as the batch audit does.
+				// fitting a region.
 				kept := make([]geoloc.Measurement, 0, len(ms))
 				for _, m := range ms {
 					if !a.lmReport.IsFlagged(m.LandmarkID) {
@@ -359,23 +404,25 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem) {
 			}
 			o.nMeas = len(ms)
 			if len(ms) < 4 {
-				o.errStage = StageMeasure
-				// Byte-identical to the batch audit's error (which is
-				// minted in package experiments) so fingerprints agree.
-				o.errMsg = fmt.Sprintf("experiments: only %d usable measurements (need 4)", len(ms))
+				// The "experiments:" prefix predates this package and is
+				// part of the pinned golden audit fingerprint.
+				serr = &ServerError{Stage: StageMeasure,
+					Err: fmt.Errorf("experiments: only %d usable measurements (need 4)", len(ms))}
 			} else if r2, lerr := a.cfg.Locator.Locate(ms); lerr != nil {
-				o.errStage = StageLocate
-				o.errMsg = lerr.Error()
+				serr = &ServerError{Stage: StageLocate, Err: lerr}
 			} else {
 				region = r2
 			}
+		}
+		if serr != nil {
+			o.errStage, o.errMsg = serr.Stage, serr.Err.Error()
 		}
 		if armed {
 			if c, ok := region.Centroid(); ok {
 				o.insp = detect.InspectServer(ms, c, inspectCfg)
 			}
 		}
-		res := assess.Assess(a.cfg.Mask, region, string(it.spec.ID), it.spec.Provider, it.spec.Claimed)
+		res := assess.Assess(a.cfg.Env.Mask, region, string(it.spec.ID), it.spec.Provider, it.spec.Claimed)
 		o.raw = res.VerdictRaw
 		o.dc = res.Verdict
 		o.cont = res.ContVerdict
@@ -396,7 +443,90 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem) {
 			}
 		}
 		a.store.setResult(it.row, o)
+		outs[i] = o
+		bs.Results[i], bs.Errors[i] = res, serr
+		tel.Progress("audit.locate", done+int(located.Add(1)), total)
 	})
+	span.End()
+	a.recordBatch(outs)
+	return bs, true
+}
+
+// recordBatch adds one written batch's servers to the audit.* counters:
+// failures by stage, data-center reclassifications, and, when armed,
+// the fault ledger and the excluded measurements.
+func (a *Auditor) recordBatch(outs []outcome) {
+	var st Stats
+	for _, o := range outs {
+		switch o.errStage {
+		case StageMeasure:
+			st.MeasureFailures++
+		case StageLocate:
+			st.LocateFailures++
+		}
+		if o.raw == assess.Uncertain && o.dc != assess.Uncertain {
+			st.ReclassifiedByDC++
+		}
+		st.ExcludedMeasurements += o.excluded
+		if o.coverage != nil {
+			st.addCoverage(*o.coverage)
+		}
+	}
+	tel := a.cfg.Telemetry
+	tel.Add("audit.servers", int64(len(outs)))
+	tel.Add("audit.failures.measure", int64(st.MeasureFailures))
+	tel.Add("audit.failures.locate", int64(st.LocateFailures))
+	tel.Add("audit.reclassified.dc", int64(st.ReclassifiedByDC))
+	if a.cfg.Adversary.Enabled() {
+		tel.Add("audit.adversary.excluded", int64(st.ExcludedMeasurements))
+	}
+	if st.FaultyServers > 0 {
+		tel.Add("audit.faults.retries", int64(st.Retries))
+		tel.Add("audit.faults.probefailures", int64(st.ProbeFailures))
+		tel.Add("audit.faults.lostlandmarks", int64(st.LostLandmarks))
+		tel.Add("audit.faults.disconnects", int64(st.Disconnects))
+		tel.Add("audit.faults.degraded", int64(st.DegradedServers))
+	}
+}
+
+// cacheSnapshot holds the Env's cumulative geometry-cache counters.
+type cacheSnapshot struct {
+	field grid.FieldStats
+	mask  grid.MaskStats
+}
+
+func (a *Auditor) cacheStats() cacheSnapshot {
+	c := cacheSnapshot{field: a.cfg.Env.Field.Stats()}
+	if a.cfg.Env.Masks != nil {
+		c.mask = a.cfg.Env.Masks.Stats()
+	}
+	return c
+}
+
+// recordPass adds a completed pass's whole-store resolutions (group
+// reclassifications, flagged landmarks, suspected servers) and its
+// geometry-cache deltas to the telemetry. The per-server counters were
+// added batch by batch, so they count the servers measured this pass.
+func (a *Auditor) recordPass(stats PassStats, before cacheSnapshot) {
+	tel := a.cfg.Telemetry
+	st := a.store.Stats()
+	tel.Add("audit.reclassified.group", int64(st.ReclassifiedByGroup))
+	if a.lmReport != nil {
+		tel.Add("audit.adversary.flagged", int64(len(a.lmReport.Flagged)))
+		tel.Add("audit.adversary.suspected", int64(st.SuspectedServers))
+	}
+	tel.Add("stream.skipped", int64(stats.Skipped))
+	tel.Add("stream.passes", 1)
+	after := a.cacheStats()
+	tel.Add("geo.field.hits", int64(after.field.Hits-before.field.Hits))
+	tel.Add("geo.field.misses", int64(after.field.Misses-before.field.Misses))
+	tel.Add("geo.field.evictions", int64(after.field.Evictions-before.field.Evictions))
+	if a.cfg.Env.Masks != nil {
+		tel.Add("geo.mask.hits", int64(after.mask.Hits-before.mask.Hits))
+		tel.Add("geo.mask.misses", int64(after.mask.Misses-before.mask.Misses))
+		tel.Add("geo.mask.evictions", int64(after.mask.Evictions-before.mask.Evictions))
+		tel.Add("geo.mask.refined", int64(after.mask.RefinedCells-before.mask.RefinedCells))
+	}
 }
 
 // parallelFor runs fn(i) for i in [0, n) on at most workers goroutines

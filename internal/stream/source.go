@@ -1,21 +1,21 @@
-// Package stream is the streaming fleet audit: the §6 pipeline
-// restructured so memory stays bounded at any fleet size. The
-// materializing Lab.Audit keeps every server's measurements and
-// prediction region alive at once — O(fleet) — which caps the auditable
-// fleet far below the ROADMAP's production scale. Here the fleet flows
-// through a bounded-queue batch scheduler instead: per-server RTT
-// vectors and regions live only for the batch that carries them, and the
-// only O(fleet) state is the columnar verdict store (a few dozen bytes
-// per server).
+// Package stream is the fleet audit engine: the §6 pipeline (two-phase
+// measurement, η correction, CBG++, claim verdict, data-center and
+// AS//24 disambiguation, and the optional manipulation detection) run
+// so memory stays bounded at any fleet size. The fleet flows through a
+// bounded-queue batch scheduler: per-server RTT vectors and regions live
+// only for the batch that carries them, and the only O(fleet) state is
+// the columnar verdict store (a few dozen bytes per server).
+// experiments.Lab.Audit is one full-fleet pass of this engine that keeps
+// each batch's regions for the figures.
 //
 // Re-assessment is churn-driven: every verdict is stamped with a
 // dependency signature over the atlas epoch, the fault ledger and the
 // server's claim, and a Sync pass re-measures only the servers whose
-// signature changed. Measurement randomness comes from the same
-// per-entity streams as the batch audit (measure.StreamSeed over the
-// same base seed), so a streaming pass over an unchanged fleet is
-// byte-identical to Lab.Audit — fingerprint parity is pinned in
-// internal/experiments' tests against the audit golden SHA.
+// signature changed. Measurement randomness comes from per-entity
+// streams (measure.StreamSeed over the configured base seed), so a
+// verdict never depends on batch geometry, and the fingerprint of a
+// full pass is pinned in internal/experiments' tests against the audit
+// golden SHA.
 package stream
 
 import (
@@ -59,8 +59,7 @@ type Provisioner interface {
 
 // FleetSource adapts a materialized proxy.Fleet (hosts already
 // registered in the network) to the streaming auditor, enumerating
-// servers in the same provider-then-ID order as Fleet.Servers so
-// fingerprints line up row for row with the batch audit.
+// servers in the same provider-then-ID order as Fleet.Servers.
 type FleetSource struct {
 	servers []*proxy.Server
 }
@@ -80,8 +79,8 @@ func (s *FleetSource) Spec(i int) ServerSpec {
 		ID:       sv.Host.ID,
 		Provider: sv.Provider,
 		Claimed:  sv.ClaimedCountry,
-		// Same key format as Fleet.DataCenterGroups, so the streaming
-		// group disambiguation partitions exactly like the batch one.
+		// Same key format as Fleet.DataCenterGroups, so the group
+		// disambiguation partitions the fleet like the figures do.
 		GroupKey: fmt.Sprintf("%s/AS%d/%s", sv.Provider, sv.Host.ASN, sv.Host.Prefix24),
 	}
 }

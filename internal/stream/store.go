@@ -11,27 +11,36 @@ import (
 	"activegeo/internal/netsim"
 )
 
-// Audit pipeline stage names recorded for failed servers. The values
-// match the batch audit's experiments.StageMeasure/StageLocate so the
-// fingerprints agree byte for byte (stream cannot import experiments:
-// experiments imports stream for the Lab wiring).
+// Audit pipeline stage names, as recorded in ServerError.Stage and the
+// fingerprint's failure annotations.
 const (
 	StageMeasure = "measure"
 	StageLocate  = "locate"
 )
 
-// Coverage is one server's degradation annotation under fault injection,
-// mirroring the batch audit's CoverageNote field for field.
+// Coverage annotates one server's verdict with what its measurement
+// campaign lost under fault injection: the audit's answer to "how much
+// should this verdict be trusted?". Only servers measured with fault
+// injection armed carry one.
 type Coverage struct {
-	Planned         int
-	Measured        int
-	Retries         int
-	ProbeFailures   int
-	LostLandmarks   []netsim.HostID
+	// Planned/Measured count landmarks attempted and landmarks that
+	// produced a usable sample.
+	Planned  int
+	Measured int
+	// Retries and ProbeFailures are the resilience layer's work:
+	// backoff-retry rounds and failed measurement attempts.
+	Retries       int
+	ProbeFailures int
+	// LostLandmarks are the landmarks that never answered (sorted).
+	LostLandmarks []netsim.HostID
+	// Disconnected marks a proxy that hung up mid-campaign;
+	// BudgetExhausted a campaign cut off by its deadline budget.
 	Disconnected    bool
 	BudgetExhausted bool
-	Ratio           float64
-	Confidence      string
+	// Ratio is Measured/Planned; Confidence the derived grade
+	// (measure.ConfidenceFull/Degraded/Low).
+	Ratio      float64
+	Confidence string
 }
 
 // Store is the columnar (struct-of-arrays) verdict store: the only
@@ -42,7 +51,7 @@ type Coverage struct {
 //
 // Rows are append-only in first-seen order; re-auditing a server updates
 // its row in place, so a pass over an unchanged fleet keeps rows in
-// fleet order and the fingerprint lines up with the batch audit's.
+// fleet order.
 type Store struct {
 	mu sync.RWMutex
 
@@ -275,10 +284,12 @@ func (s *Store) setAdversary(armed bool, flagged []netsim.HostID) {
 }
 
 // resolveAdversary re-judges every row's manipulation inspection against
-// the whole store's population, mirroring the batch audit's
-// detect.JudgeServers stage. Like resolveGroups it is idempotent — the
-// judged fields are a pure function of the raw per-row fits, so deltas
-// from a partial re-audit compose exactly as a full pass would.
+// the whole store's population with detect.JudgeServers: the honest
+// majority of servers calibrates the spread/shift gates, so a noisy
+// network doesn't read as an attack and a quiet one doesn't hide it.
+// Like resolveGroups it is idempotent — the judged fields are a pure
+// function of the raw per-row fits, so deltas from a partial re-audit
+// compose exactly as a full pass would.
 func (s *Store) resolveAdversary(cfg detect.InspectConfig) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -298,9 +309,10 @@ func (s *Store) resolveAdversary(cfg detect.InspectConfig) {
 // resolveGroups reruns the Figure 16 metadata disambiguation over every
 // group, recomputing the final verdicts from the post-data-center
 // columns. It is idempotent — deltas from a partial re-audit compose
-// with unchanged rows exactly as a full batch pass would, because the
-// group refinement is a pure function of the group's candidate sets.
-// Semantics mirror assess.DisambiguateGroup.
+// with unchanged rows exactly as a full pass would, because the group
+// refinement is a pure function of the group's candidate sets. The rule
+// is assess.DisambiguateGroup's, over interned columns; a table test
+// holds the two equal.
 func (s *Store) resolveGroups() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -348,8 +360,8 @@ func (s *Store) resolveGroups() {
 		if len(shared) == 0 {
 			continue
 		}
-		// Sort by country code, as DisambiguateGroup does, so shared[0]
-		// (the ascribed probable country) matches the batch audit.
+		// Sort by country code: shared[0] is the ascribed probable
+		// country.
 		sort.Slice(shared, func(i, j int) bool {
 			return s.countries[shared[i]] < s.countries[shared[j]]
 		})
@@ -407,7 +419,7 @@ func (s *Store) tallyLocked() assess.Tally {
 	return t
 }
 
-// Stats are the store-wide aggregates of the batch audit's AuditRun.
+// Stats are the store-wide aggregates of the audit.
 type Stats struct {
 	Servers             int
 	ReclassifiedByDC    int
@@ -421,9 +433,15 @@ type Stats struct {
 	Disconnects     int
 	DegradedServers int
 	FaultyServers   int
+
+	// Adversary-detection aggregates (zero while disarmed): servers
+	// judged manipulation-suspected, and measurements dropped for coming
+	// from flagged landmarks.
+	SuspectedServers     int
+	ExcludedMeasurements int
 }
 
-// ConfidenceFull mirrors measure.ConfidenceFull without importing it
+// confidenceFull mirrors measure.ConfidenceFull without importing it
 // into the hot columnar path's dependencies.
 const confidenceFull = "full"
 
@@ -446,26 +464,32 @@ func (s *Store) statsLocked() Stats {
 		case 2:
 			st.LocateFailures++
 		}
-	}
-	rows := make([]int, 0, len(s.coverage))
-	for row := range s.coverage {
-		rows = append(rows, row)
-	}
-	sort.Ints(rows)
-	for _, row := range rows {
-		c := s.coverage[row]
-		st.FaultyServers++
-		st.Retries += c.Retries
-		st.ProbeFailures += c.ProbeFailures
-		st.LostLandmarks += len(c.LostLandmarks)
-		if c.Disconnected {
-			st.Disconnects++
+		if s.advArmed {
+			if s.advInsp[row].Suspected {
+				st.SuspectedServers++
+			}
+			st.ExcludedMeasurements += int(s.advExcluded[row])
 		}
-		if c.Confidence != confidenceFull {
-			st.DegradedServers++
-		}
+	}
+	for _, c := range s.coverage {
+		st.addCoverage(c)
 	}
 	return st
+}
+
+// addCoverage folds one server's coverage annotation into the fault
+// aggregates.
+func (st *Stats) addCoverage(c Coverage) {
+	st.FaultyServers++
+	st.Retries += c.Retries
+	st.ProbeFailures += c.ProbeFailures
+	st.LostLandmarks += len(c.LostLandmarks)
+	if c.Disconnected {
+		st.Disconnects++
+	}
+	if c.Confidence != confidenceFull {
+		st.DegradedServers++
+	}
 }
 
 // VerdictOf returns the final verdict and probable country for one
@@ -493,6 +517,20 @@ func (s *Store) InspectionOf(id netsim.HostID) (detect.Inspection, bool) {
 	return s.advInsp[row], true
 }
 
+// CoverageOf returns one server's fault-injection coverage annotation
+// (ok=false if the server has none: never seen, measured fault-free, or
+// failed before its campaign produced a ledger).
+func (s *Store) CoverageOf(id netsim.HostID) (Coverage, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	row, found := s.index[id]
+	if !found {
+		return Coverage{}, false
+	}
+	c, ok := s.coverage[row]
+	return c, ok
+}
+
 // LastPass returns the Sync pass (1-based) in which the server was last
 // measured, 0 if never.
 func (s *Store) LastPass(id netsim.HostID) uint32 {
@@ -505,12 +543,12 @@ func (s *Store) LastPass(id netsim.HostID) uint32 {
 	return s.lastPass[row]
 }
 
-// Fingerprint serializes the store byte-identically to the batch
-// audit's fingerprint (internal/experiments.Fingerprint): per-server
-// verdict lines in row order, the aggregate tally line, and the faults
-// line when any coverage annotations exist. Parity with the golden
-// audit SHA is what pins the streaming pipeline to the materializing
-// one.
+// Fingerprint serializes everything observable about the store's audit:
+// per-server verdict lines in row order (with failure, coverage and
+// adversary annotations), the aggregate tally line, the faults line when
+// any coverage annotations exist, and the adversary line when armed. Two
+// audits are identical iff their fingerprints are byte-equal; the
+// experiments tests pin a golden SHA-256 of it.
 func (s *Store) Fingerprint() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -556,15 +594,8 @@ func (s *Store) Fingerprint() string {
 			st.Retries, st.ProbeFailures, st.LostLandmarks, st.Disconnects, st.DegradedServers)
 	}
 	if s.advArmed {
-		suspected, excluded := 0, 0
-		for row := range s.ids {
-			if s.advInsp[row].Suspected {
-				suspected++
-			}
-			excluded += int(s.advExcluded[row])
-		}
 		fmt.Fprintf(&b, "adversary: flagged:%v excluded:%d suspected:%d\n",
-			s.advFlagged, excluded, suspected)
+			s.advFlagged, st.ExcludedMeasurements, st.SuspectedServers)
 	}
 	return b.String()
 }

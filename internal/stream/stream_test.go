@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -58,7 +59,6 @@ func (te *testEnv) auditor(batchSize, queueDepth int) *Auditor {
 		Cons:        te.cons,
 		Client:      te.client,
 		Env:         te.env,
-		Mask:        te.env.Mask,
 		Locator:     te.loc,
 		Seed:        4242,
 		Concurrency: 4,
@@ -130,39 +130,58 @@ func TestSynthDeterministicAcrossBatchGeometry(t *testing.T) {
 }
 
 // TestSyncContextCancel: a canceled context aborts the pass with the
-// context error rather than hanging the feeder on a full queue.
+// context error rather than hanging the feeder on a full queue, and
+// also when the queue is deep enough that the feeder has already handed
+// off every batch: the pass then must not report success or resolve.
+// Only batches written to the store count as audited, and everything
+// else stays dirty for the next pass.
 func TestSyncContextCancel(t *testing.T) {
-	te := newTestEnv(t, 31)
-	src := NewSynthSource(te.net, 400, 777)
-	a := te.auditor(8, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := false
-	a.cfg.OnBatchDone = func(BatchStats) {
-		if !done {
-			done = true
-			cancel()
-		}
-	}
-	_, err := a.Sync(ctx, src)
-	if err == nil {
-		t.Fatal("Sync with canceled context returned nil error")
-	}
+	for _, tc := range []struct {
+		name                  string
+		servers, batch, queue int
+		wantAudited           int
+	}{
+		{name: "feeder blocked", servers: 400, batch: 8, queue: 1, wantAudited: 8},
+		{name: "feeder done", servers: 64, batch: 8, queue: 16, wantAudited: 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			te := newTestEnv(t, 31)
+			src := NewSynthSource(te.net, tc.servers, 777)
+			a := te.auditor(tc.batch, tc.queue)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			announced := 0
+			a.cfg.OnBatchDone = func(BatchStats) {
+				announced++
+				cancel()
+			}
+			stats, err := a.Sync(ctx, src)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled Sync returned %v, want context.Canceled", err)
+			}
+			if stats.Audited != tc.wantAudited || stats.Batches != 1 || announced != 1 {
+				t.Fatalf("canceled pass: %+v with %d batches announced, want %d audited in 1 batch",
+					stats, announced, tc.wantAudited)
+			}
 
-	// Everything the canceled pass did not finish stayed dirty: a fresh
-	// pass picks the remainder up, and a third pass is quiescent.
-	a.cfg.OnBatchDone = nil
-	resume, err := a.Sync(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resume.Audited == 0 {
-		t.Fatal("resume pass audited nothing — canceled rows were wrongly marked clean")
-	}
-	final, err := a.Sync(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Audited != 0 || final.Skipped != 400 {
-		t.Fatalf("post-resume pass must be quiescent over all 400 servers: %+v", final)
+			// A fresh pass picks up exactly the remainder, and a third
+			// pass is quiescent.
+			a.cfg.OnBatchDone = nil
+			resume, err := a.Sync(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resume.Audited != tc.servers-tc.wantAudited {
+				t.Fatalf("resume pass audited %d, want the %d rows the canceled pass left dirty",
+					resume.Audited, tc.servers-tc.wantAudited)
+			}
+			final, err := a.Sync(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.Audited != 0 || final.Skipped != tc.servers {
+				t.Fatalf("post-resume pass must be quiescent over all %d servers: %+v", tc.servers, final)
+			}
+		})
 	}
 }
