@@ -13,7 +13,7 @@
 #   make race-smoke    quick audit pipeline only, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
 #   make soak-constellation  CHAOS_MINUTES of shard kill/restart churn under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface and the geometry kernel
 #   make cover         per-package coverage with an 85% floor on the service packages
 #   make bench-audit   serial-vs-parallel audit timing -> BENCH_audit.json
 #   make bench-locate  before/after geometry-kernel timing -> BENCH_locate.json
@@ -104,13 +104,15 @@ CHAOS_MINUTES ?= 15
 soak-constellation:
 	ACTIVEGEO_CHAOS_MINUTES=$(CHAOS_MINUTES) $(GO) test -race -count=1 -timeout 45m -run '^TestChaosSoak$$' -v ./internal/constellation
 
-# Native fuzzing over the atlasd wire surface: query parsing, model
-# path handling and report decoding, FUZZTIME per target. The seeded
-# malformed corpus also runs (for free) in every plain `go test`.
+# Native fuzzing over the atlasd wire surface (query parsing, model
+# path handling and report decoding) and over the geometry kernel (each
+# quantized-mask op against its per-cell oracle), FUZZTIME per target.
+# The seed corpora also run (for free) in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzModelPath$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/atlasd
+	for f in FuzzFillWithinKm FuzzIntersectWithinKm FuzzFillRingKm; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/grid || exit 1; done
 
 # Coverage floor on the service packages: the coordination server and
 # the load generator are concurrency-heavy, so untested branches there
@@ -166,12 +168,11 @@ bench-audit:
 	$(GO) run ./cmd/benchaudit -out BENCH_audit.json
 
 # Geometry-kernel microbenchmarks: per-algorithm Locate timing through
-# the pre-kernel reference implementations vs the kernel with the
-# quantized mask cache off and on, plus one full quick-audit wall-clock
-# run, recorded in BENCH_locate.json. Aborts (non-zero exit) if any
-# algorithm's region differs from the reference by even one cell on
-# either kernel path, or if the quick-fleet tally drifts from
-# 166/25/161 (DESIGN.md §8).
+# the pre-kernel reference implementations vs the production
+# quantized-mask path, plus one full quick-audit wall-clock run,
+# recorded in BENCH_locate.json. Aborts (non-zero exit) if any
+# algorithm's region differs from the reference by even one cell, or if
+# the quick-fleet tally drifts from 166/25/161 (DESIGN.md §8).
 bench-locate:
 	$(GO) run ./cmd/benchaudit -mode locate -out BENCH_locate.json
 

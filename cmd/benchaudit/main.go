@@ -12,16 +12,15 @@
 // and parallel times are expected to be roughly equal, and the JSON
 // records the core count so readers can interpret the ratio.
 //
-// Mode "locate" times each localization algorithm three ways on
+// Mode "locate" times each localization algorithm two ways on
 // identical measurement vectors — the pre-kernel per-cell-haversine
-// reference implementations (internal/refimpl), the distance-slice
-// kernel with the quantized mask cache disabled, and the full mask-on
-// path — then times one full quick audit for the end-to-end wall-clock
-// number, and writes BENCH_locate.json. All sides are warmed before
-// timing, so the numbers reflect the steady state the audit runs in
-// (landmark distance fields and mask families cached). The run aborts
-// with a non-zero exit if any algorithm's region differs from the
-// reference by even one cell on either kernel path, or if the
+// reference implementations (internal/refimpl) and the production
+// quantized-mask path — then times one full quick audit for the
+// end-to-end wall-clock number, and writes BENCH_locate.json. Both
+// sides are warmed before timing, so the numbers reflect the steady
+// state the audit runs in (landmark distance fields and mask families
+// cached). The run aborts with a non-zero exit if any algorithm's
+// region differs from the reference by even one cell, or if the
 // quick-fleet verdict tally drifts from 166/25/161.
 //
 // Mode "faults" runs the robustness sweep (experiments.Robustness):
@@ -145,23 +144,17 @@ type faultsReport struct {
 	Points        []faultsRow `json:"points"`
 }
 
-// locateRow times each algorithm three ways: the pre-kernel reference
-// (before), the PR 2 distance-slice kernel with the mask cache disabled
-// (kernel / mask-off), and the full quantized-mask path (after /
-// mask-on). Both diff columns compare against the reference regions
-// summed over every benchmark target and must be zero — runLocate
-// aborts otherwise.
+// locateRow times each algorithm two ways: the pre-kernel reference
+// (before) and the production quantized-mask path (after). The diff
+// column compares against the reference regions summed over every
+// benchmark target and must be zero — runLocate aborts otherwise.
 type locateRow struct {
-	Algorithm       string  `json:"algorithm"`
-	BeforeMsOp      float64 `json:"before_ms_per_locate"`
-	KernelMsOp      float64 `json:"kernel_mask_off_ms_per_locate"`
-	AfterMsOp       float64 `json:"after_ms_per_locate"`
-	Speedup         float64 `json:"speedup"`
-	KernelSpeedup   float64 `json:"kernel_speedup_vs_reference"`
-	MaskSpeedup     float64 `json:"mask_speedup_vs_kernel"`
-	RegionCells     int     `json:"region_cells"`
-	DiffCells       int     `json:"diff_cells_vs_reference"`
-	KernelDiffCells int     `json:"kernel_diff_cells_vs_reference"`
+	Algorithm   string  `json:"algorithm"`
+	BeforeMsOp  float64 `json:"before_ms_per_locate"`
+	AfterMsOp   float64 `json:"after_ms_per_locate"`
+	Speedup     float64 `json:"speedup"`
+	RegionCells int     `json:"region_cells"`
+	DiffCells   int     `json:"diff_cells_vs_reference"`
 }
 
 type locateReport struct {
@@ -316,90 +309,58 @@ func runLocate(scale string, cfg experiments.Config, out string) {
 		GridResDeg: cfg.GridResDeg,
 		Targets:    nTargets,
 	}
-	// withMasksOff runs fn with the lab Env's mask cache disabled, i.e.
-	// on the PR 2 distance-slice kernel alone.
-	savedMasks := lab.Env.Masks
-	withMasksOff := func(fn func() error) error {
-		lab.Env.Masks = nil
-		defer func() { lab.Env.Masks = savedMasks }()
-		return fn()
-	}
 	for _, p := range pairs {
 		before, err := timeLocate(p.ref, targets)
 		if err != nil {
 			log.Fatalf("%s reference: %v", p.name, err)
-		}
-		var kernel float64
-		if err := withMasksOff(func() error {
-			var err error
-			kernel, err = timeLocate(p.fast, targets)
-			return err
-		}); err != nil {
-			log.Fatalf("%s kernel (mask off): %v", p.name, err)
 		}
 		after, err := timeLocate(p.fast, targets)
 		if err != nil {
 			log.Fatalf("%s mask path: %v", p.name, err)
 		}
 		// Equivalence oracle over every benchmark target: reference vs
-		// mask-off kernel vs mask-on path, all three byte-identical.
-		kernelDiff, maskDiff, regionCells := 0, 0, 0
+		// mask path, byte-identical.
+		diff, regionCells := 0, 0
 		for ti, ms := range targets {
 			refRegion, err := p.ref.Locate(ms)
 			if err != nil {
 				log.Fatalf("%s reference: %v", p.name, err)
 			}
-			var kernelRegion *grid.Region
-			if err := withMasksOff(func() error {
-				var err error
-				kernelRegion, err = p.fast.Locate(ms)
-				return err
-			}); err != nil {
-				log.Fatalf("%s kernel (mask off): %v", p.name, err)
-			}
 			maskRegion, err := p.fast.Locate(ms)
 			if err != nil {
 				log.Fatalf("%s mask path: %v", p.name, err)
 			}
-			kernelDiff += symmetricDiffCells(refRegion, kernelRegion)
-			maskDiff += symmetricDiffCells(refRegion, maskRegion)
+			diff += symmetricDiffCells(refRegion, maskRegion)
 			if ti == 0 {
 				regionCells = maskRegion.Count()
 			}
 		}
 		row := locateRow{
-			Algorithm:       p.name,
-			BeforeMsOp:      before,
-			KernelMsOp:      kernel,
-			AfterMsOp:       after,
-			Speedup:         before / after,
-			KernelSpeedup:   before / kernel,
-			MaskSpeedup:     kernel / after,
-			RegionCells:     regionCells,
-			DiffCells:       maskDiff,
-			KernelDiffCells: kernelDiff,
+			Algorithm:   p.name,
+			BeforeMsOp:  before,
+			AfterMsOp:   after,
+			Speedup:     before / after,
+			RegionCells: regionCells,
+			DiffCells:   diff,
 		}
 		rep.Algorithms = append(rep.Algorithms, row)
-		fmt.Fprintf(os.Stderr, "%-13s before %8.3f ms  mask-off %8.3f ms  mask-on %8.3f ms  %6.1fx total (%.1fx from masks, diff %d cells)\n",
-			p.name, row.BeforeMsOp, row.KernelMsOp, row.AfterMsOp, row.Speedup, row.MaskSpeedup, row.DiffCells)
-		if maskDiff != 0 || kernelDiff != 0 {
-			log.Fatalf("%s: regions differ from reference (kernel diff %d cells, mask diff %d cells) — geometry must be byte-identical",
-				p.name, kernelDiff, maskDiff)
+		fmt.Fprintf(os.Stderr, "%-13s before %8.3f ms  after %8.3f ms  %6.1fx (diff %d cells)\n",
+			p.name, row.BeforeMsOp, row.AfterMsOp, row.Speedup, row.DiffCells)
+		if diff != 0 {
+			log.Fatalf("%s: regions differ from reference by %d cells — geometry must be byte-identical", p.name, diff)
 		}
 	}
 
-	if mc := lab.Env.Masks; mc != nil {
-		s := mc.Stats()
-		rep.MaskStepKm = grid.DefaultMaskStepKm
-		rep.MaskLevels = s.Levels
-		rep.MaskBytes = s.BytesPerMask
-		rep.MaskHits = s.Hits
-		rep.MaskMisses = s.Misses
-		rep.MaskEvictions = s.Evictions
-		rep.MaskRefined = s.RefinedCells
-		fmt.Fprintf(os.Stderr, "mask cache: %d entries, %d hits / %d misses, %d annulus cells refined (%d levels, %d KB/landmark)\n",
-			s.Entries, s.Hits, s.Misses, s.RefinedCells, s.Levels, s.BytesPerMask/1024)
-	}
+	s := lab.Env.Masks.Stats()
+	rep.MaskStepKm = grid.MaskStepKm
+	rep.MaskLevels = s.Levels
+	rep.MaskBytes = s.BytesPerMask
+	rep.MaskHits = s.Hits
+	rep.MaskMisses = s.Misses
+	rep.MaskEvictions = s.Evictions
+	rep.MaskRefined = s.RefinedCells
+	fmt.Fprintf(os.Stderr, "mask cache: %d entries, %d hits / %d misses, %d annulus cells refined (%d levels, %d KB/landmark)\n",
+		s.Entries, s.Hits, s.Misses, s.RefinedCells, s.Levels, s.BytesPerMask/1024)
 
 	wall, tally, servers, err := timeAudit(cfg, runtime.GOMAXPROCS(0))
 	if err != nil {

@@ -290,39 +290,3 @@ func TestCBGDisksMatchMeasurements(t *testing.T) {
 		t.Error("name")
 	}
 }
-
-// TestLocateMaskToggle: Locate with the Env's quantized mask cache
-// enabled must be byte-identical to Locate with it disabled (the
-// per-cell distance-scan fallback) — the masks accelerate the disk
-// intersection, they never change it.
-func TestLocateMaskToggle(t *testing.T) {
-	cons, env := fixture(t)
-	cal, err := Calibrate(cons, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg := New(env, cal)
-	rng := rand.New(rand.NewSource(97))
-	targets := map[string]geo.Point{
-		"masktoggle-cbg-berlin": {Lat: 52.52, Lon: 13.405},
-		"masktoggle-cbg-sydney": {Lat: -33.87, Lon: 151.21},
-		"masktoggle-cbg-lima":   {Lat: -12.05, Lon: -77.04},
-	}
-	for id, loc := range targets {
-		ms := measureTarget(t, cons, id, loc, 25, rng)
-		on, err := alg.Locate(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		saved := env.Masks
-		env.Masks = nil
-		off, err := alg.Locate(ms)
-		env.Masks = saved
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !on.Equal(off) {
-			t.Fatalf("%s: mask-on region (%d cells) differs from mask-off (%d cells)", id, on.Count(), off.Count())
-		}
-	}
-}

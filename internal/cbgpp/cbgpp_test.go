@@ -150,33 +150,3 @@ func TestLocateNoMeasurements(t *testing.T) {
 		t.Error("calibration accessor")
 	}
 }
-
-// TestLocateMaskToggle: the two caps CBG++ builds per measurement run
-// through Env.CapRegionFor, so the quantized mask cache must leave the
-// speed-constrained regions byte-identical to the per-cell fallback.
-func TestLocateMaskToggle(t *testing.T) {
-	cons, _ := algtest.Fixture(t)
-	alg, env := newAlg(t, Options{})
-	rng := rand.New(rand.NewSource(98))
-	targets := map[string]geo.Point{
-		"masktoggle-pp-berlin": {Lat: 52.52, Lon: 13.405},
-		"masktoggle-pp-tokyo":  {Lat: 35.68, Lon: 139.69},
-	}
-	for id, loc := range targets {
-		ms := algtest.MeasureTarget(t, cons, id, loc, 25, rng)
-		on, err := alg.Locate(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		saved := env.Masks
-		env.Masks = nil
-		off, err := alg.Locate(ms)
-		env.Masks = saved
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !on.Equal(off) {
-			t.Fatalf("%s: mask-on region (%d cells) differs from mask-off (%d cells)", id, on.Count(), off.Count())
-		}
-	}
-}

@@ -55,7 +55,7 @@ func (l *Lab) ExtRefinement(maxHosts int) (*ExtRefinementResult, error) {
 		res.MeanAreaBefore += rr.AreaHistory[0]
 		res.MeanAreaAfter += rr.Region.AreaKm2()
 		res.MeanRounds += float64(rr.Rounds)
-		if rr.Region.DistanceToPointKm(h.TrueLoc) <= 1.2*111.195*l.Env.Grid.Resolution() {
+		if rr.Region.DistanceToPointKm(h.TrueLoc) <= 1.2*grid.KmPerDeg*l.Env.Grid.Resolution() {
 			res.StillCovered++
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/grid"
 	"activegeo/internal/mathx"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
@@ -668,7 +669,7 @@ type CoverageResult struct {
 func (l *Lab) CBGppCoverage() (*CoverageResult, error) {
 	// Tolerate one grid cell of slack when deciding "covered": the
 	// discretized region boundary is a cell wide.
-	slack := 1.2 * 111.195 * l.Env.Grid.Resolution()
+	slack := 1.2 * grid.KmPerDeg * l.Env.Grid.Resolution()
 	type covSlot struct {
 		measured                           bool
 		cbgMiss, cbgEmpty, ppMiss, ppEmpty bool

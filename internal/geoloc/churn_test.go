@@ -28,9 +28,7 @@ func TestMaskCacheChurnStorm(t *testing.T) {
 	// oracle recomputes the cap region from scratch — no DistanceField,
 	// no masks — with the same predicate the cached paths promise.
 	oracle := func(p geo.Point, radius float64) *grid.Region {
-		r := env.Grid.NewRegion()
-		r.AddWithinKm(env.Grid.DistancesFrom(p), radius, env.Grid.CellAt(p))
-		return r
+		return capOracle(env.Grid, geo.Cap{Center: p, RadiusKm: radius})
 	}
 
 	check := func(round int) {

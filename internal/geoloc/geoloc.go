@@ -61,10 +61,8 @@ type Env struct {
 	// Masks caches each landmark's radius-quantized cap-mask family,
 	// built from Field, so cap/ring region construction is word-wise
 	// with the exact distance predicate confined to the quantization
-	// annulus (DESIGN.md §8). nil disables the mask fast path; every
-	// geometry method then falls back to the per-cell distance scans
-	// and produces byte-identical results — the toggle benchaudit's
-	// mask-off column uses.
+	// annulus (DESIGN.md §8). Every cap, ring and disk intersection
+	// runs through it.
 	Masks *grid.MaskCache
 }
 
@@ -75,6 +73,7 @@ type Env struct {
 const DefaultFieldEntries = 2048
 
 // NewEnv builds an environment at the given grid resolution (degrees).
+// It is the only constructor: every Env carries a Field and Masks.
 func NewEnv(resDeg float64) *Env {
 	g := grid.New(resDeg)
 	f := grid.NewDistanceField(g, DefaultFieldEntries)
@@ -82,16 +81,12 @@ func NewEnv(resDeg float64) *Env {
 		Grid:  g,
 		Mask:  worldmap.NewMask(g),
 		Field: f,
-		Masks: grid.NewMaskCache(f, DefaultFieldEntries, grid.DefaultMaskStepKm),
+		Masks: grid.NewMaskCache(f, DefaultFieldEntries),
 	}
 }
 
-// masksFor returns the landmark's quantized mask family, or nil when
-// the mask cache is disabled.
+// masksFor returns the landmark's quantized mask family.
 func (e *Env) masksFor(id netsim.HostID, landmark geo.Point) *grid.CapMasks {
-	if e.Masks == nil {
-		return nil
-	}
 	return e.Masks.Masks(grid.FieldKey{ID: string(id), Lat: landmark.Lat, Lon: landmark.Lon})
 }
 
@@ -103,35 +98,22 @@ func (e *Env) Distances(id netsim.HostID, landmark geo.Point) []float32 {
 
 // CapRegionFor builds the cap's region from the landmark's cached
 // distance field, with AddCap's semantics (the cap center's cell is
-// always included). With the mask cache enabled the fill is word-wise
-// against the bracketing quantized masks; the fallback is the per-cell
-// AddWithinKm scan. Both paths apply the same float64 predicate to
-// every boundary cell, so the regions are byte-identical.
+// always included): every cell within RadiusKm, filled word-wise
+// against the bracketing quantized masks.
 func (e *Env) CapRegionFor(id netsim.HostID, c geo.Cap) *grid.Region {
 	r := e.Grid.NewRegion()
-	if cm := e.masksFor(id, c.Center); cm != nil {
-		if c.RadiusKm > 0 {
-			cm.FillWithinKm(r, c.RadiusKm)
-		}
-		r.Add(e.Grid.CellAt(c.Center))
-		return r
+	if c.RadiusKm > 0 {
+		e.masksFor(id, c.Center).FillWithinKm(r, c.RadiusKm)
 	}
-	dist := e.Distances(id, c.Center)
-	r.AddWithinKm(dist, c.RadiusKm, e.Grid.CellAt(c.Center))
+	r.Add(e.Grid.CellAt(c.Center))
 	return r
 }
 
 // IntersectWithinFor prunes r to the cells within maxKm of the
-// landmark — Region.IntersectWithinKm over the landmark's cached
-// distances, word-wise against the quantized masks when the mask cache
-// is enabled. CBG's per-measurement disk intersection runs through
-// here.
+// landmark, word-wise against its quantized masks. CBG's
+// per-measurement disk intersection runs through here.
 func (e *Env) IntersectWithinFor(r *grid.Region, id netsim.HostID, landmark geo.Point, maxKm float64) {
-	if cm := e.masksFor(id, landmark); cm != nil {
-		cm.IntersectWithinKm(r, maxKm)
-		return
-	}
-	r.IntersectWithinKm(e.Distances(id, landmark), maxKm)
+	e.masksFor(id, landmark).IntersectWithinKm(r, maxKm)
 }
 
 // InvalidateLandmark evicts the host's entries from both the distance
@@ -141,43 +123,30 @@ func (e *Env) IntersectWithinFor(r *grid.Region, id netsim.HostID, landmark geo.
 // prevent stale entries from being *served* for a moved host, and this
 // reclaims their memory immediately.
 func (e *Env) InvalidateLandmark(id netsim.HostID) (fields, masks int) {
-	fields = e.Field.Invalidate(string(id))
-	if e.Masks != nil {
-		masks = e.Masks.Invalidate(string(id))
-	}
-	return fields, masks
+	return e.Field.Invalidate(string(id)), e.Masks.Invalidate(string(id))
 }
 
 // RingRegionFor builds the ring's region from the landmark's cached
-// distance field, with RingRegion's semantics (including the
-// boundary-cell shrink of the inner cap and AddCap's center-cell rule).
+// distance field: the outer cap minus the inner cap, where the inner cap
+// is shrunk by one cell diagonal so boundary cells that may still
+// contain ring area are kept, and AddCap's center-cell rule applies to
+// both caps.
 func (e *Env) RingRegionFor(id netsim.HostID, ring geo.Ring) *grid.Region {
 	g := e.Grid
 	r := g.NewRegion()
-	// RingRegion subtracts the inner cap only when it can be shrunk by
-	// one cell diagonal while staying positive; otherwise boundary cells
-	// (which may still contain ring area) are kept.
+	// The inner cap is subtracted only when it can be shrunk by one cell
+	// diagonal while staying positive; otherwise boundary cells (which
+	// may still contain ring area) are kept.
 	shrink := math.Inf(-1)
 	if ring.MinKm > 0 {
-		if s := ring.MinKm - 1.5*111.195*g.Resolution(); s > 0 {
+		if s := ring.MinKm - 1.5*grid.KmPerDeg*g.Resolution(); s > 0 {
 			shrink = s
 		}
 	}
 	if ring.MaxKm > 0 {
-		if cm := e.masksFor(id, ring.Center); cm != nil {
-			// Word-wise: certain ring cells by mask algebra, exact
-			// two-sided predicate only near the two quantization
-			// boundaries. Byte-identical to the scan below.
-			cm.FillRingKm(r, shrink, ring.MaxKm)
-		} else {
-			dist := e.Distances(id, ring.Center)
-			for i, d := range dist {
-				dd := float64(d)
-				if dd <= ring.MaxKm && dd > shrink {
-					r.Add(i)
-				}
-			}
-		}
+		// Word-wise: certain ring cells by mask algebra, the exact
+		// two-sided predicate only near the two quantization boundaries.
+		e.masksFor(id, ring.Center).FillRingKm(r, shrink, ring.MaxKm)
 	}
 	// The outer cap's AddCap always includes the center cell; when the
 	// inner cap is subtracted, its own center-cell rule removes it again.
@@ -196,7 +165,7 @@ func (e *Env) RingRegionFor(id netsim.HostID, ring geo.Ring) *grid.Region {
 // (slightly more than) half the cell diagonal. Without this, a tight but
 // correct disk can drop the very cell containing the target.
 func (e *Env) PadKm() float64 {
-	return 0.8 * 111.195 * e.Grid.Resolution()
+	return 0.8 * grid.KmPerDeg * e.Grid.Resolution()
 }
 
 // ApplyExclusions intersects the region with the land mask (which already
@@ -289,21 +258,4 @@ func IntersectOrArgmax(g *grid.Grid, regions []*grid.Region) *grid.Region {
 		}
 	}
 	return strict
-}
-
-// RingRegion builds the region covered by a spherical annulus.
-func RingRegion(g *grid.Grid, ring geo.Ring) *grid.Region {
-	outer := g.CapRegion(geo.Cap{Center: ring.Center, RadiusKm: ring.MaxKm})
-	if ring.MinKm > 0 {
-		inner := g.CapRegion(geo.Cap{Center: ring.Center, RadiusKm: ring.MinKm})
-		// Keep boundary cells: a cell whose center is just inside MinKm
-		// may still contain ring area, so only subtract the strict
-		// interior by shrinking the inner cap by one cell diagonal.
-		shrink := ring.MinKm - 1.5*111.195*g.Resolution()
-		if shrink > 0 {
-			inner = g.CapRegion(geo.Cap{Center: ring.Center, RadiusKm: shrink})
-			outer.SubtractWith(inner)
-		}
-	}
-	return outer
 }

@@ -162,7 +162,7 @@ func TestRingRegion(t *testing.T) {
 	g := e.Grid
 	center := geo.Point{Lat: 48.86, Lon: 2.35}
 	ring := geo.Ring{Center: center, MinKm: 1000, MaxKm: 2500}
-	r := RingRegion(g, ring)
+	r := e.RingRegionFor("paris", ring)
 	if r.Empty() {
 		t.Fatal("empty ring region")
 	}
@@ -181,7 +181,7 @@ func TestRingRegion(t *testing.T) {
 		}
 	})
 	// Zero-min ring is a disk.
-	disk := RingRegion(g, geo.Ring{Center: center, MinKm: 0, MaxKm: 800})
+	disk := e.RingRegionFor("paris", geo.Ring{Center: center, MinKm: 0, MaxKm: 800})
 	if !disk.ContainsPoint(center) {
 		t.Error("zero-min ring should contain center")
 	}

@@ -1,8 +1,9 @@
 package geoloc
 
 // Env-level equivalence tests for the quantized mask cache: every
-// geometry method must produce byte-identical regions with Masks
-// enabled and disabled, across random and degenerate caps and rings.
+// geometry method must produce regions byte-identical to a per-cell
+// scan of a freshly computed distance slice, across random and
+// degenerate caps and rings.
 
 import (
 	"fmt"
@@ -15,13 +16,60 @@ import (
 	"activegeo/internal/netsim"
 )
 
-// withMasksOff runs fn with the env's mask cache disabled, restoring it
-// after. Tests in this package run sequentially, so the toggle is safe.
-func withMasksOff(env *Env, fn func()) {
-	saved := env.Masks
-	env.Masks = nil
-	defer func() { env.Masks = saved }()
-	fn()
+// The per-cell oracles below bypass both the DistanceField and the mask
+// cache. They copy the grid package's test oracles, which a package
+// geoloc test cannot reach (and refimpl imports geoloc, so importing it
+// here would be a cycle).
+
+// capOracle adds every cell within the cap's radius of its center, plus
+// the center's own cell (AddCap's rule).
+func capOracle(g *grid.Grid, c geo.Cap) *grid.Region {
+	r := g.NewRegion()
+	r.Add(g.CellAt(c.Center))
+	if c.RadiusKm <= 0 {
+		return r
+	}
+	for i, d := range g.DistancesFrom(c.Center) {
+		if float64(d) <= c.RadiusKm {
+			r.Add(i)
+		}
+	}
+	return r
+}
+
+// ringOracle is RingRegionFor as one per-cell loop: the two-sided
+// predicate against the shrunk inner bound, then the center-cell rule.
+func ringOracle(g *grid.Grid, ring geo.Ring) *grid.Region {
+	r := g.NewRegion()
+	shrink := math.Inf(-1)
+	if ring.MinKm > 0 {
+		if s := ring.MinKm - 1.5*grid.KmPerDeg*g.Resolution(); s > 0 {
+			shrink = s
+		}
+	}
+	if ring.MaxKm > 0 {
+		for i, d := range g.DistancesFrom(ring.Center) {
+			if dd := float64(d); dd <= ring.MaxKm && dd > shrink {
+				r.Add(i)
+			}
+		}
+	}
+	if cc := g.CellAt(ring.Center); math.IsInf(shrink, -1) {
+		r.Add(cc)
+	} else {
+		r.Remove(cc)
+	}
+	return r
+}
+
+// intersectOracle removes every cell of r farther than maxKm from p.
+func intersectOracle(r *grid.Region, p geo.Point, maxKm float64) {
+	dist := r.Grid().DistancesFrom(p)
+	r.Each(func(i int) {
+		if float64(dist[i]) > maxKm {
+			r.Remove(i)
+		}
+	})
 }
 
 func randomPoint(rng *rand.Rand) geo.Point {
@@ -32,14 +80,11 @@ func randomPoint(rng *rand.Rand) geo.Point {
 }
 
 // TestEnvMaskEquivalence: CapRegionFor, RingRegionFor and
-// IntersectWithinFor must be byte-identical with and without the mask
-// cache, including degenerate radii (≤ 0), rings with no usable inner
-// bound, inverted rings, and radii past the antipode.
+// IntersectWithinFor must be byte-identical to the per-cell oracles,
+// including degenerate radii (≤ 0), rings with no usable inner bound,
+// inverted rings, and radii past the antipode.
 func TestEnvMaskEquivalence(t *testing.T) {
 	env := NewEnv(4)
-	if env.Masks == nil {
-		t.Fatal("NewEnv did not wire a mask cache")
-	}
 	rng := rand.New(rand.NewSource(91))
 	for k := 0; k < 25; k++ {
 		id := netsim.HostID(fmt.Sprintf("lm-%d", k%7)) // repeats → cache hits
@@ -47,16 +92,14 @@ func TestEnvMaskEquivalence(t *testing.T) {
 		radii := []float64{
 			rng.Float64() * geo.HalfEquatorKm,
 			-10, 0, 1e-9,
-			grid.DefaultMaskStepKm,
+			grid.MaskStepKm,
 			math.Pi*geo.EarthRadiusKm + 50,
 		}
 		for _, radius := range radii {
 			cap := geo.Cap{Center: p, RadiusKm: radius}
-			on := env.CapRegionFor(id, cap)
-			var off *grid.Region
-			withMasksOff(env, func() { off = env.CapRegionFor(id, cap) })
-			if !on.Equal(off) {
-				t.Fatalf("cap %v r=%v: mask-on %d cells, mask-off %d", p, radius, on.Count(), off.Count())
+			got, want := env.CapRegionFor(id, cap), capOracle(env.Grid, cap)
+			if !got.Equal(want) {
+				t.Fatalf("cap %v r=%v: mask path %d cells, per-cell %d", p, radius, got.Count(), want.Count())
 			}
 		}
 		rings := []geo.Ring{
@@ -67,11 +110,9 @@ func TestEnvMaskEquivalence(t *testing.T) {
 			{Center: p, MinKm: 0, MaxKm: 0},       // empty outer
 		}
 		for _, ring := range rings {
-			on := env.RingRegionFor(id, ring)
-			var off *grid.Region
-			withMasksOff(env, func() { off = env.RingRegionFor(id, ring) })
-			if !on.Equal(off) {
-				t.Fatalf("ring %+v: mask-on %d cells, mask-off %d", ring, on.Count(), off.Count())
+			got, want := env.RingRegionFor(id, ring), ringOracle(env.Grid, ring)
+			if !got.Equal(want) {
+				t.Fatalf("ring %+v: mask path %d cells, per-cell %d", ring, got.Count(), want.Count())
 			}
 		}
 		base := env.Grid.CapRegion(geo.Cap{Center: randomPoint(rng), RadiusKm: 4000 + rng.Float64()*8000})
@@ -79,9 +120,9 @@ func TestEnvMaskEquivalence(t *testing.T) {
 		a := base.Clone()
 		env.IntersectWithinFor(a, id, p, maxKm)
 		b := base.Clone()
-		withMasksOff(env, func() { env.IntersectWithinFor(b, id, p, maxKm) })
+		intersectOracle(b, p, maxKm)
 		if !a.Equal(b) {
-			t.Fatalf("intersect maxKm=%v: mask-on %d cells, mask-off %d", maxKm, a.Count(), b.Count())
+			t.Fatalf("intersect maxKm=%v: mask path %d cells, per-cell %d", maxKm, a.Count(), b.Count())
 		}
 	}
 }
@@ -98,10 +139,4 @@ func TestInvalidateLandmark(t *testing.T) {
 	if f, m := env.InvalidateLandmark("cold"); f != 0 || m != 0 {
 		t.Fatalf("InvalidateLandmark(cold) = (%d, %d), want (0, 0)", f, m)
 	}
-	// With Masks disabled the call must stay nil-safe.
-	withMasksOff(env, func() {
-		if f, m := env.InvalidateLandmark("cold"); f != 0 || m != 0 {
-			t.Fatalf("mask-off InvalidateLandmark = (%d, %d)", f, m)
-		}
-	})
 }

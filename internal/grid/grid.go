@@ -17,10 +17,11 @@ import (
 	"activegeo/internal/geo"
 )
 
-// kmPerDeg is the meridian arc length of one degree of latitude: the
+// KmPerDeg is the meridian arc length of one degree of latitude: the
 // conversion factor between a north–south distance and the latitude
-// span it covers.
-const kmPerDeg = 111.195
+// span it covers. It is untyped, so products of literals with it fold
+// exactly at compile time.
+const KmPerDeg = 111.195
 
 // Grid is an immutable equal-area discretization of the sphere. Build one
 // with New and share it; Regions are only comparable within one Grid.
@@ -232,15 +233,6 @@ func (r *Region) AreaKm2() float64 {
 	return area
 }
 
-// AreaKm2Reference is the pre-kernel AreaKm2 (bit-by-bit cell walk,
-// per-cell band lookup), kept as the oracle/baseline; new code should use
-// AreaKm2.
-func (r *Region) AreaKm2Reference() float64 {
-	var area float64
-	r.Each(func(i int) { area += r.g.CellArea(i) })
-	return area
-}
-
 // countInRange returns the number of region cells in [lo, hi) using
 // word-masked popcounts.
 func (r *Region) countInRange(lo, hi int) int {
@@ -304,11 +296,11 @@ func (r *Region) SubtractWith(other *Region) {
 }
 
 // Filter removes every cell for which keep returns false. Like
-// IntersectWithinKm, the walk is word-wise: zero words are skipped and
-// each surviving word's keep-mask is built locally and stored once,
-// instead of a Remove per rejected cell. The predicate is applied to
-// exactly the same cells in the same order as the bit-by-bit reference,
-// so the resulting bits are identical.
+// CapMasks.IntersectWithinKm, the walk is word-wise: zero words are
+// skipped and each surviving word's keep-mask is built locally and
+// stored once, instead of a Remove per rejected cell. The predicate is
+// applied to exactly the same cells in the same order as a bit-by-bit
+// walk, so the resulting bits are identical.
 func (r *Region) Filter(keep func(center geo.Point) bool) {
 	for w, word := range r.bits {
 		if word == 0 {
@@ -324,17 +316,6 @@ func (r *Region) Filter(keep func(center geo.Point) bool) {
 		}
 		r.bits[w] = out
 	}
-}
-
-// FilterReference is the pre-kernel Filter (bit-by-bit walk with a
-// Remove per rejected cell), kept as the oracle/baseline; new code
-// should use Filter.
-func (r *Region) FilterReference(keep func(center geo.Point) bool) {
-	r.Each(func(i int) {
-		if !keep(r.g.centers[i]) {
-			r.Remove(i)
-		}
-	})
 }
 
 // Equal reports whether r and other contain exactly the same cells.
@@ -502,8 +483,10 @@ func (r *Region) AddCap(c geo.Cap) {
 
 // AddCapReference is the pre-kernel AddCap: identical candidate
 // enumeration, but membership tested with a haversine distance per cell.
-// It exists as the oracle for equivalence tests and as the "before" side
-// of the BENCH_locate microbenchmarks; new code should use AddCap.
+// It is the one reference predicate outside test code, because it shares
+// addCap's candidate enumeration: the pre-kernel implementations in
+// internal/refimpl build on it as the oracle and the "before" side of
+// the BENCH_locate microbenchmarks. New code should use AddCap.
 func (r *Region) AddCapReference(c geo.Cap) {
 	r.addCap(c, func(i int) bool { return c.Contains(r.g.centers[i]) })
 }
@@ -518,7 +501,7 @@ func (r *Region) addCap(c geo.Cap, contains func(i int) bool) {
 	if c.RadiusKm <= 0 {
 		return
 	}
-	latHalf := c.RadiusKm / kmPerDeg
+	latHalf := c.RadiusKm / KmPerDeg
 	bLo := int((c.Center.Lat - latHalf + 90) / g.resDeg)
 	bHi := int((c.Center.Lat + latHalf + 90) / g.resDeg)
 	if bLo < 0 {
@@ -571,148 +554,6 @@ func (g *Grid) CapRegion(c geo.Cap) *Region {
 	r := g.NewRegion()
 	r.AddCap(c)
 	return r
-}
-
-// AddWithinKm adds every cell whose precomputed distance is at most
-// maxKm, plus centerCell — mirroring AddCap's contract that the cap's
-// own cell is always present. dist must be a slice of length NumCells in
-// cell order, as produced by Grid.DistancesFrom (usually via a
-// DistanceField); maxKm ≤ 0 adds only the center cell, like AddCap.
-func (r *Region) AddWithinKm(dist []float32, maxKm float64, centerCell int) {
-	r.Add(centerCell)
-	if maxKm <= 0 {
-		return
-	}
-	for i, d := range dist {
-		if float64(d) <= maxKm {
-			r.Add(i)
-		}
-	}
-}
-
-// IntersectWithinKm removes every cell whose precomputed distance
-// exceeds maxKm. dist must be a slice of length NumCells in cell order.
-// The pruning is word-wise: zero words are skipped outright and each
-// surviving word's keep-mask is built locally and stored once, instead of
-// a Remove (index arithmetic + store) per far cell. The per-cell
-// predicate is unchanged, so the resulting bits are identical to the
-// bit-by-bit reference.
-func (r *Region) IntersectWithinKm(dist []float32, maxKm float64) {
-	for w, word := range r.bits {
-		if word == 0 {
-			continue
-		}
-		keep := word
-		base := w * 64
-		for t := word; t != 0; t &= t - 1 {
-			b := bits.TrailingZeros64(t)
-			if float64(dist[base+b]) > maxKm {
-				keep &^= 1 << uint(b)
-			}
-		}
-		r.bits[w] = keep
-	}
-}
-
-// IntersectWithinKmReference is the pre-kernel IntersectWithinKm
-// (bit-by-bit walk with per-cell Remove), kept as the oracle/baseline;
-// new code should use IntersectWithinKm.
-func (r *Region) IntersectWithinKmReference(dist []float32, maxKm float64) {
-	r.Each(func(i int) {
-		if float64(dist[i]) > maxKm {
-			r.Remove(i)
-		}
-	})
-}
-
-// IntersectCap removes every cell whose center is outside the cap.
-func (r *Region) IntersectCap(c geo.Cap) {
-	u := geo.UnitVec(c.Center)
-	cosR := geo.CosForKm(c.RadiusKm)
-	if c.RadiusKm <= 0 {
-		// Degenerate cap: fall back to the distance comparison so a cell
-		// center coinciding with the cap center is kept, as before (a dot
-		// product can round to just under 1).
-		r.Each(func(i int) {
-			if !c.Contains(r.g.centers[i]) {
-				r.Remove(i)
-			}
-		})
-		return
-	}
-	r.Each(func(i int) {
-		if u.Dot(r.g.units[i]) < cosR {
-			r.Remove(i)
-		}
-	})
-}
-
-// IntersectCapReference is the pre-kernel IntersectCap (haversine per
-// cell), kept as the oracle/baseline; new code should use IntersectCap.
-func (r *Region) IntersectCapReference(c geo.Cap) {
-	r.Each(func(i int) {
-		if !c.Contains(r.g.centers[i]) {
-			r.Remove(i)
-		}
-	})
-}
-
-// IntersectRing removes every cell whose center is outside the ring.
-func (r *Region) IntersectRing(ring geo.Ring) {
-	u := geo.UnitVec(ring.Center)
-	cosOuter := geo.CosForKm(ring.MaxKm)
-	checkInner := ring.MinKm > 0
-	cosInner := 1.0
-	if checkInner {
-		if ring.MinKm/geo.EarthRadiusKm > math.Pi {
-			// The inner bound exceeds the antipodal distance: nothing on
-			// the sphere is that far away.
-			r.Each(func(i int) { r.Remove(i) })
-			return
-		}
-		cosInner = geo.CosForKm(ring.MinKm)
-	}
-	if ring.MaxKm <= 0 {
-		// Degenerate outer bound: use exact distances, as IntersectCap does.
-		r.Each(func(i int) {
-			if !ring.Contains(r.g.centers[i]) {
-				r.Remove(i)
-			}
-		})
-		return
-	}
-	r.Each(func(i int) {
-		d := u.Dot(r.g.units[i])
-		if d < cosOuter || (checkInner && d > cosInner) {
-			r.Remove(i)
-		}
-	})
-}
-
-// IntersectRingReference is the pre-kernel IntersectRing (haversine per
-// cell), kept as the oracle/baseline; new code should use IntersectRing.
-func (r *Region) IntersectRingReference(ring geo.Ring) {
-	r.Each(func(i int) {
-		if !ring.Contains(r.g.centers[i]) {
-			r.Remove(i)
-		}
-	})
-}
-
-// DistanceToPointKmReference is the pre-kernel full-region scan
-// (haversine per cell), kept as the oracle/baseline; new code should use
-// DistanceToPointKm.
-func (r *Region) DistanceToPointKmReference(p geo.Point) float64 {
-	if r.ContainsPoint(p) {
-		return 0
-	}
-	best := math.Inf(1)
-	r.Each(func(i int) {
-		if d := geo.DistanceKm(r.g.centers[i], p); d < best {
-			best = d
-		}
-	})
-	return best
 }
 
 // String summarizes the region.

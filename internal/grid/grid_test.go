@@ -165,7 +165,9 @@ func TestIntersectCapAndRing(t *testing.T) {
 	g := testGrid(t)
 	paris := geo.Point{Lat: 48.8566, Lon: 2.3522}
 	r := g.CapRegion(geo.Cap{Center: paris, RadiusKm: 1000})
-	r.IntersectRing(geo.Ring{Center: paris, MinKm: 300, MaxKm: 600})
+	ring := g.NewRegion()
+	newCapMasks(g, g.DistancesFrom(paris), nil).FillRingKm(ring, 300, 600)
+	r.IntersectWith(ring)
 	r.Each(func(i int) {
 		d := geo.DistanceKm(g.Center(i), paris)
 		if d < 299 || d > 601 {

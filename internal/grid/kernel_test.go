@@ -1,9 +1,9 @@
 package grid
 
 // Tests for the geometry kernel: the precomputed band table, the
-// dot-product cap/ring membership paths against the pre-kernel
-// (haversine) reference paths, the distance-slice region builders, and
-// the expanding-band nearest-cell search.
+// dot-product cap membership path and the mask-based cap/ring ops
+// against the haversine predicates, the distance-slice oracle, and the
+// expanding-band nearest-cell search.
 
 import (
 	"math"
@@ -78,36 +78,42 @@ func TestAddCapMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIntersectCapRingMatchReference checks the production cap
+// intersection and ring fill — quantized masks over the float32
+// distance field — against the haversine predicates of geo.Cap and
+// geo.Ring. Float32 distances may flip a cell within ≈1 m of a
+// boundary, and the ring's inner bound is exclusive on one side only;
+// random radii never land on either.
 func TestIntersectCapRingMatchReference(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(22))
-	full := g.FullRegion()
 	for k := 0; k < 100; k++ {
 		c := randomCap(rng)
-		a, b := full.Clone(), full.Clone()
-		a.IntersectCap(c)
-		b.IntersectCapReference(c)
+		cm := newCapMasks(g, g.DistancesFrom(c.Center), nil)
+		a, b := g.FullRegion(), g.FullRegion()
+		cm.IntersectWithinKm(a, c.RadiusKm)
+		b.Filter(c.Contains)
 		if diff := symmetricDiff(a, b); diff != 0 {
-			t.Fatalf("IntersectCap %+v: %d cells differ", c, diff)
+			t.Fatalf("cap %+v: %d cells differ", c, diff)
 		}
 		ring := geo.Ring{
 			Center: c.Center,
 			MinKm:  rng.Float64() * 8000,
 			MaxKm:  rng.Float64() * geo.HalfEquatorKm,
 		}
-		a, b = full.Clone(), full.Clone()
-		a.IntersectRing(ring)
-		b.IntersectRingReference(ring)
+		a, b = g.NewRegion(), g.FullRegion()
+		cm.FillRingKm(a, ring.MinKm, ring.MaxKm)
+		b.Filter(ring.Contains)
 		if diff := symmetricDiff(a, b); diff != 0 {
-			t.Fatalf("IntersectRing %+v: %d cells differ", ring, diff)
+			t.Fatalf("ring %+v: %d cells differ", ring, diff)
 		}
 	}
 }
 
-// TestAddWithinKmMatchesAddCap checks the distance-slice builder against
-// AddCap. Distances are float32, so cells within half a float32 ulp of
-// the boundary (≈1 m at world scale) may differ; random radii never land
-// there.
+// TestAddWithinKmMatchesAddCap checks the per-cell distance-slice
+// oracle against AddCap. Distances are float32, so cells within half a
+// float32 ulp of the boundary (≈1 m at world scale) may differ; random
+// radii never land there.
 func TestAddWithinKmMatchesAddCap(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(23))
@@ -115,17 +121,10 @@ func TestAddWithinKmMatchesAddCap(t *testing.T) {
 		c := randomCap(rng)
 		dist := g.DistancesFrom(c.Center)
 		a, b := g.NewRegion(), g.NewRegion()
-		a.AddWithinKm(dist, c.RadiusKm, g.CellAt(c.Center))
+		addWithinKm(a, dist, c.RadiusKm, g.CellAt(c.Center))
 		b.AddCap(c)
 		if diff := symmetricDiff(a, b); diff != 0 {
-			t.Fatalf("cap %+v: %d cells differ between AddWithinKm and AddCap", c, diff)
-		}
-		// IntersectWithinKm against IntersectCap from a full region.
-		a, b = g.FullRegion(), g.FullRegion()
-		a.IntersectWithinKm(dist, c.RadiusKm)
-		b.IntersectCap(c)
-		if diff := symmetricDiff(a, b); diff != 0 {
-			t.Fatalf("cap %+v: %d cells differ between IntersectWithinKm and IntersectCap", c, diff)
+			t.Fatalf("cap %+v: %d cells differ between addWithinKm and AddCap", c, diff)
 		}
 	}
 }
@@ -146,7 +145,7 @@ func TestDistanceToPointKmMatchesReference(t *testing.T) {
 			Lon: 360*rng.Float64() - 180,
 		}
 		got := r.DistanceToPointKm(p)
-		want := r.DistanceToPointKmReference(p)
+		want := distanceToPointKmReference(r, p)
 		if math.IsInf(want, 1) {
 			if !math.IsInf(got, 1) {
 				t.Fatalf("empty region: got %f, want +Inf", got)

@@ -7,14 +7,15 @@ package grid
 // already amortizes the great-circle math per landmark; this file
 // amortizes the *geometry* as well: for each landmark it precomputes a
 // monotone family of radius-quantized cap bitmasks (level q covers the
-// cells within q·stepKm), so a cap or ring of any radius reduces to
+// cells within q·MaskStepKm), so a cap or ring of any radius reduces to
 // word-wise OR/AND/AND-NOT against the two bracketing levels, with the
 // exact float64 distance predicate applied only in the thin annulus
 // between the inner (certainly inside) and outer (certainly covering)
 // bracket. Because the annulus refinement applies the *identical*
-// predicate the unquantized paths use, results are byte-identical to
-// AddWithinKm / IntersectWithinKm / the geoloc ring loop — the masks
-// are an accelerator, never an approximation (DESIGN.md §8).
+// per-cell predicate (dist ≤ r, or min < dist ≤ max for a ring),
+// results are byte-identical to a plain per-cell scan of the distance
+// slice — the masks are an accelerator, never an approximation. The
+// per-cell scans live on as test oracles (DESIGN.md §8).
 
 import (
 	"math"
@@ -25,15 +26,20 @@ import (
 	"activegeo/internal/geo"
 )
 
-// DefaultMaskStepKm is the quantization step of the cap-mask family.
-// A 400 km step keeps the family small (⌈π·R/step⌉+2 ≈ 53 levels,
-// ≈270 KB per landmark at 1° resolution) while the annulus a bracket
-// leaves for exact refinement stays under ~2 % of the sphere.
-const DefaultMaskStepKm = 400.0
+// MaskStepKm is the quantization step of the cap-mask family. A 400 km
+// step keeps the family small (⌈π·R/step⌉+2 ≈ 53 levels, ≈270 KB per
+// landmark at 1° resolution) while the annulus a bracket leaves for
+// exact refinement stays under ~2 % of the sphere.
+const MaskStepKm = 400.0
 
-// CapMasks is the quantized cap-mask family of one landmark: nLevels
+// maskLevels is the number of levels in every mask family: enough that
+// the top one certainly covers the antipode (max sphere distance π·R),
+// so every radius has an outer bracket.
+var maskLevels = int(math.Floor(math.Pi*geo.EarthRadiusKm/MaskStepKm)) + 3
+
+// CapMasks is the quantized cap-mask family of one landmark: maskLevels
 // bitmasks over the grid, where level q contains exactly the cells
-// whose cached distance is ≤ q·stepKm. The family is monotone
+// whose cached distance is ≤ q·MaskStepKm. The family is monotone
 // (level q ⊆ level q+1) and the top level covers the whole sphere, so
 // for any radius r the bracketing levels lo = ⌊r/step⌋ and hi = lo+1
 // satisfy the bracket invariant
@@ -44,33 +50,21 @@ const DefaultMaskStepKm = 400.0
 // test. CapMasks is immutable after construction and safe for
 // concurrent use.
 type CapMasks struct {
-	g       *Grid
 	dist    []float32 // the landmark's cached distance field (shared, immutable)
 	words   int
-	stepKm  float64
-	nLevels int
-	levels  []uint64       // flattened nLevels × words
+	levels  []uint64       // flattened maskLevels × words
 	refined *atomic.Uint64 // annulus cells exactly refined; nil-safe
 }
 
 // newCapMasks builds the mask family from a landmark's distance slice.
 // refined may be nil; when set, every op adds the number of annulus
 // cells it refined with the exact predicate.
-func newCapMasks(g *Grid, dist []float32, stepKm float64, refined *atomic.Uint64) *CapMasks {
-	if stepKm <= 0 {
-		stepKm = DefaultMaskStepKm
-	}
+func newCapMasks(g *Grid, dist []float32, refined *atomic.Uint64) *CapMasks {
 	words := (g.total + 63) / 64
-	// Enough levels that the top one certainly covers the antipode
-	// (max sphere distance π·R), so every radius has an outer bracket.
-	nLevels := int(math.Pi*geo.EarthRadiusKm/stepKm) + 3
 	cm := &CapMasks{
-		g:       g,
 		dist:    dist,
 		words:   words,
-		stepKm:  stepKm,
-		nLevels: nLevels,
-		levels:  make([]uint64, nLevels*words),
+		levels:  make([]uint64, maskLevels*words),
 		refined: refined,
 	}
 	for i, d := range dist {
@@ -78,7 +72,7 @@ func newCapMasks(g *Grid, dist []float32, stepKm float64, refined *atomic.Uint64
 		cm.levels[q*words+i/64] |= 1 << uint(i%64)
 	}
 	// Prefix-OR: each level also covers everything nearer.
-	for q := 1; q < nLevels; q++ {
+	for q := 1; q < maskLevels; q++ {
 		dst := cm.levels[q*words : (q+1)*words]
 		src := cm.levels[(q-1)*words : q*words]
 		for w := range dst {
@@ -88,34 +82,25 @@ func newCapMasks(g *Grid, dist []float32, stepKm float64, refined *atomic.Uint64
 	return cm
 }
 
-// Levels returns the number of quantization levels in the family.
-func (cm *CapMasks) Levels() int { return cm.nLevels }
-
-// StepKm returns the quantization step in kilometers.
-func (cm *CapMasks) StepKm() float64 { return cm.stepKm }
-
-// MaskBytes returns the memory footprint of the mask words.
-func (cm *CapMasks) MaskBytes() int { return len(cm.levels) * 8 }
-
 // radiusOf returns the radius of quantization level q.
-func (cm *CapMasks) radiusOf(q int) float64 { return float64(q) * cm.stepKm }
+func (cm *CapMasks) radiusOf(q int) float64 { return float64(q) * MaskStepKm }
 
 // firstLevel returns the smallest level q with d ≤ radiusOf(q). The
 // initial guess comes from a division; the fix-up loops re-establish
 // the invariant with direct one-sided comparisons, so division rounding
 // at a quantization boundary can never misplace a cell.
 func (cm *CapMasks) firstLevel(d float64) int {
-	q := int(d / cm.stepKm)
+	q := int(d / MaskStepKm)
 	if q < 0 {
 		q = 0
 	}
-	if q > cm.nLevels-1 {
-		q = cm.nLevels - 1
+	if q > maskLevels-1 {
+		q = maskLevels - 1
 	}
 	for q > 0 && d <= cm.radiusOf(q-1) {
 		q--
 	}
-	for q < cm.nLevels-1 && d > cm.radiusOf(q) {
+	for q < maskLevels-1 && d > cm.radiusOf(q) {
 		q++
 	}
 	return q
@@ -132,19 +117,19 @@ func (cm *CapMasks) bracket(rKm float64) (lo, hi int) {
 		return -1, 0
 	}
 	if math.IsInf(rKm, 1) {
-		return cm.nLevels - 1, cm.nLevels
+		return maskLevels - 1, maskLevels
 	}
-	q := int(rKm / cm.stepKm)
+	q := int(rKm / MaskStepKm)
 	if q < 0 {
 		q = 0
 	}
-	if q > cm.nLevels-1 {
-		q = cm.nLevels - 1
+	if q > maskLevels-1 {
+		q = maskLevels - 1
 	}
 	for q > 0 && cm.radiusOf(q) > rKm {
 		q--
 	}
-	for q < cm.nLevels-1 && cm.radiusOf(q+1) <= rKm {
+	for q < maskLevels-1 && cm.radiusOf(q+1) <= rKm {
 		q++
 	}
 	if cm.radiusOf(q) > rKm {
@@ -161,8 +146,8 @@ func (cm *CapMasks) level(q int) []uint64 {
 	if q < 0 {
 		return nil
 	}
-	if q > cm.nLevels-1 {
-		q = cm.nLevels - 1
+	if q > maskLevels-1 {
+		q = maskLevels - 1
 	}
 	return cm.levels[q*cm.words : (q+1)*cm.words]
 }
@@ -174,10 +159,11 @@ func (cm *CapMasks) addRefined(n uint64) {
 }
 
 // FillWithinKm ORs into dst exactly the cells whose cached distance is
-// ≤ maxKm — byte-identical to Region.AddWithinKm without the center
+// ≤ maxKm — the per-cell scan of the distance slice, without the center
 // cell (callers add that separately, preserving AddCap's center rule).
 // Inner-bracket words are ORed wholesale; only annulus bits see the
-// exact float64 predicate.
+// exact float64 predicate. A NaN maxKm is outside the contract: no
+// caller can produce one, and the result need not match the scan.
 func (cm *CapMasks) FillWithinKm(dst *Region, maxKm float64) {
 	lo, hi := cm.bracket(maxKm)
 	inner := cm.level(lo)
@@ -207,10 +193,12 @@ func (cm *CapMasks) FillWithinKm(dst *Region, maxKm float64) {
 }
 
 // IntersectWithinKm removes from r every cell whose cached distance
-// exceeds maxKm — byte-identical to Region.IntersectWithinKm over the
-// same distance slice. Cells inside the inner bracket are kept and
+// exceeds maxKm — byte-identical to a bit-by-bit walk removing each
+// cell with dist > maxKm. Cells inside the inner bracket are kept and
 // cells outside the outer bracket dropped word-wise; only set bits in
-// the annulus see the exact predicate.
+// the annulus see the exact predicate. A NaN maxKm is outside the
+// contract: the masks empty the region where the per-cell rule would
+// keep every cell.
 func (cm *CapMasks) IntersectWithinKm(r *Region, maxKm float64) {
 	lo, hi := cm.bracket(maxKm)
 	inner := cm.level(lo)
@@ -246,7 +234,8 @@ func (cm *CapMasks) IntersectWithinKm(r *Region, maxKm float64) {
 // inner bound). Cells certainly in the ring (inside the outer bound's
 // inner bracket and outside the inner bound's outer bracket) are ORed
 // word-wise; only candidate bits near either boundary see the exact
-// two-sided predicate.
+// two-sided predicate. NaN bounds are outside the contract: the masks
+// may keep cells the per-cell rule rejects.
 func (cm *CapMasks) FillRingKm(dst *Region, minExclusiveKm, maxKm float64) {
 	oLo, oHi := cm.bracket(maxKm)
 	iLo, iHi := cm.bracket(minExclusiveKm)
@@ -293,11 +282,10 @@ func (cm *CapMasks) FillRingKm(dst *Region, minExclusiveKm, maxKm float64) {
 // DistanceField (warming that cache too) and builds the mask family
 // outside the cache lock; concurrent requests for the same landmark
 // share a single build via sync.Once. Memory is bounded at
-// capacity × nLevels × words × 8 bytes.
+// capacity × maskLevels × words × 8 bytes.
 type MaskCache struct {
-	field  *DistanceField
-	stepKm float64
-	cap    int
+	field *DistanceField
+	cap   int
 
 	mu      sync.Mutex
 	entries map[FieldKey]*maskEntry
@@ -314,18 +302,13 @@ type maskEntry struct {
 }
 
 // NewMaskCache builds a mask cache over the field's grid holding at
-// most maxEntries landmark families (minimum 1). stepKm ≤ 0 selects
-// DefaultMaskStepKm.
-func NewMaskCache(field *DistanceField, maxEntries int, stepKm float64) *MaskCache {
+// most maxEntries landmark families (minimum 1).
+func NewMaskCache(field *DistanceField, maxEntries int) *MaskCache {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
-	if stepKm <= 0 {
-		stepKm = DefaultMaskStepKm
-	}
 	return &MaskCache{
 		field:   field,
-		stepKm:  stepKm,
 		cap:     maxEntries,
 		entries: make(map[FieldKey]*maskEntry, maxEntries),
 	}
@@ -357,7 +340,7 @@ func (c *MaskCache) Masks(key FieldKey) *CapMasks {
 
 	e.once.Do(func() {
 		dist := c.field.Distances(key)
-		e.masks = newCapMasks(c.field.Grid(), dist, c.stepKm, &c.refined)
+		e.masks = newCapMasks(c.field.Grid(), dist, &c.refined)
 	})
 	return e.masks
 }
@@ -417,11 +400,10 @@ type MaskStats struct {
 func (c *MaskCache) Stats() MaskStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Levels and bytes-per-mask are a pure function of (grid, step), so
+	// Levels and bytes-per-mask are a pure function of the grid, so
 	// they are derived here rather than read off an entry: an entry's
 	// masks pointer is written inside its sync.Once and must not be
 	// inspected without going through Do.
-	nLevels := int(math.Pi*geo.EarthRadiusKm/c.stepKm) + 3
 	words := (c.field.Grid().total + 63) / 64
 	return MaskStats{
 		Entries:      len(c.entries),
@@ -429,7 +411,7 @@ func (c *MaskCache) Stats() MaskStats {
 		Misses:       c.misses,
 		Evictions:    c.evictions,
 		RefinedCells: c.refined.Load(),
-		Levels:       nLevels,
-		BytesPerMask: nLevels * words * 8,
+		Levels:       maskLevels,
+		BytesPerMask: maskLevels * words * 8,
 	}
 }

@@ -3,9 +3,9 @@ package grid
 // Tests for the per-landmark quantized mask cache: the bracket
 // invariant (inner mask ⊆ exact region ⊆ outer mask) across grid
 // resolutions and degenerate radii, byte-identical equivalence of the
-// word-wise fill/intersect/ring ops against the per-cell scans they
-// replace, and the LRU / invalidation / shared-build behaviour of the
-// cache itself.
+// word-wise fill/intersect/ring ops against the per-cell oracles in
+// oracle_test.go, and the LRU / invalidation / shared-build behaviour of
+// the cache itself.
 
 import (
 	"math"
@@ -20,12 +20,12 @@ import (
 // quantization boundaries themselves (exactly q·step, one ULP either
 // side), degenerate values (negative, zero, -Inf via callers),
 // antipodal and beyond-antipodal distances, plus random draws.
-func maskTestRadii(cm *CapMasks, rng *rand.Rand) []float64 {
+func maskTestRadii(rng *rand.Rand) []float64 {
 	maxSphere := math.Pi * geo.EarthRadiusKm
 	radii := []float64{
 		-5, 0, 1e-9,
-		cm.StepKm(), math.Nextafter(cm.StepKm(), 0), math.Nextafter(cm.StepKm(), math.Inf(1)),
-		3 * cm.StepKm(), 3*cm.StepKm() - 1e-9,
+		MaskStepKm, math.Nextafter(MaskStepKm, 0), math.Nextafter(MaskStepKm, math.Inf(1)),
+		3 * MaskStepKm, 3*MaskStepKm - 1e-9,
 		maxSphere, maxSphere + 100, geo.HalfEquatorKm,
 	}
 	for k := 0; k < 8; k++ {
@@ -51,8 +51,8 @@ func TestMaskBracketInvariant(t *testing.T) {
 		}
 		for _, p := range centers {
 			dist := g.DistancesFrom(p)
-			cm := newCapMasks(g, dist, DefaultMaskStepKm, nil)
-			for _, rKm := range maskTestRadii(cm, rng) {
+			cm := newCapMasks(g, dist, nil)
+			for _, rKm := range maskTestRadii(rng) {
 				lo, hi := cm.bracket(rKm)
 				inner, outer := cm.level(lo), cm.level(hi)
 				for i, d := range dist {
@@ -73,25 +73,25 @@ func TestMaskBracketInvariant(t *testing.T) {
 }
 
 // TestMaskFillWithinKmMatchesAddWithinKm: the word-wise cap fill plus
-// the caller's center-cell rule must be byte-identical to AddWithinKm
-// over the same distance slice.
+// the caller's center-cell rule must be byte-identical to the per-cell
+// addWithinKm oracle over the same distance slice.
 func TestMaskFillWithinKmMatchesAddWithinKm(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(72))
 	for k := 0; k < 40; k++ {
 		c := randomCap(rng)
 		dist := g.DistancesFrom(c.Center)
-		cm := newCapMasks(g, dist, DefaultMaskStepKm, nil)
+		cm := newCapMasks(g, dist, nil)
 		center := g.CellAt(c.Center)
-		for _, rKm := range maskTestRadii(cm, rng) {
+		for _, rKm := range maskTestRadii(rng) {
 			a, b := g.NewRegion(), g.NewRegion()
 			if rKm > 0 {
 				cm.FillWithinKm(a, rKm)
 			}
 			a.Add(center)
-			b.AddWithinKm(dist, rKm, center)
+			addWithinKm(b, dist, rKm, center)
 			if !a.Equal(b) {
-				t.Fatalf("cap %v radius %v: mask fill differs from AddWithinKm (%d vs %d cells)",
+				t.Fatalf("cap %v radius %v: mask fill differs from addWithinKm (%d vs %d cells)",
 					c.Center, rKm, a.Count(), b.Count())
 			}
 		}
@@ -99,9 +99,7 @@ func TestMaskFillWithinKmMatchesAddWithinKm(t *testing.T) {
 }
 
 // TestMaskIntersectWithinKmMatches: pruning a ragged region through the
-// bracketing masks must be byte-identical to the per-bit keep-mask
-// kernel (and therefore to the bit-by-bit reference it is tested
-// against elsewhere).
+// bracketing masks must be byte-identical to the bit-by-bit oracle.
 func TestMaskIntersectWithinKmMatches(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(73))
@@ -109,13 +107,13 @@ func TestMaskIntersectWithinKmMatches(t *testing.T) {
 		r := randomRegion(g, rng)
 		lm := randomCap(rng).Center
 		dist := g.DistancesFrom(lm)
-		cm := newCapMasks(g, dist, DefaultMaskStepKm, nil)
-		for _, rKm := range maskTestRadii(cm, rng) {
+		cm := newCapMasks(g, dist, nil)
+		for _, rKm := range maskTestRadii(rng) {
 			a, b := r.Clone(), r.Clone()
 			cm.IntersectWithinKm(a, rKm)
-			b.IntersectWithinKm(dist, rKm)
+			intersectWithinKmReference(b, dist, rKm)
 			if !a.Equal(b) {
-				t.Fatalf("radius %v: mask intersect differs from kernel (%d vs %d cells)", rKm, a.Count(), b.Count())
+				t.Fatalf("radius %v: mask intersect differs from oracle (%d vs %d cells)", rKm, a.Count(), b.Count())
 			}
 		}
 	}
@@ -132,12 +130,12 @@ func TestMaskFillRingKmMatches(t *testing.T) {
 	for k := 0; k < 40; k++ {
 		lm := randomCap(rng).Center
 		dist := g.DistancesFrom(lm)
-		cm := newCapMasks(g, dist, DefaultMaskStepKm, nil)
+		cm := newCapMasks(g, dist, nil)
 		bounds := [][2]float64{
 			{math.Inf(-1), rng.Float64() * geo.HalfEquatorKm},
 			{rng.Float64() * 2000, rng.Float64() * geo.HalfEquatorKm},
-			{cm.StepKm(), 2 * cm.StepKm()},
-			{math.Nextafter(cm.StepKm(), 0), cm.StepKm()},
+			{MaskStepKm, 2 * MaskStepKm},
+			{math.Nextafter(MaskStepKm, 0), MaskStepKm},
 			{5000, 4000}, // inverted: empty ring
 			{maxSphere, maxSphere + 500},
 			{math.Inf(-1), maxSphere + 500},
@@ -148,12 +146,7 @@ func TestMaskFillRingKmMatches(t *testing.T) {
 			a := g.NewRegion()
 			cm.FillRingKm(a, minEx, maxKm)
 			b := g.NewRegion()
-			for i, d := range dist {
-				dd := float64(d)
-				if dd <= maxKm && dd > minEx {
-					b.Add(i)
-				}
-			}
+			fillRingReference(b, dist, minEx, maxKm)
 			if !a.Equal(b) {
 				t.Fatalf("ring (%v, %v]: mask fill differs from scan (%d vs %d cells)", minEx, maxKm, a.Count(), b.Count())
 			}
@@ -167,7 +160,7 @@ func TestMaskFillRingKmMatches(t *testing.T) {
 func TestMaskCacheLRUAndStats(t *testing.T) {
 	g := New(5)
 	f := NewDistanceField(g, 8)
-	c := NewMaskCache(f, 2, DefaultMaskStepKm)
+	c := NewMaskCache(f, 2)
 
 	kA := FieldKey{ID: "a", Lat: 10, Lon: 20}
 	kB := FieldKey{ID: "b", Lat: -30, Lon: 40}
@@ -212,7 +205,7 @@ func TestMaskCacheLRUAndStats(t *testing.T) {
 func TestMaskCacheSharedBuild(t *testing.T) {
 	g := New(5)
 	f := NewDistanceField(g, 4)
-	c := NewMaskCache(f, 4, DefaultMaskStepKm)
+	c := NewMaskCache(f, 4)
 	key := FieldKey{ID: "x", Lat: 1, Lon: 2}
 
 	const n = 16
@@ -241,7 +234,7 @@ func TestMaskCacheSharedBuild(t *testing.T) {
 func TestMaskRefinedCounter(t *testing.T) {
 	g := New(5)
 	f := NewDistanceField(g, 4)
-	c := NewMaskCache(f, 4, DefaultMaskStepKm)
+	c := NewMaskCache(f, 4)
 	cm := c.Masks(FieldKey{ID: "x", Lat: 10, Lon: 10})
 	r := g.NewRegion()
 	cm.FillWithinKm(r, 3000)

@@ -1,8 +1,8 @@
 package grid
 
 // Tests for the word-wise region reductions: the per-band popcount area
-// sum and the keep-mask distance pruning, each checked against its
-// retained bit-by-bit reference implementation.
+// sum and the keep-mask Filter, each checked against its bit-by-bit
+// oracle.
 
 import (
 	"math"
@@ -34,7 +34,7 @@ func TestAreaKm2MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for k := 0; k < 100; k++ {
 		r := randomRegion(g, rng)
-		got, want := r.AreaKm2(), r.AreaKm2Reference()
+		got, want := r.AreaKm2(), areaKm2Reference(r)
 		if want == 0 {
 			if got != 0 {
 				t.Fatalf("empty region: got area %v, want 0", got)
@@ -53,27 +53,6 @@ func TestAreaKm2MatchesReference(t *testing.T) {
 	sphere := 4 * math.Pi * geo.EarthRadiusKm * geo.EarthRadiusKm
 	if rel := math.Abs(full.AreaKm2()-sphere) / sphere; rel > 1e-9 {
 		t.Fatalf("full region area %v, want sphere %v", full.AreaKm2(), sphere)
-	}
-}
-
-// TestIntersectWithinKmMatchesReference: the keep-mask path applies the
-// identical float64 predicate per set bit, so the resulting bitsets must
-// be byte-identical to the reference, not merely equivalent.
-func TestIntersectWithinKmMatchesReference(t *testing.T) {
-	g := New(2.5)
-	rng := rand.New(rand.NewSource(32))
-	for k := 0; k < 100; k++ {
-		r := randomRegion(g, rng)
-		dist := g.DistancesFrom(randomCap(rng).Center)
-		maxKm := rng.Float64() * geo.HalfEquatorKm
-		a, b := r.Clone(), r.Clone()
-		a.IntersectWithinKm(dist, maxKm)
-		b.IntersectWithinKmReference(dist, maxKm)
-		for w := range a.bits {
-			if a.bits[w] != b.bits[w] {
-				t.Fatalf("maxKm %.1f: word %d differs: %x vs %x", maxKm, w, a.bits[w], b.bits[w])
-			}
-		}
 	}
 }
 
@@ -117,7 +96,7 @@ func TestFilterMatchesReference(t *testing.T) {
 		keep := preds[k%len(preds)]
 		a, b := r.Clone(), r.Clone()
 		a.Filter(keep)
-		b.FilterReference(keep)
+		filterReference(b, keep)
 		if !a.Equal(b) {
 			t.Fatalf("trial %d: Filter differs from reference (%d vs %d cells)", k, a.Count(), b.Count())
 		}

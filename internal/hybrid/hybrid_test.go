@@ -76,37 +76,3 @@ func TestLocateNoMeasurements(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
-
-// TestLocateMaskToggle: Hybrid's σ-span rings run through
-// Env.RingRegionFor, so the quantized mask cache must leave its regions
-// byte-identical to the per-cell ring scan.
-func TestLocateMaskToggle(t *testing.T) {
-	cons, env := algtest.Fixture(t)
-	model, err := spotter.Calibrate(cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg := New(env, model)
-	rng := rand.New(rand.NewSource(101))
-	targets := map[string]geo.Point{
-		"masktoggle-hyb-berlin": {Lat: 52.52, Lon: 13.405},
-		"masktoggle-hyb-seoul":  {Lat: 37.57, Lon: 126.98},
-	}
-	for id, loc := range targets {
-		ms := algtest.MeasureTarget(t, cons, id, loc, 25, rng)
-		on, err := alg.Locate(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		saved := env.Masks
-		env.Masks = nil
-		off, err := alg.Locate(ms)
-		env.Masks = saved
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !on.Equal(off) {
-			t.Fatalf("%s: mask-on region (%d cells) differs from mask-off (%d cells)", id, on.Count(), off.Count())
-		}
-	}
-}

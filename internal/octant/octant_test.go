@@ -138,37 +138,3 @@ func TestProbeFallsBackToPooled(t *testing.T) {
 		t.Error("probe should use pooled curves")
 	}
 }
-
-// TestLocateMaskToggle: Quasi-Octant's ring constraints run through
-// Env.RingRegionFor, so the quantized mask cache must leave its regions
-// byte-identical to the per-cell ring scan.
-func TestLocateMaskToggle(t *testing.T) {
-	cons, env := algtest.Fixture(t)
-	cal, err := Calibrate(cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg := New(env, cal)
-	rng := rand.New(rand.NewSource(99))
-	targets := map[string]geo.Point{
-		"masktoggle-oct-berlin": {Lat: 52.52, Lon: 13.405},
-		"masktoggle-oct-dakar":  {Lat: 14.72, Lon: -17.47},
-	}
-	for id, loc := range targets {
-		ms := algtest.MeasureTarget(t, cons, id, loc, 25, rng)
-		on, err := alg.Locate(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		saved := env.Masks
-		env.Masks = nil
-		off, err := alg.Locate(ms)
-		env.Masks = saved
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !on.Equal(off) {
-			t.Fatalf("%s: mask-on region (%d cells) differs from mask-off (%d cells)", id, on.Count(), off.Count())
-		}
-	}
-}

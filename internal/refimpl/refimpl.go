@@ -9,8 +9,8 @@
 //     monotone-equivalent to the haversine test, so every algorithm must
 //     produce the same region through either path (up to documented
 //     ulp-level boundary ties; see the package tests). Each reference
-//     Locate is composed from the grid's *Reference primitives
-//     (AddCapReference, etc.) and the algorithms' exported calibration
+//     Locate is composed from grid.Region.AddCapReference, the
+//     haversine helpers below, and the algorithms' exported calibration
 //     APIs, so it shares no fast-path geometry code with the kernel.
 //  2. Honest "before" benchmarks. cmd/benchaudit -mode locate times
 //     these against the kernel implementations to produce the
@@ -46,12 +46,23 @@ func capRegionReference(g *grid.Grid, c geo.Cap) *grid.Region {
 	return r
 }
 
-// ringRegionReference is the pre-kernel geoloc.RingRegion: outer cap
+// intersectCapReference removes every cell whose center is outside the
+// cap, with the pre-kernel per-cell haversine test.
+func intersectCapReference(r *grid.Region, c geo.Cap) {
+	g := r.Grid()
+	r.Each(func(i int) {
+		if !c.Contains(g.Center(i)) {
+			r.Remove(i)
+		}
+	})
+}
+
+// ringRegionReference is the pre-kernel ring rasterization: outer cap
 // minus the inner cap shrunk by one cell diagonal, both via haversine.
 func ringRegionReference(g *grid.Grid, ring geo.Ring) *grid.Region {
 	outer := capRegionReference(g, geo.Cap{Center: ring.Center, RadiusKm: ring.MaxKm})
 	if ring.MinKm > 0 {
-		shrink := ring.MinKm - 1.5*111.195*g.Resolution()
+		shrink := ring.MinKm - 1.5*grid.KmPerDeg*g.Resolution()
 		if shrink > 0 {
 			inner := capRegionReference(g, geo.Cap{Center: ring.Center, RadiusKm: shrink})
 			outer.SubtractWith(inner)
@@ -94,7 +105,7 @@ func (c *CBG) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		if i == min {
 			continue
 		}
-		region.IntersectCapReference(d)
+		intersectCapReference(region, d)
 		if region.Empty() {
 			return region, nil
 		}

@@ -81,7 +81,7 @@ func requireEquivalent(t *testing.T, g *grid.Grid, label string, ref, fast *grid
 			label, len(onlyRef), len(onlyFast), ref.Count(), fast.Count(), tol)
 		return
 	}
-	diag := 1.5 * 111.195 * g.Resolution()
+	diag := 1.5 * grid.KmPerDeg * g.Resolution()
 	for _, c := range onlyRef {
 		if d := fast.DistanceToPointKm(g.Center(c)); d > diag {
 			t.Errorf("%s: reference-only cell %d is %.0f km from the kernel region (max %.0f)", label, c, d, diag)

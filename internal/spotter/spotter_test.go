@@ -135,31 +135,3 @@ func TestSmallerSigmaGivesSmallerRegion(t *testing.T) {
 		t.Errorf("tighter σ produced a much larger region: %f vs %f", tr.AreaKm2(), wide.AreaKm2())
 	}
 }
-
-// TestLocateMaskToggle: Spotter reads raw distance slices, not region
-// geometry, so the mask cache must be a strict no-op for it — the
-// toggle pins that Locate stays byte-identical either way.
-func TestLocateMaskToggle(t *testing.T) {
-	cons, env := algtest.Fixture(t)
-	model, err := Calibrate(cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg := New(env, model)
-	rng := rand.New(rand.NewSource(100))
-	ms := algtest.MeasureTarget(t, cons, "masktoggle-spot-berlin", geo.Point{Lat: 52.52, Lon: 13.405}, 25, rng)
-	on, err := alg.Locate(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := env.Masks
-	env.Masks = nil
-	off, err := alg.Locate(ms)
-	env.Masks = saved
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !on.Equal(off) {
-		t.Fatalf("mask toggle changed Spotter output (%d vs %d cells)", on.Count(), off.Count())
-	}
-}

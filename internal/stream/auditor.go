@@ -496,11 +496,7 @@ type cacheSnapshot struct {
 }
 
 func (a *Auditor) cacheStats() cacheSnapshot {
-	c := cacheSnapshot{field: a.cfg.Env.Field.Stats()}
-	if a.cfg.Env.Masks != nil {
-		c.mask = a.cfg.Env.Masks.Stats()
-	}
-	return c
+	return cacheSnapshot{field: a.cfg.Env.Field.Stats(), mask: a.cfg.Env.Masks.Stats()}
 }
 
 // recordPass adds a completed pass's whole-store resolutions (group
@@ -521,12 +517,10 @@ func (a *Auditor) recordPass(stats PassStats, before cacheSnapshot) {
 	tel.Add("geo.field.hits", int64(after.field.Hits-before.field.Hits))
 	tel.Add("geo.field.misses", int64(after.field.Misses-before.field.Misses))
 	tel.Add("geo.field.evictions", int64(after.field.Evictions-before.field.Evictions))
-	if a.cfg.Env.Masks != nil {
-		tel.Add("geo.mask.hits", int64(after.mask.Hits-before.mask.Hits))
-		tel.Add("geo.mask.misses", int64(after.mask.Misses-before.mask.Misses))
-		tel.Add("geo.mask.evictions", int64(after.mask.Evictions-before.mask.Evictions))
-		tel.Add("geo.mask.refined", int64(after.mask.RefinedCells-before.mask.RefinedCells))
-	}
+	tel.Add("geo.mask.hits", int64(after.mask.Hits-before.mask.Hits))
+	tel.Add("geo.mask.misses", int64(after.mask.Misses-before.mask.Misses))
+	tel.Add("geo.mask.evictions", int64(after.mask.Evictions-before.mask.Evictions))
+	tel.Add("geo.mask.refined", int64(after.mask.RefinedCells-before.mask.RefinedCells))
 }
 
 // parallelFor runs fn(i) for i in [0, n) on at most workers goroutines

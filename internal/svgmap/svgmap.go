@@ -50,7 +50,7 @@ func (m *Map) xy(p geo.Point) (float64, float64) {
 // radii we use the latitude-independent y scale, which keeps circles
 // visually comparable).
 func (m *Map) kmToPx(km float64) float64 {
-	return km / (180 * 111.195) * float64(m.height)
+	return km / (180 * grid.KmPerDeg) * float64(m.height)
 }
 
 // drawCountries paints every country's caps.
