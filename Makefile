@@ -10,7 +10,7 @@
 #   make lint-fix-check  assert `geolint -fix -diff` has no pending rewrites
 #   make vuln          govulncheck, if installed; soft-fails offline
 #   make race          full test suite under the race detector
-#   make race-smoke    quick audit pipeline only, under the race detector
+#   make race-smoke    quick audit pipeline and measure batch, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
 #   make soak-constellation  CHAOS_MINUTES of shard kill/restart churn under -race
 #   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface and the geometry kernel
@@ -75,15 +75,18 @@ test:
 race:
 	$(GO) test -race -timeout 60m ./...
 
-# Race smoke: the quick audit determinism path plus the streaming
-# scheduler (tiny constellation, real worker pools, bounded queues)
-# under the race detector — fast enough for every CI run, unlike the
-# full `make race` suite. -short keeps the heavy paper-scale audits
-# out. The patterns are anchored so future tests merely containing
-# "TestAudit" don't silently bloat the smoke gate.
+# Race smoke: the quick audit determinism path, the streaming scheduler
+# (tiny constellation, real worker pools, bounded queues) and
+# measure.Batch — the single entry point for honest, resilient and
+# adversarial measurement — under the race detector; fast enough for
+# every CI run, unlike the full `make race` suite. -short keeps the
+# heavy paper-scale audits out. The patterns are anchored so future
+# tests merely containing "TestAudit" don't silently bloat the smoke
+# gate.
 race-smoke:
 	$(GO) test -race -short -run '^TestAudit|^TestStreaming' ./internal/experiments
 	$(GO) test -race -run '^TestSync|^TestSynth' ./internal/stream
+	$(GO) test -race -run '^TestBatch|^TestResilientBatch' ./internal/measure
 
 # Service soak (DESIGN.md §11): 32 concurrent clients through the full
 # phase1→phase2→model→report loop under the race detector, asserting

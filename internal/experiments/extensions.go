@@ -320,41 +320,32 @@ type ExtAdversaryResult struct {
 	CBGppCoversTruth bool
 }
 
-// ExtAdversary runs the decoy attack against one proxy and locates the
-// forged measurements with CBG++ and Spotter.
+// ExtAdversary arms a one-proxy decoy plan against the fleet's first
+// server, measures it honestly and under attack through the same
+// two-phase pipeline, and locates the forged measurements with CBG++
+// and Spotter. Both runs draw from identically seeded streams, so the
+// attack is the only difference between them.
 func (l *Lab) ExtAdversary() (*ExtAdversaryResult, error) {
-	rng := l.rng(84)
 	s := l.Fleet.Servers()[0]
 	trueLoc := s.Host.Loc
-	decoy := geo.Point{Lat: 39.02, Lon: 125.74} // claims Pyongyang
+	plan := &measure.AdversaryPlan{Seed: l.Cfg.Seed, Attack: measure.AttackDecoy, ProxyFraction: 1}
+	decoy := plan.DecoyFor(s.Host.ID, trueLoc)
 
-	inner := &measure.ProxiedTool{Net: l.Net, Client: l.Client, Proxy: s.Host.ID}
-	self, err := inner.SelfPing(rng)
+	honest, err := measure.ProxiedTwoPhase(l.Cons, l.Client, s.Host.ID, measure.DefaultEta, l.rng(84))
 	if err != nil {
 		return nil, err
 	}
-
-	// Honest baseline.
-	var honest []measure.Sample
-	for _, lm := range l.Cons.Anchors() {
-		smp, err := inner.Measure("", lm, rng)
-		if err != nil {
-			continue
-		}
-		honest = append(honest, smp)
-	}
-	honestMs := measure.Measurements(measure.CorrectForProxy(honest, self, measure.DefaultEta))
-	honestRegion, err := l.CBGpp.Locate(honestMs)
+	honestRegion, err := l.CBGpp.Locate(honest.Measurements())
 	if err != nil {
 		return nil, err
 	}
 	hc, _ := honestRegion.Centroid()
 
-	// Attack.
-	adv := &measure.AdversarialProxiedTool{Inner: inner, Decoy: &decoy}
-	forged := adv.MeasureAll(l.Cons.Anchors(), rng)
-	forgedMs := measure.Measurements(measure.CorrectForProxy(forged, self, measure.DefaultEta))
-
+	forged, err := measure.ProxiedTwoPhaseAdversarial(l.Cons, l.Client, s.Host.ID, measure.DefaultEta, measure.Policy{}, plan, l.rng(84))
+	if err != nil {
+		return nil, err
+	}
+	forgedMs := forged.Measurements()
 	forgedCBGpp, err := l.CBGpp.Locate(forgedMs)
 	if err != nil {
 		return nil, err

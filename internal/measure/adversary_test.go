@@ -16,7 +16,7 @@ func TestAdversaryDecoyShiftsApparentLocation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 
 	inner := &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}
-	adv := &AdversarialProxiedTool{Inner: inner, Decoy: &decoy}
+	adv := liarTool{inner, &AdversaryPlan{Attack: AttackDecoy, ProxyFraction: 1}, decoy}
 
 	lms := cons.Anchors()[:30]
 	honest := inner
@@ -27,7 +27,7 @@ func TestAdversaryDecoyShiftsApparentLocation(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		f, err := adv.MeasureLandmark(lm, rng)
+		f, err := adv.Measure("", lm, rng)
 		if err != nil {
 			continue
 		}
@@ -56,7 +56,7 @@ func TestAdversaryExtraDelay(t *testing.T) {
 	client := addTarget(t, cons.Net(), "adv2-client", geo.Point{Lat: 50.11, Lon: 8.68})
 	proxy := addTarget(t, cons.Net(), "adv2-proxy", geo.Point{Lat: 48.86, Lon: 2.35})
 	inner := &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy, Attempts: 1}
-	adv := &AdversarialProxiedTool{Inner: inner, ExtraDelayMs: 100}
+	adv := liarTool{inner: inner, plan: &AdversaryPlan{Attack: AttackDelay, ProxyFraction: 1}}
 	lm := cons.Anchors()[0]
 
 	rng := rand.New(rand.NewSource(9))
@@ -64,47 +64,31 @@ func TestAdversaryExtraDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged, err := adv.MeasureLandmark(lm, rng)
+	forged, err := adv.Measure("", lm, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Not comparable sample-to-sample (different jitter draws), but the
-	// 100 ms padding must dominate.
+	// 120 ms padding must dominate.
 	if forged.RTTms < base.RTTms+50 {
 		t.Errorf("extra delay not applied: %.1f vs %.1f", forged.RTTms, base.RTTms)
 	}
 }
 
-func TestAdversaryMeasureAll(t *testing.T) {
-	cons, _ := algtest.Fixture(t)
-	client := addTarget(t, cons.Net(), "adv3-client", geo.Point{Lat: 50.11, Lon: 8.68})
-	proxy := addTarget(t, cons.Net(), "adv3-proxy", geo.Point{Lat: 48.86, Lon: 2.35})
-	inner := &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}
-	decoy := geo.Point{Lat: -33.87, Lon: 151.21}
-	adv := &AdversarialProxiedTool{Inner: inner, Decoy: &decoy}
-	samples := adv.MeasureAll(cons.Anchors()[:10], rand.New(rand.NewSource(10)))
-	if len(samples) != 10 {
-		t.Fatalf("samples = %d", len(samples))
-	}
-	for _, s := range samples {
-		if s.RTTms <= 0 {
-			t.Fatal("bad sample")
-		}
-	}
-}
-
 // TestAdversaryForgedCentroidNearDecoy multilaterates the forged
 // measurements over a candidate grid (the anchors' own locations plus
-// the decoy and the truth) and asserts the best-fitting candidate lands
-// within tolerance of the decoy — the attacker's goal state.
+// the plan's hash-chosen decoy and the truth) and asserts the
+// best-fitting candidate lands within tolerance of the decoy — the
+// attacker's goal state.
 func TestAdversaryForgedCentroidNearDecoy(t *testing.T) {
 	cons, _ := algtest.Fixture(t)
 	client := addTarget(t, cons.Net(), "adv4-client", geo.Point{Lat: 50.11, Lon: 8.68})
 	trueLoc := geo.Point{Lat: 52.37, Lon: 4.89}
 	proxy := addTarget(t, cons.Net(), "adv4-proxy", trueLoc)
-	decoy := geo.Point{Lat: 35.68, Lon: 139.65}
+	plan := &AdversaryPlan{Seed: 4, Attack: AttackDecoy, ProxyFraction: 1}
+	decoy := plan.DecoyFor(proxy, trueLoc)
 	inner := &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}
-	adv := &AdversarialProxiedTool{Inner: inner, Decoy: &decoy}
+	adv := liarTool{inner, plan, decoy}
 	rng := rand.New(rand.NewSource(44))
 	clientLeg, _ := cons.Net().BaseRTTMs(client, proxy)
 
@@ -115,7 +99,7 @@ func TestAdversaryForgedCentroidNearDecoy(t *testing.T) {
 	}
 	var observations []obs
 	for _, lm := range lms {
-		s, err := adv.MeasureLandmark(lm, rng)
+		s, err := adv.Measure("", lm, rng)
 		if err != nil {
 			continue
 		}
@@ -155,25 +139,26 @@ func TestAdversaryClientLegFloor(t *testing.T) {
 	clientLeg, _ := cons.Net().BaseRTTMs(client, proxy)
 
 	cases := []struct {
-		name string
-		tool AdversarialProxiedTool
+		name  string
+		plan  AdversaryPlan
+		decoy geo.Point
 	}{
-		{"decoy-full", AdversarialProxiedTool{Decoy: &decoy}},
-		{"decoy-near", AdversarialProxiedTool{Decoy: &near}},
-		{"decoy-blend", AdversarialProxiedTool{Decoy: &near, Aggressiveness: 0.6}},
-		{"inflate", AdversarialProxiedTool{InflateMs: 80}},
-		{"deflate-full", AdversarialProxiedTool{DeflateKeep: 0.05, TargetFraction: 1}},
-		{"deflate-blend", AdversarialProxiedTool{DeflateKeep: 0.25, Aggressiveness: 0.4}},
-		{"delay", AdversarialProxiedTool{ExtraDelayMs: 150}},
-		{"combined", AdversarialProxiedTool{Decoy: &near, DeflateKeep: 0.1, TargetFraction: 1}},
+		{"decoy-full", AdversaryPlan{Attack: AttackDecoy}, decoy},
+		{"decoy-near", AdversaryPlan{Attack: AttackDecoy}, near},
+		{"decoy-blend", AdversaryPlan{Attack: AttackDecoy, Aggressiveness: 0.6}, near},
+		{"inflate", AdversaryPlan{Attack: AttackInflate}, geo.Point{}},
+		{"deflate-full", AdversaryPlan{Attack: AttackDeflate}, geo.Point{}},
+		{"deflate-blend", AdversaryPlan{Attack: AttackDeflate, Aggressiveness: 0.4}, geo.Point{}},
+		{"delay", AdversaryPlan{Attack: AttackDelay}, geo.Point{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tool := tc.tool
-			tool.Inner = &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}
+			plan := tc.plan
+			plan.ProxyFraction = 1
+			tool := liarTool{&ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}, &plan, tc.decoy}
 			rng := rand.New(rand.NewSource(45))
 			for _, lm := range cons.Anchors()[:30] {
-				s, err := tool.MeasureLandmark(lm, rng)
+				s, err := tool.Measure("", lm, rng)
 				if err != nil {
 					continue
 				}
@@ -187,22 +172,22 @@ func TestAdversaryClientLegFloor(t *testing.T) {
 }
 
 // TestAdversaryExtraDelayConstantShift pins the Gill-style expectation:
-// with ExtraDelayMs alone, identical RNG streams produce measurements
-// offset by exactly the configured constant (the attack consumes no
+// under AttackDelay, identical RNG streams produce measurements offset
+// by exactly the aggressiveness-scaled constant (the attack consumes no
 // extra draws).
 func TestAdversaryExtraDelayConstantShift(t *testing.T) {
 	cons, _ := algtest.Fixture(t)
 	client := addTarget(t, cons.Net(), "adv6-client", geo.Point{Lat: 50.11, Lon: 8.68})
 	proxy := addTarget(t, cons.Net(), "adv6-proxy", geo.Point{Lat: 48.86, Lon: 2.35})
 	inner := &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}
-	const shift = 100.0
-	adv := &AdversarialProxiedTool{Inner: inner, ExtraDelayMs: shift}
+	adv := liarTool{inner: inner, plan: &AdversaryPlan{Attack: AttackDelay, ProxyFraction: 1, Aggressiveness: 0.5}}
+	const shift = 0.5 * extraDelayMs
 
 	honestRng := rand.New(rand.NewSource(46))
 	forgedRng := rand.New(rand.NewSource(46))
 	for _, lm := range cons.Anchors()[:25] {
 		h, errH := inner.Measure("", lm, honestRng)
-		f, errF := adv.MeasureLandmark(lm, forgedRng)
+		f, errF := adv.Measure("", lm, forgedRng)
 		if (errH == nil) != (errF == nil) {
 			t.Fatalf("error divergence at %s: %v vs %v", lm.Host.ID, errH, errF)
 		}
@@ -225,27 +210,27 @@ func TestAdversarySelectiveTargeting(t *testing.T) {
 	inner := &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}
 
 	cases := []struct {
-		name string
-		tool AdversarialProxiedTool
-		dir  float64 // expected sign of (forged − honest) on targets
+		name   string
+		attack ProxyAttack
+		dir    float64 // expected sign of (forged − honest) on targets
 	}{
-		{"inflate", AdversarialProxiedTool{InflateMs: 80, SelectSeed: 3}, +1},
-		{"deflate", AdversarialProxiedTool{DeflateKeep: 0.2, SelectSeed: 3}, -1},
+		{"inflate", AttackInflate, +1},
+		{"deflate", AttackDeflate, -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tool := tc.tool
-			tool.Inner = inner
+			plan := &AdversaryPlan{Seed: 3, Attack: tc.attack, ProxyFraction: 1}
+			tool := liarTool{inner: inner, plan: plan}
 			honestRng := rand.New(rand.NewSource(47))
 			forgedRng := rand.New(rand.NewSource(47))
 			var targeted, spared int
 			for _, lm := range cons.Anchors()[:30] {
 				h, errH := inner.Measure("", lm, honestRng)
-				f, errF := tool.MeasureLandmark(lm, forgedRng)
+				f, errF := tool.Measure("", lm, forgedRng)
 				if errH != nil || errF != nil {
 					continue
 				}
-				if tool.Targeted(lm.Host.ID) {
+				if plan.targeted(lm.Host.ID) {
 					targeted++
 					if tc.dir*(f.RTTms-h.RTTms) <= 0 {
 						t.Errorf("targeted %s unmoved: honest %.3f forged %.3f", lm.Host.ID, h.RTTms, f.RTTms)

@@ -33,15 +33,13 @@ type Batch struct {
 	// be concurrency-safe; completion order is scheduling-dependent
 	// even though results are not.
 	OnProgress func(done, total int)
-	// Policy, when enabled, routes every proxy through the resilient
-	// pipeline (retries, backoff, budgets, degradation ledgers); the
-	// zero Policy keeps the historical fault-free path, byte-identical
-	// to the pre-fault engine.
+	// Policy, when enabled, arms fault resilience (retries, backoff,
+	// budgets) and attaches a degradation ledger to every result; the
+	// zero Policy takes no extra draws and attaches none.
 	Policy Policy
-	// Adversary, when armed, routes every proxy through the adversarial
-	// pipeline: lying proxies manipulate their apparent RTTs and
-	// Byzantine landmarks misreport. nil (or a disabled plan) keeps the
-	// honest path, byte-identical to the pre-adversary engine.
+	// Adversary, when armed, makes its lying proxies manipulate their
+	// apparent RTTs and its Byzantine landmarks misreport; honest
+	// proxies and a nil or disabled plan measure as the honest pipeline.
 	Adversary *AdversaryPlan
 }
 
@@ -113,17 +111,7 @@ func (b *Batch) Run(ctx context.Context, proxies []netsim.HostID) []BatchResult 
 			defer func() { <-sem }()
 			// Per-proxy deterministic stream: independent of scheduling.
 			rng := rand.New(rand.NewSource(StreamSeed(b.Seed, p)))
-			var res *Result
-			var err error
-			if b.Adversary.Enabled() {
-				res, err = ProxiedTwoPhaseAdversarial(b.Cons, b.Client, p, b.Eta, b.Policy, b.Adversary, rng)
-			} else if b.Policy.Enabled() {
-				res, err = ProxiedTwoPhaseResilient(b.Cons, b.Client, p, b.Eta, b.Policy, rng)
-			} else {
-				res, err = ProxiedTwoPhase(b.Cons, b.Client, p, b.Eta, rng)
-			}
-			out[i].Result = res
-			out[i].Err = err
+			out[i].Result, out[i].Err = ProxiedTwoPhaseAdversarial(b.Cons, b.Client, p, b.Eta, b.Policy, b.Adversary, rng)
 			finish()
 		}(i, p)
 	}

@@ -255,7 +255,7 @@ func (tp *TwoPhase) Run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
 			continue
 		}
 		for _, i := range rng.Perm(len(lms))[:min(perCont, len(lms))] {
-			s, err := tp.measure(from, lms[i], rng)
+			s, err := tp.Session.route(tp.Tool, from, lms[i], rng)
 			if err != nil {
 				continue // unreachable landmark: skip, like the real tool
 			}
@@ -266,9 +266,7 @@ func (tp *TwoPhase) Run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
 		}
 	}
 	if len(res.Phase1) == 0 {
-		if tp.Session != nil {
-			tp.Session.finish()
-		}
+		tp.Session.finish()
 		return nil, ErrNoLandmarks
 	}
 	res.Continent = bestCont
@@ -281,7 +279,7 @@ func (tp *TwoPhase) Run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
 		return res, nil
 	}
 	for _, i := range rng.Perm(len(pool))[:min(second, len(pool))] {
-		s, err := tp.measure(from, pool[i], rng)
+		s, err := tp.Session.route(tp.Tool, from, pool[i], rng)
 		if err != nil {
 			continue
 		}
@@ -289,18 +287,6 @@ func (tp *TwoPhase) Run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
 	}
 	tp.seal(res)
 	return res, nil
-}
-
-// measure routes one landmark measurement through the resilient session
-// when one is attached (tallying its outcome in the degradation
-// ledger), or straight to the tool on the historical path.
-func (tp *TwoPhase) measure(from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (Sample, error) {
-	if tp.Session == nil {
-		return tp.Tool.Measure(from, lm, rng)
-	}
-	s, err := tp.Session.Measure(tp.Tool, from, lm, rng)
-	tp.Session.record(lm.Host.ID, err)
-	return s, err
 }
 
 // seal closes the resilient session's ledger (if any) and attaches it

@@ -69,27 +69,16 @@ type AdversaryPlan struct {
 	// Aggressiveness scales the attack strength in (0, 1]; zero means
 	// full strength.
 	Aggressiveness float64
-	// PretendSpeedKmPerMs tunes the decoy rewrite (default 120).
+	// PretendSpeedKmPerMs is the speed the decoy rewrite's forged
+	// delays imply (default 120 km/ms, a plausible terrestrial path
+	// speed; the full 200 km/ms would look suspiciously fast).
 	PretendSpeedKmPerMs float64
-	// InflateMs is the selective-inflation delta (default 80 ms).
-	InflateMs float64
-	// DeflateKeep is the kept fraction of the proxy leg under selective
-	// deflation (default 0.25).
-	DeflateKeep float64
-	// ExtraDelayMs is the constant shift of AttackDelay (default 120 ms).
-	ExtraDelayMs float64
 
 	// ByzantineFraction is the fraction of anchors that lie (pure hash
 	// draw per anchor ID). Each Byzantine anchor deterministically
-	// either misreports its position or biases its mesh calibration.
+	// either misreports its position by positionLieKm or pads
+	// meshBiasMs onto every RTT it reports.
 	ByzantineFraction float64
-	// PositionLieKm is how far a position-lying anchor displaces its
-	// reported coordinates (default 2500 km).
-	PositionLieKm float64
-	// MeshBiasMs is the delay a bias-lying anchor pads onto every RTT
-	// it reports — its mesh rows and its responses to probes alike
-	// (default 40 ms).
-	MeshBiasMs float64
 
 	// DetectOnly arms the detection layer with zero liars: every actor
 	// is honest, but cross-validation and per-server inspection still
@@ -128,9 +117,7 @@ func (p *AdversaryPlan) Signature() uint64 {
 		mix(0)
 	}
 	for _, v := range []float64{
-		p.ProxyFraction, p.Aggressiveness, p.PretendSpeedKmPerMs,
-		p.InflateMs, p.DeflateKeep, p.ExtraDelayMs,
-		p.ByzantineFraction, p.PositionLieKm, p.MeshBiasMs,
+		p.ProxyFraction, p.Aggressiveness, p.PretendSpeedKmPerMs, p.ByzantineFraction,
 	} {
 		mix(math.Float64bits(v))
 	}
@@ -144,39 +131,19 @@ func (p *AdversaryPlan) aggressiveness() float64 {
 	return p.Aggressiveness
 }
 
-func (p *AdversaryPlan) inflateMs() float64 {
-	if p.InflateMs > 0 {
-		return p.InflateMs
+func (p *AdversaryPlan) pretendSpeed() float64 {
+	if p.PretendSpeedKmPerMs <= 0 {
+		return 120
 	}
-	return 80
+	return p.PretendSpeedKmPerMs
 }
 
-func (p *AdversaryPlan) deflateKeep() float64 {
-	if p.DeflateKeep > 0 && p.DeflateKeep < 1 {
-		return p.DeflateKeep
-	}
-	return 0.25
-}
-
-func (p *AdversaryPlan) extraDelayMs() float64 {
-	if p.ExtraDelayMs > 0 {
-		return p.ExtraDelayMs
-	}
-	return 120
-}
-
-func (p *AdversaryPlan) positionLieKm() float64 {
-	if p.PositionLieKm > 0 {
-		return p.PositionLieKm
-	}
-	return 2500
-}
-
-func (p *AdversaryPlan) meshBiasMs() float64 {
-	if p.MeshBiasMs > 0 {
-		return p.MeshBiasMs
-	}
-	return 40
+// targeted reports whether the selective attacks (AttackInflate,
+// AttackDeflate) hit this landmark: half the landmarks, chosen by a pure
+// hash of (Seed, id) — never the RNG, so the attacked subset is
+// identical at any concurrency and in any measurement order.
+func (p *AdversaryPlan) targeted(id netsim.HostID) bool {
+	return hashFraction(p.Seed, "advtarget", string(id)) < 0.5
 }
 
 // LyingProxy reports whether the plan makes this proxy lie — the ground
@@ -198,19 +165,9 @@ func (p *AdversaryPlan) ByzantineLandmark(id netsim.HostID) bool {
 
 // PositionLiar reports whether a Byzantine landmark lies by misreporting
 // its position (the alternative is biasing its reported delays). The
-// mode is a deterministic coin per landmark; when one of the two lie
-// magnitudes is explicitly zeroed the other mode is used throughout.
+// mode is a deterministic coin per landmark.
 func (p *AdversaryPlan) PositionLiar(id netsim.HostID) bool {
-	if !p.ByzantineLandmark(id) {
-		return false
-	}
-	if p.PositionLieKm < 0 {
-		return false
-	}
-	if p.MeshBiasMs < 0 {
-		return true
-	}
-	return hashFraction(p.Seed, "advposmode", string(id)) < 0.5
+	return p.ByzantineLandmark(id) && hashFraction(p.Seed, "advposmode", string(id)) < 0.5
 }
 
 // BiasLiar reports whether a Byzantine landmark lies by padding the
@@ -221,13 +178,13 @@ func (p *AdversaryPlan) BiasLiar(id netsim.HostID) bool {
 
 // ReportedPosition is the position the landmark claims: its true
 // location, unless it is a position liar — then a point displaced by
-// PositionLieKm at a hash-chosen bearing.
+// positionLieKm at a hash-chosen bearing.
 func (p *AdversaryPlan) ReportedPosition(id netsim.HostID, true_ geo.Point) geo.Point {
 	if !p.PositionLiar(id) {
 		return true_
 	}
 	bearing := 360 * hashFraction(p.Seed, "advbearing", string(id))
-	return geo.DestinationPoint(true_, bearing, p.positionLieKm())
+	return geo.DestinationPoint(true_, bearing, positionLieKm)
 }
 
 // ReportBiasMs is the delay the landmark pads onto every RTT it
@@ -236,7 +193,7 @@ func (p *AdversaryPlan) ReportBiasMs(id netsim.HostID) float64 {
 	if p == nil || !p.BiasLiar(id) {
 		return 0
 	}
-	return p.meshBiasMs()
+	return meshBiasMs
 }
 
 // DecoyFor is the decoy location a lying proxy forges under
@@ -247,31 +204,6 @@ func (p *AdversaryPlan) DecoyFor(id netsim.HostID, true_ geo.Point) geo.Point {
 	bearing := 360 * hashFraction(p.Seed, "advdecoybrg", string(id))
 	dist := 4000 + 5000*hashFraction(p.Seed, "advdecoykm", string(id))
 	return geo.DestinationPoint(true_, bearing, dist)
-}
-
-// proxyTool wraps the honest proxied tool with the plan's attack for
-// one lying proxy.
-func (p *AdversaryPlan) proxyTool(inner *ProxiedTool, trueLoc geo.Point) Tool {
-	adv := &AdversarialProxiedTool{
-		Inner:          inner,
-		Aggressiveness: p.aggressiveness(),
-		SelectSeed:     p.Seed,
-	}
-	switch p.Attack {
-	case AttackDecoy:
-		decoy := p.DecoyFor(inner.Proxy, trueLoc)
-		adv.Decoy = &decoy
-		adv.PretendSpeedKmPerMs = p.PretendSpeedKmPerMs
-	case AttackInflate:
-		adv.InflateMs = p.inflateMs()
-	case AttackDeflate:
-		adv.DeflateKeep = p.deflateKeep()
-	case AttackDelay:
-		adv.ExtraDelayMs = p.aggressiveness() * p.extraDelayMs()
-	default:
-		return inner
-	}
-	return adv
 }
 
 // byzantineTool post-processes samples for Byzantine landmarks: a
@@ -297,43 +229,4 @@ func (b byzantineTool) Measure(from netsim.HostID, lm *atlas.Landmark, rng *rand
 		s.RTTms += b.plan.ReportBiasMs(lm.Host.ID)
 	}
 	return s, nil
-}
-
-// ProxiedTwoPhaseAdversarial runs the full §6 pipeline for one proxy
-// under an armed adversary plan: self-ping, two-phase measurement with
-// the proxy's attack tool (when it lies) and the Byzantine landmark
-// overlay, then per-sample η correction. With a zero policy and a
-// disabled plan the draw sequence is identical to ProxiedTwoPhase, so
-// honest servers under an armed plan still measure exactly as before.
-func ProxiedTwoPhaseAdversarial(cons *atlas.Constellation, client, proxy netsim.HostID, eta float64, pol Policy, plan *AdversaryPlan, rng *rand.Rand) (*Result, error) {
-	net := cons.Net()
-	var sess *Session
-	pt := &ProxiedTool{Net: net, Client: client, Proxy: proxy}
-	if pol.Enabled() {
-		sess = NewSession(net, pol, rng)
-		pt.Clock = sess.Clock
-	}
-	self, err := pt.SelfPing(rng)
-	if err != nil {
-		return nil, err
-	}
-	var tool Tool = pt
-	if plan.LyingProxy(proxy) {
-		trueLoc := geo.Point{}
-		if h := net.Host(proxy); h != nil {
-			trueLoc = h.Loc
-		}
-		tool = plan.proxyTool(pt, trueLoc)
-	}
-	if plan != nil && plan.ByzantineFraction > 0 {
-		tool = byzantineTool{inner: tool, plan: plan}
-	}
-	tp := &TwoPhase{Cons: cons, Tool: tool, Session: sess}
-	res, err := tp.Run(proxy, rng)
-	if err != nil {
-		return nil, err
-	}
-	res.Phase1 = CorrectForProxy(res.Phase1, self, eta)
-	res.Phase2 = CorrectForProxy(res.Phase2, self, eta)
-	return res, nil
 }

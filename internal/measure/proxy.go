@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"activegeo/internal/atlas"
+	"activegeo/internal/geo"
 	"activegeo/internal/mathx"
 	"activegeo/internal/netsim"
 )
@@ -126,15 +127,47 @@ func EstimateEta(directMs, indirectMs []float64) (eta, r2 float64, err error) {
 	return line.Slope, mathx.RSquared(directMs, pred), nil
 }
 
-// ProxiedTwoPhase runs the full §6 pipeline for one proxy: self-ping,
-// two-phase measurement through the proxy, and per-sample correction.
+// ProxiedTwoPhase runs the full §6 pipeline for one proxy on the
+// honest, fault-free path: ProxiedTwoPhaseAdversarial with the zero
+// Policy and no adversary plan.
 func ProxiedTwoPhase(cons *atlas.Constellation, client, proxy netsim.HostID, eta float64, rng *rand.Rand) (*Result, error) {
-	pt := &ProxiedTool{Net: cons.Net(), Client: client, Proxy: proxy}
+	return ProxiedTwoPhaseAdversarial(cons, client, proxy, eta, Policy{}, nil, rng)
+}
+
+// ProxiedTwoPhaseAdversarial runs the full §6 pipeline for one proxy:
+// self-ping, two-phase measurement through the proxy, and per-sample η
+// correction. An enabled Policy adds fault resilience — retries,
+// backoff and budgets on the simulated session clock — and attaches a
+// Degradation ledger of everything the campaign lost; a campaign that
+// degrades still returns its partial Result as long as phase one
+// produced a sample. An armed plan swaps in the proxy's attack when it
+// lies and overlays the Byzantine anchors' reports. The zero Policy
+// and a nil or disabled plan take no draws of their own, so honest
+// proxies measure identically under any plan.
+func ProxiedTwoPhaseAdversarial(cons *atlas.Constellation, client, proxy netsim.HostID, eta float64, pol Policy, plan *AdversaryPlan, rng *rand.Rand) (*Result, error) {
+	net := cons.Net()
+	var sess *Session
+	pt := &ProxiedTool{Net: net, Client: client, Proxy: proxy}
+	if pol.Enabled() {
+		sess = NewSession(net, pol, rng)
+		pt.Clock = sess.Clock
+	}
 	self, err := pt.SelfPing(rng)
 	if err != nil {
 		return nil, err
 	}
-	tp := &TwoPhase{Cons: cons, Tool: pt}
+	var tool Tool = pt
+	if plan.LyingProxy(proxy) {
+		trueLoc := geo.Point{}
+		if h := net.Host(proxy); h != nil {
+			trueLoc = h.Loc
+		}
+		tool = liarTool{pt, plan, plan.DecoyFor(proxy, trueLoc)}
+	}
+	if plan != nil && plan.ByzantineFraction > 0 {
+		tool = byzantineTool{inner: tool, plan: plan}
+	}
+	tp := &TwoPhase{Cons: cons, Tool: tool, Session: sess}
 	res, err := tp.Run(proxy, rng)
 	if err != nil {
 		return nil, err

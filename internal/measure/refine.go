@@ -116,7 +116,7 @@ func (r *Refiner) Run(from netsim.HostID, initial []geoloc.Measurement, rng *ran
 		}
 		added := 0
 		for _, lm := range next {
-			s, err := r.measure(from, lm, rng)
+			s, err := r.Session.route(r.Tool, from, lm, rng)
 			if err != nil {
 				continue
 			}
@@ -144,21 +144,8 @@ func (r *Refiner) Run(from netsim.HostID, initial []geoloc.Measurement, rng *ran
 		}
 	}
 	res.Measurements = ms
-	if r.Session != nil {
-		r.Session.finish()
-	}
+	r.Session.finish()
 	return res, nil
-}
-
-// measure routes one refinement measurement through the resilient
-// session when one is attached, tallying the outcome in its ledger.
-func (r *Refiner) measure(from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (Sample, error) {
-	if r.Session == nil {
-		return r.Tool.Measure(from, lm, rng)
-	}
-	s, err := r.Session.Measure(r.Tool, from, lm, rng)
-	r.Session.record(lm.Host.ID, err)
-	return s, err
 }
 
 // nearestUnused returns the n unused landmarks closest to p.

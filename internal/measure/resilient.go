@@ -227,6 +227,18 @@ func (s *Session) Measure(tool Tool, from netsim.HostID, lm *atlas.Landmark, rng
 	}
 }
 
+// route runs one landmark measurement through the session and tallies
+// its outcome in the degradation ledger; a nil session calls the tool
+// directly, the fault-free path.
+func (s *Session) route(tool Tool, from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (Sample, error) {
+	if s == nil {
+		return tool.Measure(from, lm, rng)
+	}
+	smp, err := s.Measure(tool, from, lm, rng)
+	s.record(lm.Host.ID, err)
+	return smp, err
+}
+
 // record tallies one landmark's outcome in the degradation ledger.
 func (s *Session) record(lm netsim.HostID, err error) {
 	s.Deg.Planned++
@@ -238,36 +250,13 @@ func (s *Session) record(lm netsim.HostID, err error) {
 }
 
 // finish seals the ledger: sorts the losses and stamps the elapsed
-// simulated time.
+// simulated time (a no-op on a nil session).
 func (s *Session) finish() {
+	if s == nil {
+		return
+	}
 	sort.Slice(s.Deg.LostLandmarks, func(i, j int) bool {
 		return s.Deg.LostLandmarks[i] < s.Deg.LostLandmarks[j]
 	})
 	s.Deg.ElapsedMs = s.Clock.NowMs()
-}
-
-// ProxiedTwoPhaseResilient runs the full §6 pipeline for one proxy
-// with fault resilience: self-ping, two-phase measurement through the
-// proxy with retries/backoff/budgets on the simulated clock, and
-// per-sample η correction. The returned Result carries a Degradation
-// ledger describing everything the campaign lost; a campaign that
-// degrades (landmarks dark, proxy gone partway) still returns the
-// partial Result rather than an error, as long as phase one produced
-// at least one sample.
-func ProxiedTwoPhaseResilient(cons *atlas.Constellation, client, proxy netsim.HostID, eta float64, pol Policy, rng *rand.Rand) (*Result, error) {
-	net := cons.Net()
-	sess := NewSession(net, pol, rng)
-	pt := &ProxiedTool{Net: net, Client: client, Proxy: proxy, Clock: sess.Clock}
-	self, err := pt.SelfPing(rng)
-	if err != nil {
-		return nil, err
-	}
-	tp := &TwoPhase{Cons: cons, Tool: pt, Session: sess}
-	res, err := tp.Run(proxy, rng)
-	if err != nil {
-		return nil, err
-	}
-	res.Phase1 = CorrectForProxy(res.Phase1, self, eta)
-	res.Phase2 = CorrectForProxy(res.Phase2, self, eta)
-	return res, nil
 }
