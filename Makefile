@@ -3,7 +3,7 @@
 #   make ci            full gate: ci-fast then ci-deep (what a green main means)
 #   make ci-fast       the PR fast lane: vet + lint + build + unit tests + gofmt
 #   make ci-deep       the deep lane: bench compile + race smoke + soak + cover
-#                      + fuzz smoke + the cross-shard determinism proof
+#                      + fuzz smoke + the adversary detection floors
 #   make ci-local      alias for `make ci` — the exact gate .github/workflows/ci.yml runs
 #   make lint          geolint static-analysis suite over the whole tree (DESIGN.md §9)
 #   make lint-json     same suite, machine-readable geolint.json (the CI artifact)
@@ -12,7 +12,6 @@
 #   make race          full test suite under the race detector
 #   make race-smoke    quick audit pipeline and measure batch, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
-#   make soak-constellation  CHAOS_MINUTES of shard kill/restart churn under -race
 #   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface and the geometry kernel
 #   make cover         per-package coverage with an 85% floor on the service packages
 #   make bench-audit   serial-vs-parallel audit timing -> BENCH_audit.json
@@ -21,13 +20,12 @@
 #   make bench-atlasd  32-client coordination-service load test -> BENCH_atlasd.json
 #   make bench-stream  audit-engine incremental check + 100k bounded-memory run -> BENCH_stream.json
 #   make bench-adversary  attack-matrix detection floors (precision/recall) -> BENCH_adversary.json
-#   make bench-constellation  sharded-fleet determinism proof -> BENCH_constellation.json
 
 GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 85.0
 
-.PHONY: all vet lint lint-json lint-fix-check vuln build test race race-smoke soak soak-constellation fuzz-smoke cover ci ci-fast ci-deep ci-local benchcompile fmtcheck bench-audit bench-locate bench-faults bench-atlasd bench-stream bench-adversary bench-constellation clean
+.PHONY: all vet lint lint-json lint-fix-check vuln build test race race-smoke soak fuzz-smoke cover ci ci-fast ci-deep ci-local benchcompile fmtcheck bench-audit bench-locate bench-faults bench-atlasd bench-stream bench-adversary clean
 
 all: ci
 
@@ -95,18 +93,6 @@ race-smoke:
 soak:
 	$(GO) test -race -count=1 -run '^TestSoak' ./internal/loadgen
 
-# Constellation chaos soak (DESIGN.md §13): CHAOS_MINUTES of load
-# through a 3-shard fleet while one shard per minute is killed and
-# restarted and the epoch is advanced, under the race detector. Every
-# round's merged transcripts must match a fresh single-shard serial
-# oracle and the merged ledger must hold every accepted report exactly
-# once. Nightly runs the full 15 minutes; with CHAOS_MINUTES=0 the same
-# protocol runs two sub-second rounds (the in-repo default for quick
-# local checks).
-CHAOS_MINUTES ?= 15
-soak-constellation:
-	ACTIVEGEO_CHAOS_MINUTES=$(CHAOS_MINUTES) $(GO) test -race -count=1 -timeout 45m -run '^TestChaosSoak$$' -v ./internal/constellation
-
 # Native fuzzing over the atlasd wire surface (query parsing, model
 # path handling and report decoding) and over the geometry kernel (each
 # quantized-mask op against its per-cell oracle), FUZZTIME per target.
@@ -152,11 +138,11 @@ fmtcheck:
 
 # The tiered gate (ci.yml mirrors this split): ci-fast is the PR lane —
 # everything a reviewer needs inside a few minutes; ci-deep is the
-# race/soak/coverage/fuzz battery plus the cross-shard determinism
-# proof, which CI runs as a second job gated on the fast lane.
+# race/soak/coverage/fuzz battery plus the adversary detection floors,
+# which CI runs as a second job gated on the fast lane.
 ci-fast: vet lint lint-fix-check build test fmtcheck
 
-ci-deep: benchcompile race-smoke soak cover fuzz-smoke bench-adversary bench-constellation
+ci-deep: benchcompile race-smoke soak cover fuzz-smoke bench-adversary
 
 ci: ci-fast ci-deep
 
@@ -210,15 +196,7 @@ bench-stream:
 bench-adversary:
 	$(GO) run ./cmd/benchaudit -mode adversary -out BENCH_adversary.json
 
-# Cross-shard determinism proof (DESIGN.md §13): 1200 clients across a
-# 4-shard epoch-coordinated constellation — ring routing, failover,
-# hedged phase-2 queries, a mid-run shard drain and an epoch barrier —
-# aborting non-zero unless every merged transcript is byte-identical to
-# the single-shard serial oracle and the exactly-once ledger holds.
-bench-constellation:
-	$(GO) run ./cmd/benchaudit -mode constellation -out BENCH_constellation.json
-
 clean:
-	rm -f BENCH_audit.json BENCH_locate.json BENCH_faults.json BENCH_atlasd.json BENCH_stream.json BENCH_adversary.json BENCH_constellation.json
+	rm -f BENCH_audit.json BENCH_locate.json BENCH_faults.json BENCH_atlasd.json BENCH_stream.json BENCH_adversary.json
 	rm -f cover_atlasd.out cover_loadgen.out cover_detect.out
 	$(GO) clean ./...

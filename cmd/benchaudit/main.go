@@ -1,9 +1,9 @@
-// Command benchaudit times the repo's two performance-critical paths
-// and writes the numbers as JSON.
+// Command benchaudit runs the repo's certification benchmarks and
+// writes each one's numbers as JSON.
 //
 // Usage:
 //
-//	benchaudit [-mode audit|locate] [-scale quick|paper] [-out FILE]
+//	benchaudit [-mode audit|locate|faults|stream|adversary|atlasd] [-scale quick|paper] [-out FILE] [-servers N]
 //
 // Mode "audit" (the default) times the §6 audit pipeline serially and
 // in parallel on the same lab configuration, verifies the two runs
@@ -39,18 +39,6 @@
 // exceeds the post-setup baseline by more than the bounded-memory
 // ceiling, or if the peak number of simultaneously provisioned hosts
 // exceeds (queue depth + 2) batches. Results go to BENCH_stream.json.
-//
-// Mode "constellation" certifies the sharded coordination fleet
-// (DESIGN.md §13): thousands of closed-loop clients run their
-// campaigns across an N-shard epoch-coordinated constellation — ring
-// routing, failover, hedged phase-2 queries — and the run aborts
-// unless every client's logical transcript is byte-identical to a
-// single-shard serial oracle. A second fleet repeats the run while a
-// shard is drained mid-soak (its ledger replayed to ring successors)
-// and the fleet epoch is advanced through the two-phase barrier; the
-// same byte-identity and the exactly-once ledger contract must hold
-// through the churn. Throughput, failover/hedge counts, the ring
-// partition and per-shard fit counts go to BENCH_constellation.json.
 //
 // Mode "adversary" scores the detection layer against the default
 // attack matrix (experiments.DefaultAttackMatrix): the full audit runs
@@ -91,7 +79,6 @@ import (
 	"activegeo/internal/atlasd"
 	"activegeo/internal/cbg"
 	"activegeo/internal/cbgpp"
-	"activegeo/internal/constellation"
 	"activegeo/internal/experiments"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
@@ -923,255 +910,6 @@ func runAdversary(out string) {
 		rep.Precision, precisionFloor, rep.Recall, recallFloor, out)
 }
 
-type constellationReport struct {
-	Config     string `json:"config"`
-	Cores      int    `json:"cores"`
-	Landmarks  int    `json:"landmarks"`
-	Shards     int    `json:"shards"`
-	VNodes     int    `json:"virtual_nodes"`
-	RingSeed   int64  `json:"ring_seed"`
-	Clients    int    `json:"clients"`
-	Iterations int    `json:"iterations"`
-
-	// Ring partition of the landmark space, keyed by shard.
-	LandmarkPartition map[string]int `json:"landmark_partition"`
-
-	// Oracle (1 shard, serial, no hedging) vs concurrent fleet:
-	OracleWallMs         float64          `json:"oracle_wall_ms"`
-	FleetWallMs          float64          `json:"fleet_wall_ms"`
-	ThroughputOps        float64          `json:"throughput_ops_per_sec"`
-	P50Ms                float64          `json:"p50_ms"`
-	P99Ms                float64          `json:"p99_ms"`
-	Ops                  int              `json:"ops"`
-	TranscriptsIdentical bool             `json:"transcripts_identical"`
-	HedgesLaunched       int64            `json:"hedges_launched"`
-	HedgesWon            int64            `json:"hedges_won"`
-	PerShardFits         map[string]int64 `json:"per_shard_model_fits"`
-
-	// Churn run: same workload with a mid-run shard drain plus an epoch
-	// advance through the two-phase barrier.
-	ChurnWallMs           float64 `json:"churn_wall_ms"`
-	ChurnTranscriptsOK    bool    `json:"churn_transcripts_identical"`
-	DrainedShard          string  `json:"drained_shard"`
-	ReplayedReports       int     `json:"replayed_reports"`
-	Failovers             int64   `json:"failovers"`
-	EpochAfterChurn       int64   `json:"epoch_after_churn"`
-	ChurnAccepted         int     `json:"churn_accepted_reports"`
-	ChurnDropped          int     `json:"churn_dropped_reports"`
-	ChurnPerShardDupes    int     `json:"churn_per_shard_duplicates"`
-	ChurnCrossShardCopies int     `json:"churn_cross_shard_copies"`
-}
-
-// clusterLedgerDiff cross-checks client receipts against the merged
-// fleet ledger: dropped counts receipts absent from every shard,
-// perShardDupes counts keys some single shard ledgered twice (a broken
-// dedupe), crossShard counts keys present on more than one shard
-// (legitimate only transiently around a drain; reported, not fatal).
-func clusterLedgerDiff(fleet *constellation.Cluster, res *loadgen.Result) (dropped, perShardDupes, crossShard int) {
-	merged := fleet.MergedLedger()
-	for _, st := range res.PerClient {
-		for _, seq := range st.AcceptedSeqs {
-			holders := merged[fmt.Sprintf("%s|%d", st.Client, seq)]
-			if len(holders) == 0 {
-				dropped++
-				continue
-			}
-			if len(holders) > 1 {
-				crossShard++
-			}
-			for _, n := range holders {
-				if n > 1 {
-					perShardDupes++
-				}
-			}
-		}
-	}
-	return dropped, perShardDupes, crossShard
-}
-
-func runConstellation(scale, out string) {
-	const seed = 2018
-	const ringSeed, vnodes = 2018, 32
-	shards := []string{"s0", "s1", "s2", "s3"}
-	clients, iterations, secondPhase := 1200, 2, 8
-	anchors, probes := 40, 30
-	if scale == "paper" {
-		clients, anchors, probes = 4000, 120, 200
-	}
-
-	simNet := netsim.New(seed)
-	rng := rand.New(rand.NewSource(seed))
-	cons, err := atlas.Build(simNet, atlas.Config{Anchors: anchors, Probes: probes, SamplesPerPair: 3}, rng)
-	if err != nil {
-		log.Fatalf("building constellation: %v", err)
-	}
-	hosts := make([]netsim.HostID, clients)
-	for i := range hosts {
-		id := netsim.HostID(fmt.Sprintf("fleet-client-%05d", i))
-		loc := geo.Point{Lat: -55 + 120*rng.Float64(), Lon: -175 + 350*rng.Float64()}
-		if err := simNet.AddHost(&netsim.Host{ID: id, Loc: loc}); err != nil {
-			log.Fatalf("adding vantage host: %v", err)
-		}
-		hosts[i] = id
-	}
-	base := atlasd.Config{Seed: seed, Opts: cbg.Options{Slowline: true}, MaxInflight: 128}
-	tool := &measure.CLITool{Net: cons.Net()}
-	cfg := loadgen.ClusterConfig{Clients: clients, Iterations: iterations, SecondPhase: secondPhase, Seed: seed}
-	ctx := context.Background()
-
-	// 1. Single-shard serial oracle, hedging off.
-	oracleFleet := constellation.NewCluster(cons, base, []string{"oracle"}, ringSeed, vnodes)
-	oclient := oracleFleet.Client()
-	oclient.NoHedge = true
-	ocfg := cfg
-	ocfg.Concurrency = 1
-	oracle, err := (&loadgen.ClusterRunner{Coordinator: oclient, Tool: tool, Hosts: hosts}).Run(ctx, ocfg)
-	if err != nil {
-		log.Fatalf("oracle run: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "oracle (1 shard, serial): %d ops in %.0f ms\n", oracle.Ops, oracle.WallMs)
-
-	// 2. Concurrent run across the full fleet, hedging on.
-	fleet := constellation.NewCluster(cons, base, shards, ringSeed, vnodes)
-	res, err := (&loadgen.ClusterRunner{Coordinator: fleet.Client(), Tool: tool, Hosts: hosts}).Run(ctx, cfg)
-	if err != nil {
-		log.Fatalf("fleet run: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "fleet (%d shards, %d clients): %d ops in %.0f ms (%.0f ops/s, p50 %.3f ms, p99 %.3f ms)\n",
-		len(shards), clients, res.Ops, res.WallMs, res.ThroughputOps, res.P50Ms, res.P99Ms)
-	if !loadgen.TranscriptsIdentical(oracle, res) {
-		n := 0
-		for i := range oracle.PerClient {
-			if oracle.PerClient[i].TranscriptSHA != res.PerClient[i].TranscriptSHA {
-				n++
-			}
-		}
-		log.Fatalf("determinism violation: %d of %d fleet transcripts differ from the serial oracle", n, clients)
-	}
-	if d, p, _ := clusterLedgerDiff(fleet, res); d != 0 || p != 0 {
-		log.Fatalf("fleet ledger mismatch: %d dropped, %d per-shard duplicates", d, p)
-	}
-	perShardFits := make(map[string]int64, len(shards))
-	for _, name := range fleet.Members() {
-		perShardFits[name] = fleet.Shard(name).Metrics().ModelCache.Fits
-	}
-	hedges := fleet.Telemetry().Count("constellation.hedge.launched")
-	hedgeWins := fleet.Telemetry().Count("constellation.hedge.won")
-	fmt.Fprintf(os.Stderr, "transcripts identical; hedges launched %d (won %d); per-shard fits %v\n",
-		hedges, hedgeWins, perShardFits)
-
-	// 3. Churn run on a fresh fleet: drain one shard once it has
-	// ledgered reports, advance the fleet epoch through the barrier, all
-	// while the load is running. Same oracle applies — the transcripts
-	// are topology-independent by contract.
-	churnFleet := constellation.NewCluster(cons, base, shards, ringSeed, vnodes)
-	chaosErr := make(chan error, 1)
-	drained := make(chan struct {
-		shard    string
-		replayed int
-	}, 1)
-	go func() {
-		// Wait for some shard to have ledgered reports, then drain it.
-		var victim string
-		deadline := time.Now().Add(60 * time.Second)
-		for victim == "" {
-			if time.Now().After(deadline) {
-				chaosErr <- fmt.Errorf("no shard ledgered a report within 60s")
-				return
-			}
-			for _, name := range churnFleet.Members() {
-				if srv := churnFleet.Shard(name); srv != nil && srv.Metrics().ReportsLedgered > 0 {
-					victim = name
-					break
-				}
-			}
-			if victim == "" {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		replayed, err := churnFleet.Drain(ctx, victim)
-		if err != nil {
-			chaosErr <- fmt.Errorf("draining %s: %w", victim, err)
-			return
-		}
-		drained <- struct {
-			shard    string
-			replayed int
-		}{victim, replayed}
-		if _, err := churnFleet.Controller().AdvanceEpoch(ctx); err != nil {
-			chaosErr <- fmt.Errorf("epoch barrier under load: %w", err)
-			return
-		}
-		chaosErr <- nil
-	}()
-	churn, err := (&loadgen.ClusterRunner{Coordinator: churnFleet.Client(), Tool: tool, Hosts: hosts}).Run(ctx, cfg)
-	if err != nil {
-		log.Fatalf("churn run: %v", err)
-	}
-	if err := <-chaosErr; err != nil {
-		log.Fatalf("churn scenario: %v", err)
-	}
-	dr := <-drained
-	churnOK := loadgen.TranscriptsIdentical(oracle, churn)
-	if !churnOK {
-		n := 0
-		for i := range oracle.PerClient {
-			if oracle.PerClient[i].TranscriptSHA != churn.PerClient[i].TranscriptSHA {
-				n++
-			}
-		}
-		log.Fatalf("determinism violation under churn: %d of %d transcripts differ from the serial oracle", n, clients)
-	}
-	dropped, dupes, cross := clusterLedgerDiff(churnFleet, churn)
-	if dropped != 0 || dupes != 0 {
-		log.Fatalf("churn ledger mismatch: %d dropped, %d per-shard duplicates", dropped, dupes)
-	}
-	epoch := churnFleet.Epoch()
-	failovers := churnFleet.Telemetry().Count("constellation.failover")
-	fmt.Fprintf(os.Stderr, "churn: drained %s (replayed %d reports), advanced to epoch %d, %d failovers, transcripts identical, 0 dropped\n",
-		dr.shard, dr.replayed, epoch, failovers)
-
-	lmIDs := make([]netsim.HostID, 0, len(cons.All()))
-	for _, lm := range cons.All() {
-		lmIDs = append(lmIDs, lm.Host.ID)
-	}
-	writeJSON(out, constellationReport{
-		Config:     scale,
-		Cores:      runtime.NumCPU(),
-		Landmarks:  len(lmIDs),
-		Shards:     len(shards),
-		VNodes:     vnodes,
-		RingSeed:   ringSeed,
-		Clients:    clients,
-		Iterations: iterations,
-
-		LandmarkPartition: fleet.Ring().Partition(lmIDs),
-
-		OracleWallMs:         oracle.WallMs,
-		FleetWallMs:          res.WallMs,
-		ThroughputOps:        res.ThroughputOps,
-		P50Ms:                res.P50Ms,
-		P99Ms:                res.P99Ms,
-		Ops:                  res.Ops,
-		TranscriptsIdentical: true,
-		HedgesLaunched:       hedges,
-		HedgesWon:            hedgeWins,
-		PerShardFits:         perShardFits,
-
-		ChurnWallMs:           churn.WallMs,
-		ChurnTranscriptsOK:    churnOK,
-		DrainedShard:          dr.shard,
-		ReplayedReports:       dr.replayed,
-		Failovers:             failovers,
-		EpochAfterChurn:       epoch,
-		ChurnAccepted:         churn.AcceptedReports,
-		ChurnDropped:          dropped,
-		ChurnPerShardDupes:    dupes,
-		ChurnCrossShardCopies: cross,
-	})
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
 func writeJSON(path string, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -1184,7 +922,7 @@ func writeJSON(path string, v any) {
 }
 
 func main() {
-	mode := flag.String("mode", "audit", "what to benchmark: audit, locate, faults, stream, adversary, atlasd or constellation")
+	mode := flag.String("mode", "audit", "what to benchmark: audit, locate, faults, stream, adversary or atlasd")
 	scale := flag.String("scale", "quick", "audit scale: quick or paper")
 	out := flag.String("out", "", "output JSON path (default BENCH_<mode>.json)")
 	synthServers := flag.Int("servers", 100_000, "synthetic fleet size for -mode stream")
@@ -1231,11 +969,6 @@ func main() {
 			*out = "BENCH_atlasd.json"
 		}
 		runAtlasd(*scale, *out)
-	case "constellation":
-		if *out == "" {
-			*out = "BENCH_constellation.json"
-		}
-		runConstellation(*scale, *out)
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}

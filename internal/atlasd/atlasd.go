@@ -8,14 +8,15 @@
 //	 measurement tools retrieve the set of landmarks to use for each
 //	 phase from this server, and report their measurements back to it."
 //
-// The server speaks JSON over HTTP (net/http only):
+// The server speaks JSON over HTTP (net/http only); these six routes
+// are its whole API:
 //
-//	GET  /v1/landmarks/phase1?draw=K              three anchors per continent
+//	GET  /v1/landmarks/phase1?n=3&draw=K               n anchors per continent
 //	GET  /v1/landmarks/phase2?continent=X&n=25&draw=K  same-continent landmarks
-//	GET  /v1/model/{landmark-id}                  the landmark's bestline model
-//	POST /v1/report                               upload a measurement batch
-//	GET  /v1/metrics                              per-endpoint observability
-//	GET  /v1/healthz                              liveness + drain state
+//	GET  /v1/model/{landmark-id}                       the landmark's bestline model
+//	POST /v1/report                                    upload a measurement batch
+//	GET  /v1/metrics                                   per-endpoint observability
+//	GET  /v1/healthz                                   liveness + drain state
 //
 // Landmarks are served with IPv4 addresses only, as the paper's server
 // does ("the commercial proxy servers we are studying offer only IPv4
@@ -125,22 +126,6 @@ type Config struct {
 	Telemetry *telemetry.Collector
 	// Log, when non-nil, receives one access-log line per request.
 	Log *log.Logger
-
-	// ShardName identifies this server inside a constellation; it is
-	// echoed by /v1/epoch and /v1/metrics so operators can tell shards
-	// apart. Empty for a standalone server.
-	ShardName string
-	// Owns, when non-nil, reports whether this shard is the consistent-
-	// hash owner of a landmark ID. The server still serves non-owned
-	// model requests (failover traffic after a shard drain lands here,
-	// and the fit is a pure function of the constellation, so the
-	// response is identical wherever it is computed) but counts them
-	// under atlasd.model.not_owned.
-	Owns func(id string) bool
-	// FenceTTL bounds how long an epoch-barrier fence may hold model
-	// serving without its commit before the shard aborts it. Zero means
-	// DefaultFenceTTL.
-	FenceTTL time.Duration
 }
 
 // DefaultMaxInflight is the admission bound when Config.MaxInflight is
@@ -156,9 +141,8 @@ type Server struct {
 	epoch  atomic.Int64
 	start  time.Time
 
-	sem   chan struct{}
-	gate  *drainGate
-	egate *epochGate
+	sem  chan struct{}
+	gate *drainGate
 
 	mu      sync.Mutex
 	reports []Report
@@ -187,7 +171,6 @@ func NewServer(cons *atlas.Constellation, cfg Config) *Server {
 		start: time.Now(),
 		sem:   make(chan struct{}, cfg.MaxInflight),
 		gate:  newDrainGate(),
-		egate: newEpochGate(),
 		seen:  make(map[string]struct{}),
 	}
 	s.models = newModelCache(s.fitModel)
@@ -216,13 +199,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/report", s.instrument("report", true, s.handleReport))
 	mux.HandleFunc("/v1/metrics", s.instrument("metrics", false, s.handleMetrics))
 	mux.HandleFunc("/v1/healthz", s.instrument("healthz", false, s.handleHealthz))
-	// Constellation control plane (DESIGN.md §13). All of it bypasses
-	// the drain gate: a draining shard must still answer its epoch
-	// status, hold up its half of a barrier, and hand over its ledger.
-	mux.HandleFunc("/v1/epoch", s.instrument("epoch", false, s.handleEpochStatus))
-	mux.HandleFunc("/v1/epoch/", s.instrument("epoch", false, s.handleEpochOp))
-	mux.HandleFunc("/v1/reports", s.instrument("reports", false, s.handleReports))
-	mux.HandleFunc("/v1/drain", s.instrument("drain", false, s.handleDrain))
 	return mux
 }
 
@@ -333,14 +309,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown landmark")
 		return
 	}
-	if s.cfg.Owns != nil && !s.cfg.Owns(id) {
-		s.tel.Add("atlasd.model.not_owned", 1)
-	}
-	// The epoch gate brackets the whole fit-and-respond path: once a
-	// barrier's prepare has acked, no response fitted at the old epoch
-	// is still in flight (DESIGN.md §13).
-	s.egate.enter()
-	defer s.egate.exit()
 	m, err := s.models.get(id)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "model fit failed: "+err.Error())

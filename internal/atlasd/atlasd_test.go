@@ -3,6 +3,7 @@ package atlasd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -643,6 +644,70 @@ func TestRemoteTwoPhase(t *testing.T) {
 		if !m.Landmark.Valid() || m.RTTms <= 0 {
 			t.Fatalf("bad measurement %+v", m)
 		}
+	}
+}
+
+// TestRetrySingle503Terminal pins the drain semantics: 503 means the
+// only server that could answer is going away, so it is never retried.
+func TestRetrySingle503Terminal(t *testing.T) {
+	calls := 0
+	err := Retry(context.Background(), 10, func() error {
+		calls++
+		return &HTTPError{Status: http.StatusServiceUnavailable, Msg: "draining"}
+	})
+	var he *HTTPError
+	if !errors.As(err, &he) || he.Status != http.StatusServiceUnavailable {
+		t.Fatalf("got %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("503 retried %d times against a single server", calls)
+	}
+}
+
+// TestRetryShedBacksOff: 429 is retried with growing backoff until the
+// call succeeds; a caller whose context is gone stops waiting.
+func TestRetryShedBacksOff(t *testing.T) {
+	calls := 0
+	start := time.Now()
+	err := Retry(context.Background(), 10, func() error {
+		calls++
+		if calls < 4 {
+			return &HTTPError{Status: http.StatusTooManyRequests, Msg: "overloaded"}
+		}
+		return nil
+	})
+	if err != nil || calls != 4 {
+		t.Fatalf("err=%v calls=%d, want success on the 4th call", err, calls)
+	}
+	// Three waits of 1, 2 and 4 ms.
+	if elapsed := time.Since(start); elapsed < 7*time.Millisecond {
+		t.Errorf("retried without backoff: %v", elapsed)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = Retry(ctx, 10, func() error {
+		return &HTTPError{Status: http.StatusTooManyRequests, Msg: "overloaded"}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled retry returned %v", err)
+	}
+}
+
+// TestHTTPErrorIsErrServer: a non-2xx response reaches the caller as an
+// *HTTPError that still satisfies errors.Is(err, ErrServer).
+func TestHTTPErrorIsErrServer(t *testing.T) {
+	ts, _ := testServer(t)
+	_, err := client(ts).Model(context.Background(), "no-such-landmark")
+	var he *HTTPError
+	if !errors.As(err, &he) || he.Status != http.StatusNotFound {
+		t.Fatalf("got %v, want a 404 *HTTPError", err)
+	}
+	if !errors.Is(err, ErrServer) {
+		t.Errorf("errors.Is(%v, ErrServer) = false", err)
+	}
+	if want := "atlasd: server returned 404: unknown landmark"; err.Error() != want {
+		t.Errorf("Error() = %q, want %q", err.Error(), want)
 	}
 }
 

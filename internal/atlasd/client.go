@@ -32,18 +32,6 @@ func (e *HTTPError) Is(target error) bool { return target == ErrServer }
 // (429). A 503 means the server is draining for shutdown — terminal.
 func (e *HTTPError) Temporary() bool { return e.Status == http.StatusTooManyRequests }
 
-// Coordinator is the measurement-path surface a campaign needs from
-// the coordination plane: one server (*Client) or a whole sharded
-// constellation behind ring routing (constellation.Client) — the
-// caller cannot tell the difference, which is exactly the point of the
-// cross-shard determinism contract (DESIGN.md §13).
-type Coordinator interface {
-	Phase1Landmarks(ctx context.Context, draw string) ([]LandmarkInfo, error)
-	Phase2Landmarks(ctx context.Context, continent string, n int, draw string) ([]LandmarkInfo, error)
-	Model(ctx context.Context, landmarkID string) (*ModelInfo, error)
-	Upload(ctx context.Context, rep Report) error
-}
-
 // Client talks to a coordination server.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
@@ -155,78 +143,6 @@ func (c *Client) Upload(ctx context.Context, rep Report) error {
 	return c.do(req, nil)
 }
 
-// post issues a JSON POST and decodes the JSON response into out.
-func (c *Client) post(ctx context.Context, path string, body, out interface{}) error {
-	enc, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(enc))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
-}
-
-// EpochStatus fetches the shard's current epoch and fence state.
-func (c *Client) EpochStatus(ctx context.Context) (*EpochInfo, error) {
-	var out EpochInfo
-	if err := c.get(ctx, "/v1/epoch", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// epochOp drives one leg of the two-phase epoch barrier.
-func (c *Client) epochOp(ctx context.Context, op string, epoch int64) error {
-	return c.post(ctx, "/v1/epoch/"+op, epochReq{Epoch: epoch}, nil)
-}
-
-// EpochPrepare fences the shard's model serving toward epoch and
-// returns once no old-epoch model response is in flight there.
-func (c *Client) EpochPrepare(ctx context.Context, epoch int64) error {
-	return c.epochOp(ctx, "prepare", epoch)
-}
-
-// EpochCommit flips the prepared shard to epoch and unfences it.
-func (c *Client) EpochCommit(ctx context.Context, epoch int64) error {
-	return c.epochOp(ctx, "commit", epoch)
-}
-
-// EpochAbort drops an uncommitted fence, leaving the old epoch live.
-func (c *Client) EpochAbort(ctx context.Context, epoch int64) error {
-	return c.epochOp(ctx, "abort", epoch)
-}
-
-// EpochSync jumps the shard straight to epoch — how a freshly started
-// shard adopts the fleet epoch before taking traffic.
-func (c *Client) EpochSync(ctx context.Context, epoch int64) error {
-	return c.epochOp(ctx, "sync", epoch)
-}
-
-// Ledger fetches the shard's full report ledger, the harvest half of a
-// graceful drain: the controller replays these entries onto the ring
-// successors so client retries stay idempotent after the shard is gone.
-func (c *Client) Ledger(ctx context.Context) ([]Report, error) {
-	var out []Report
-	if err := c.get(ctx, "/v1/reports", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DrainServer begins the shard's graceful shutdown and blocks until
-// every in-flight measurement-path request there has finished. It
-// returns the number of ledgered reports ready to harvest.
-func (c *Client) DrainServer(ctx context.Context) (int, error) {
-	var out map[string]int
-	if err := c.post(ctx, "/v1/drain", struct{}{}, &out); err != nil {
-		return 0, err
-	}
-	return out["ledgered"], nil
-}
-
 // Metrics fetches the server's observability snapshot.
 func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 	var out Metrics
@@ -247,12 +163,8 @@ func (c *Client) Healthy(ctx context.Context) bool {
 // backoff, every other failure — including 503, the server draining
 // for shutdown — is returned immediately. The backoff starts small so
 // in-process soak tests converge quickly; the server's Retry-After is
-// a hint for human-scale clients, not a mandate.
-//
-// Against a single server 503 is rightly terminal: the only process
-// that could answer is going away. Against a constellation the same
-// status means "this shard is going away" — use RetryChain with the
-// ring-successor targets so the campaign fails over instead of dying.
+// a hint for human-scale clients, not a mandate. 503 is terminal
+// because the only process that could answer is going away.
 func Retry(ctx context.Context, attempts int, fn func() error) error {
 	if attempts < 1 {
 		attempts = 1
@@ -272,44 +184,6 @@ func Retry(ctx context.Context, attempts int, fn func() error) error {
 		}
 		if backoff < 64*time.Millisecond {
 			backoff *= 2
-		}
-	}
-	return err
-}
-
-// Failover reports whether an error should move the request to the
-// next ring successor rather than fail the campaign: a 503 (that shard
-// is draining) or a transport-level failure (connection refused or
-// reset — the shard is gone). Semantic rejections (400/404/409) would
-// be rejected identically by every shard, and the caller's own
-// context expiry is its deadline, not the shard's fault — both are
-// terminal.
-func Failover(err error) bool {
-	if err == nil {
-		return false
-	}
-	var he *HTTPError
-	if errors.As(err, &he) {
-		return he.Status == http.StatusServiceUnavailable
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var ue *url.Error
-	return errors.As(err, &ue)
-}
-
-// RetryChain runs one logical call against a failover chain: targets
-// in ring-preference order, each wrapped in Retry's shed-aware backoff.
-// A 503 or transport failure moves to the next target; only when no
-// successor remains does it keep the single-server terminal semantics
-// and return the error.
-func RetryChain(ctx context.Context, attempts int, fns ...func() error) error {
-	var err error
-	for i, fn := range fns {
-		err = Retry(ctx, attempts, fn)
-		if err == nil || i == len(fns)-1 || !Failover(err) {
-			return err
 		}
 	}
 	return err

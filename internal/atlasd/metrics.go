@@ -7,7 +7,7 @@ import (
 
 // endpointNames lists the instrumented endpoints in serving order; the
 // metrics builder ranges over this fixed slice, never over a map.
-var endpointNames = []string{"phase1", "phase2", "model", "report", "metrics", "healthz", "epoch", "reports", "drain"}
+var endpointNames = []string{"phase1", "phase2", "model", "report", "metrics", "healthz"}
 
 // EndpointMetrics summarizes one endpoint's traffic since startup.
 type EndpointMetrics struct {
@@ -24,34 +24,25 @@ type EndpointMetrics struct {
 // in one scrape.
 type Metrics struct {
 	UptimeMs         float64                    `json:"uptime_ms"`
-	Shard            string                     `json:"shard,omitempty"`
 	Draining         bool                       `json:"draining"`
 	Epoch            int64                      `json:"epoch"`
-	EpochFenced      bool                       `json:"epoch_fenced"`
 	MaxInflight      int                        `json:"max_inflight"`
 	Endpoints        map[string]EndpointMetrics `json:"endpoints"`
 	ReportsLedgered  int                        `json:"reports_ledgered"`
 	DuplicateReports int64                      `json:"duplicate_reports"`
 	ModelCache       CacheStats                 `json:"model_cache"`
-	// ModelNotOwned counts model requests this shard served for
-	// landmarks the consistent-hash ring assigns elsewhere — failover
-	// traffic after a peer drained, or hedged reads.
-	ModelNotOwned int64 `json:"model_not_owned"`
 }
 
 // Metrics returns a snapshot of the server's observability state, the
 // same struct /v1/metrics serves.
 func (s *Server) Metrics() Metrics {
 	m := Metrics{
-		UptimeMs:      float64(time.Since(s.start).Microseconds()) / 1000,
-		Shard:         s.cfg.ShardName,
-		Draining:      s.Draining(),
-		Epoch:         s.epoch.Load(),
-		EpochFenced:   s.egate.isFenced(),
-		MaxInflight:   s.cfg.MaxInflight,
-		Endpoints:     make(map[string]EndpointMetrics, len(endpointNames)),
-		ModelCache:    s.models.Stats(),
-		ModelNotOwned: s.tel.Count("atlasd.model.not_owned"),
+		UptimeMs:    float64(time.Since(s.start).Microseconds()) / 1000,
+		Draining:    s.Draining(),
+		Epoch:       s.epoch.Load(),
+		MaxInflight: s.cfg.MaxInflight,
+		Endpoints:   make(map[string]EndpointMetrics, len(endpointNames)),
+		ModelCache:  s.models.Stats(),
 	}
 	for _, name := range endpointNames {
 		em := EndpointMetrics{

@@ -37,11 +37,9 @@ type RemoteResult struct {
 // reported back under an idempotent (client, seq) key.
 //
 // Shed responses (429, bounded admission) are retried with backoff; a
-// draining server (503) is terminal when c is a single *Client, while
-// a constellation client fails over to the ring successor internally
-// and surfaces 503 only once no successor remains. Measurement
-// failures skip the landmark, like the real tool.
-func RemoteTwoPhase(ctx context.Context, c Coordinator, tool measure.Tool, from netsim.HostID, secondPhase int, seq int64, rng *rand.Rand) (*RemoteResult, error) {
+// draining server (503) is terminal. Measurement failures skip the
+// landmark, like the real tool.
+func RemoteTwoPhase(ctx context.Context, c *Client, tool measure.Tool, from netsim.HostID, secondPhase int, seq int64, rng *rand.Rand) (*RemoteResult, error) {
 	if secondPhase < 1 {
 		secondPhase = 25
 	}
