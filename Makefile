@@ -12,7 +12,7 @@
 #   make race          full test suite under the race detector
 #   make race-smoke    quick audit pipeline and measure batch, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface and the geometry kernel
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel and Theil–Sen
 #   make cover         per-package coverage with an 85% floor on the service packages
 #   make bench-audit   serial-vs-parallel audit timing -> BENCH_audit.json
 #   make bench-locate  before/after geometry-kernel timing -> BENCH_locate.json
@@ -94,14 +94,17 @@ soak:
 	$(GO) test -race -count=1 -run '^TestSoak' ./internal/loadgen
 
 # Native fuzzing over the atlasd wire surface (query parsing, model
-# path handling and report decoding) and over the geometry kernel (each
-# quantized-mask op against its per-cell oracle), FUZZTIME per target.
+# path handling and report decoding), over the geometry kernel (each
+# quantized-mask op against its per-cell oracle) and over Theil–Sen's
+# median-slope selection (against the all-pairs enumeration),
+# FUZZTIME per target.
 # The seed corpora also run (for free) in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzModelPath$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	for f in FuzzFillWithinKm FuzzIntersectWithinKm FuzzFillRingKm; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/grid || exit 1; done
+	$(GO) test -run '^$$' -fuzz '^FuzzTheilSen$$' -fuzztime $(FUZZTIME) ./internal/mathx
 
 # Coverage floor on the service packages: the coordination server and
 # the load generator are concurrency-heavy, so untested branches there

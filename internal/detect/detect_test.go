@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"activegeo/internal/geo"
@@ -108,6 +109,28 @@ func TestCrossValidatePositionLiarGreedyPeel(t *testing.T) {
 		} else if v.Flagged {
 			t.Errorf("honest peer %s condemned by the liar's edges (%s)", v.ID, v.Reason)
 		}
+	}
+}
+
+// TestCrossValidatePaperScale runs the cross-validation over a mesh the
+// size of the paper's ~250 RIPE Atlas anchors: 62,250 edges, whose
+// ~1.9·10⁹ pairwise slopes an enumerating Theil–Sen could not hold in
+// memory. It must still flag exactly the one bias liar, within a 64 MiB
+// allocation budget for the whole call.
+func TestCrossValidatePaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale mesh")
+	}
+	edges := synthMesh(250, map[int]float64{3: 40}, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := CrossValidate(edges, DefaultCrossValidateConfig())
+	runtime.ReadMemStats(&after)
+	if want := []netsim.HostID{"anchor-003"}; !reflect.DeepEqual(rep.Flagged, want) {
+		t.Fatalf("flagged %v, want %v", rep.Flagged, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("CrossValidate allocated %.1f MiB over %d edges, want < 64", float64(alloc)/(1<<20), len(edges))
 	}
 }
 
@@ -220,5 +243,17 @@ func TestInspectServerTooFew(t *testing.T) {
 	judged := JudgeServers(map[string]Inspection{"x": insp}, cfg)
 	if judged["x"].Suspected {
 		t.Fatal("unfitted inspection judged suspected")
+	}
+}
+
+func BenchmarkCrossValidate(b *testing.B) {
+	for _, anchors := range []int{48, 80} {
+		edges := synthMesh(anchors, map[int]float64{3: 40}, nil)
+		b.Run(fmt.Sprintf("anchors=%d", anchors), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CrossValidate(edges, DefaultCrossValidateConfig())
+			}
+		})
 	}
 }

@@ -124,39 +124,6 @@ func FitLineThroughOrigin(x, y []float64) (Line, error) {
 	return Line{Slope: sxy / sxx}, nil
 }
 
-// TheilSen computes the robust Theil–Sen line: slope is the median of all
-// pairwise slopes, intercept the median of y - slope*x. It tolerates up to
-// ~29% outliers, which is what the η estimation in the paper's Figure 13
-// ("a robust linear regression") needs.
-func TheilSen(x, y []float64) (Line, error) {
-	if len(x) != len(y) {
-		return Line{}, errors.New("mathx: mismatched slice lengths")
-	}
-	n := len(x)
-	if n < 2 {
-		return Line{}, ErrInsufficientData
-	}
-	slopes := make([]float64, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := x[j] - x[i]
-			if dx == 0 {
-				continue
-			}
-			slopes = append(slopes, (y[j]-y[i])/dx)
-		}
-	}
-	if len(slopes) == 0 {
-		return Line{}, errors.New("mathx: degenerate x values")
-	}
-	slope := Median(slopes)
-	resid := make([]float64, n)
-	for i := range x {
-		resid[i] = y[i] - slope*x[i]
-	}
-	return Line{Slope: slope, Intercept: Median(resid)}, nil
-}
-
 // RSquared returns the coefficient of determination of predictions pred
 // against observations y.
 func RSquared(y, pred []float64) float64 {

@@ -62,15 +62,16 @@ func TrimmedLine(x, y []float64, trim float64) (Line, error) {
 		return line, nil
 	}
 	idx := make([]int, n)
+	resid := make([]float64, n)
 	kx := make([]float64, 0, keep)
 	ky := make([]float64, 0, keep)
 	for iter := 0; iter < 3; iter++ {
 		for i := range idx {
 			idx[i] = i
+			resid[i] = math.Abs(y[i] - line.At(x[i]))
 		}
-		resid := func(i int) float64 { return math.Abs(y[i] - line.At(x[i])) }
 		sort.Slice(idx, func(a, b int) bool {
-			ra, rb := resid(idx[a]), resid(idx[b])
+			ra, rb := resid[idx[a]], resid[idx[b]]
 			if ra != rb {
 				return ra < rb
 			}

@@ -50,13 +50,25 @@ func Quantile(xs []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
+	lo, frac := quantilePos(len(s), q)
 	if lo+1 >= len(s) {
 		return s[len(s)-1]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return lerp(s[lo], s[lo+1], frac)
+}
+
+// quantilePos locates the q-quantile (0 < q < 1) of n sorted values:
+// the value at rank lo, moved toward rank lo+1 by frac.
+func quantilePos(n int, q float64) (lo int, frac float64) {
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	return lo, pos - float64(lo)
+}
+
+// lerp interpolates between adjacent order statistics. Quantile and
+// TheilSen share it so their results agree to the bit.
+func lerp(a, b, frac float64) float64 {
+	return a*(1-frac) + b*frac
 }
 
 // MinMax returns the minimum and maximum of xs.
