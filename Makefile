@@ -2,6 +2,8 @@
 #
 #   make ci            full gate: ci-fast then ci-deep (what a green main means)
 #   make ci-fast       the PR fast lane: vet + lint + build + unit tests + gofmt
+#                      (the unit tests include the quick-fleet golden audit
+#                      and the zero-cell check against internal/refimpl)
 #   make ci-deep       the deep lane: bench compile + race smoke + soak + cover
 #                      + fuzz smoke + the adversary detection floors
 #   make ci-local      alias for `make ci` — the exact gate .github/workflows/ci.yml runs
@@ -14,8 +16,6 @@
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
 #   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel and Theil–Sen
 #   make cover         per-package coverage with an 85% floor on the service packages
-#   make bench-audit   serial-vs-parallel audit timing -> BENCH_audit.json
-#   make bench-locate  before/after geometry-kernel timing -> BENCH_locate.json
 #   make bench-faults  robustness sweep: tallies vs injected loss -> BENCH_faults.json
 #   make bench-atlasd  32-client coordination-service load test -> BENCH_atlasd.json
 #   make bench-stream  audit-engine incremental check + 100k bounded-memory run -> BENCH_stream.json
@@ -25,7 +25,7 @@ GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 85.0
 
-.PHONY: all vet lint lint-json lint-fix-check vuln build test race race-smoke soak fuzz-smoke cover ci ci-fast ci-deep ci-local benchcompile fmtcheck bench-audit bench-locate bench-faults bench-atlasd bench-stream bench-adversary clean
+.PHONY: all vet lint lint-json lint-fix-check vuln build test race race-smoke soak fuzz-smoke cover ci ci-fast ci-deep ci-local benchcompile fmtcheck bench-faults bench-atlasd bench-stream bench-adversary clean
 
 all: ci
 
@@ -153,20 +153,9 @@ ci: ci-fast ci-deep
 # what passes `make ci-local` passes the ci.yml workflow, nothing more.
 ci-local: ci
 
-# Benchmark smoke: time the QuickConfig audit serially and with the
-# default worker pool, verify the verdict tallies are identical, and
-# record the numbers (plus the core count) in BENCH_audit.json.
-bench-audit:
-	$(GO) run ./cmd/benchaudit -out BENCH_audit.json
-
-# Geometry-kernel microbenchmarks: per-algorithm Locate timing through
-# the pre-kernel reference implementations vs the production
-# quantized-mask path, plus one full quick-audit wall-clock run,
-# recorded in BENCH_locate.json. Aborts (non-zero exit) if any
-# algorithm's region differs from the reference by even one cell, or if
-# the quick-fleet tally drifts from 166/25/161 (DESIGN.md §8).
-bench-locate:
-	$(GO) run ./cmd/benchaudit -mode locate -out BENCH_locate.json
+# The bench-* targets below each write one cmd/benchaudit report
+# (environment, metrics, and every check with its bound) and exit
+# non-zero if any check fails, after writing it.
 
 # Robustness sweep: the full audit plus five-algorithm crowd
 # localization at each loss rate of the default sweep, recorded in
@@ -182,13 +171,12 @@ bench-atlasd:
 	$(GO) run ./cmd/benchaudit -mode atlasd -out BENCH_atlasd.json
 
 # Audit-engine certification: a second pass over the unchanged quick
-# fleet must re-measure nothing (aborts otherwise), then a synthetic
-# $(STREAM_SERVERS)-server pass with per-batch heap sampling (aborts if
-# the peak heap exceeds the bounded-memory ceiling or provisioning
-# exceeds the queue+2 batch bound), recorded in BENCH_stream.json.
-STREAM_SERVERS ?= 100000
+# fleet must re-measure nothing, then a synthetic 100,000-server pass
+# with per-batch heap sampling must stay under the bounded-memory
+# ceiling and the queue+2 batch provisioning bound and re-measure
+# nothing on its second pass, recorded in BENCH_stream.json.
 bench-stream:
-	$(GO) run ./cmd/benchaudit -mode stream -servers $(STREAM_SERVERS) -out BENCH_stream.json
+	$(GO) run ./cmd/benchaudit -mode stream -out BENCH_stream.json
 
 # Adversary detection floors: the full audit under every point of the
 # default attack matrix (lying proxies, Byzantine landmarks, blends and
@@ -200,6 +188,6 @@ bench-adversary:
 	$(GO) run ./cmd/benchaudit -mode adversary -out BENCH_adversary.json
 
 clean:
-	rm -f BENCH_audit.json BENCH_locate.json BENCH_faults.json BENCH_atlasd.json BENCH_stream.json BENCH_adversary.json
+	rm -f BENCH_faults.json BENCH_atlasd.json BENCH_stream.json BENCH_adversary.json
 	rm -f cover_atlasd.out cover_loadgen.out cover_detect.out
 	$(GO) clean ./...

@@ -559,8 +559,8 @@ func benchLocate(b *testing.B, alg geoloc.Algorithm, ms []Measurement) {
 // BenchmarkSpotterLocate times the kernel-backed Spotter (cached
 // distance fields, hoisted model evaluation, plausibility prune).
 // Compare against BenchmarkSpotterLocateReference for the pre-kernel
-// baseline; cmd/benchaudit -mode locate records the same pair (plus the
-// other four algorithms) in BENCH_locate.json.
+// baseline; BenchmarkLocateKernel and BenchmarkLocateReference time the
+// other four algorithms the same way.
 func BenchmarkSpotterLocate(b *testing.B) {
 	lab := getLab(b)
 	benchLocate(b, lab.Spotter, benchCrowdMeasurements(b, lab))

@@ -1,80 +1,51 @@
-// Command benchaudit runs the repo's certification benchmarks and
-// writes each one's numbers as JSON.
+// Command benchaudit runs the certification benchmarks that the bench/
+// module does not cover and writes each one's numbers as JSON.
 //
 // Usage:
 //
-//	benchaudit [-mode audit|locate|faults|stream|adversary|atlasd] [-scale quick|paper] [-out FILE] [-servers N]
+//	benchaudit -mode faults|stream|adversary|atlasd [-out FILE]
 //
-// Mode "audit" (the default) times the §6 audit pipeline serially and
-// in parallel on the same lab configuration, verifies the two runs
-// produce identical verdict tallies, and writes BENCH_audit.json. The
-// speedup is bounded by the core count: on a single-core machine serial
-// and parallel times are expected to be roughly equal, and the JSON
-// records the core count so readers can interpret the ratio.
+// Every mode writes one report, to BENCH_<mode>.json unless -out names
+// another file: the mode, an env block (cores, GOMAXPROCS, Go version,
+// VCS revision), a metrics map, and the checks the mode gates on, each
+// {name, value, bound, pass}. A check named *_max passes when value ≤
+// bound, *_min when value ≥ bound, and *_mismatch (1 when two runs
+// differ) when it is 0. The faults and adversary reports add the sweep's
+// points as internal/experiments returns them. The report is written
+// even when a check fails; the command then exits 1.
 //
-// Mode "locate" times each localization algorithm two ways on
-// identical measurement vectors — the pre-kernel per-cell-haversine
-// reference implementations (internal/refimpl) and the production
-// quantized-mask path — then times one full quick audit for the
-// end-to-end wall-clock number, and writes BENCH_locate.json. Both
-// sides are warmed before timing, so the numbers reflect the steady
-// state the audit runs in (landmark distance fields and mask families
-// cached). The run aborts with a non-zero exit if any algorithm's
-// region differs from the reference by even one cell, or if the
-// quick-fleet verdict tally drifts from 166/25/161.
-//
-// Mode "faults" runs the robustness sweep (experiments.Robustness):
-// the full audit plus a five-algorithm crowd localization at each loss
-// rate of the default sweep, recording the credible/uncertain/false
-// tallies, coverage and mean region sizes vs. injected loss, and writes
-// BENCH_faults.json. The sweep is deterministic, so the JSON doubles as
-// a regression record of the loss-threshold result in DESIGN.md §10.
-//
-// Mode "stream" certifies the audit engine's incremental and
-// bounded-memory behavior (internal/stream). Incremental: after a full
-// pass over the quick fleet, a second pass over the unchanged fleet must
-// re-measure nothing (the run aborts otherwise). Memory: a synthetic 100k-server fleet (-servers to
-// override) is streamed through bounded batches while the heap is
-// sampled at every batch boundary; the run aborts if the peak heap
-// exceeds the post-setup baseline by more than the bounded-memory
-// ceiling, or if the peak number of simultaneously provisioned hosts
-// exceeds (queue depth + 2) batches. Results go to BENCH_stream.json.
-//
-// Mode "adversary" scores the detection layer against the default
-// attack matrix (experiments.DefaultAttackMatrix): the full audit runs
-// under every attack point — lying proxies, Byzantine landmarks, blends
-// and an all-honest control — at the fixed benchmark scale
-// (experiments.AdversaryBenchConfig), once serially and once at the
-// machine's width on fresh labs. The run aborts with a non-zero exit
-// unless the two sweeps' fingerprints (every per-point audit SHA and
-// confusion matrix) are byte-identical, and unless the pooled detection
-// quality clears the CI floors: precision ≥ 0.9 and recall ≥ 0.8.
-// Per-point confusion matrices and the pooled scores go to
-// BENCH_adversary.json.
-//
-// Mode "atlasd" load-tests the coordination service (DESIGN.md §11):
-// 32 closed-loop clients run the full phase1→phase2→model→report
-// campaign against an in-process server, once serially and once fully
-// concurrently on fresh servers, and the run aborts unless every
-// client's transcript is byte-identical between the two. A third run
-// drains the server mid-soak and verifies no accepted report was
-// dropped or duplicated. Throughput, p50/p99 latency, shed rate and
-// model-cache coalescing go to BENCH_atlasd.json.
+//   - faults: the robustness sweep (experiments.Robustness). Up to the
+//     documented loss threshold, each verdict bucket stays within ±15%
+//     of the fleet of the fault-free tally (DESIGN.md §10).
+//   - stream: a second pass over the unchanged quick fleet audits
+//     nothing; a synthetic 100,000-server fleet streams through bounded
+//     batches with its peak live heap ≤ baseline + 128 MiB, at most
+//     (queue depth + 2) batches of hosts provisioned at once, and a
+//     second pass that audits nothing (DESIGN.md §12).
+//   - adversary: the default attack matrix at AdversaryBenchConfig,
+//     serially and at GOMAXPROCS on fresh labs: identical fingerprints,
+//     pooled precision ≥ 0.9 and recall ≥ 0.8 (DESIGN.md §14).
+//   - atlasd: 32 closed-loop clients against an in-process coordination
+//     server, serially and concurrently on fresh servers: identical
+//     transcripts, an exactly-once report ledger, at most one model fit
+//     per landmark plus the pooled fallback; then a mid-soak drain that
+//     drops and invents no report (DESIGN.md §11).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"math/rand"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
-	"activegeo/internal/assess"
 	"activegeo/internal/atlas"
 	"activegeo/internal/atlasd"
 	"activegeo/internal/cbg"
@@ -82,379 +53,247 @@ import (
 	"activegeo/internal/experiments"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
-	"activegeo/internal/grid"
 	"activegeo/internal/loadgen"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
-	"activegeo/internal/refimpl"
 	"activegeo/internal/stream"
 )
 
-type auditReport struct {
-	Config           string  `json:"config"`
-	Servers          int     `json:"servers"`
-	Cores            int     `json:"cores"`
-	ParallelWorkers  int     `json:"parallel_workers"`
-	SerialMs         float64 `json:"serial_ms"`
-	ParallelMs       float64 `json:"parallel_ms"`
-	Speedup          float64 `json:"speedup"`
-	TalliesIdentical bool    `json:"tallies_identical"`
-	Credible         int     `json:"credible"`
-	Uncertain        int     `json:"uncertain"`
-	False            int     `json:"false"`
+// report is the one JSON schema every mode writes.
+type report struct {
+	Mode    string             `json:"mode"`
+	Env     env                `json:"env"`
+	Metrics map[string]float64 `json:"metrics"`
+	Checks  []check            `json:"checks"`
+	Points  any                `json:"points,omitempty"`
 }
 
-type faultsRow struct {
-	Loss            float64            `json:"loss"`
-	Credible        int                `json:"credible"`
-	Uncertain       int                `json:"uncertain"`
-	False           int                `json:"false"`
-	MeanCoverage    float64            `json:"mean_coverage"`
-	MeasureFailures int                `json:"measure_failures"`
-	LocateFailures  int                `json:"locate_failures"`
-	DegradedServers int                `json:"degraded_servers"`
-	Disconnects     int                `json:"disconnects"`
-	LostLandmarks   int                `json:"lost_landmarks"`
-	Retries         int                `json:"retries"`
-	MeanAreaKm2     map[string]float64 `json:"mean_area_km2"`
-	WithinTolerance bool               `json:"within_tolerance"`
+type env struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Revision   string `json:"revision"`
 }
 
-type faultsReport struct {
-	Config        string      `json:"config"`
-	Cores         int         `json:"cores"`
-	Servers       int         `json:"servers"`
-	CrowdHosts    int         `json:"crowd_hosts"`
-	LossThreshold float64     `json:"loss_threshold"`
-	Tolerance     float64     `json:"tolerance"`
-	WallMs        float64     `json:"wall_ms"`
-	Points        []faultsRow `json:"points"`
+type check struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Bound float64 `json:"bound"`
+	Pass  bool    `json:"pass"`
 }
 
-// locateRow times each algorithm two ways: the pre-kernel reference
-// (before) and the production quantized-mask path (after). The diff
-// column compares against the reference regions summed over every
-// benchmark target and must be zero — runLocate aborts otherwise.
-type locateRow struct {
-	Algorithm   string  `json:"algorithm"`
-	BeforeMsOp  float64 `json:"before_ms_per_locate"`
-	AfterMsOp   float64 `json:"after_ms_per_locate"`
-	Speedup     float64 `json:"speedup"`
-	RegionCells int     `json:"region_cells"`
-	DiffCells   int     `json:"diff_cells_vs_reference"`
+// check records one gate of the run. A failed check does not stop the
+// mode: run writes the whole report and then fails.
+func (r *report) check(name string, value, bound float64, pass bool) {
+	r.Checks = append(r.Checks, check{Name: name, Value: value, Bound: bound, Pass: pass})
+	fmt.Fprintf(os.Stderr, "check %-30s %12.4f  bound %-10g pass %t\n", name, value, bound, pass)
 }
 
-type locateReport struct {
-	Config        string      `json:"config"`
-	Cores         int         `json:"cores"`
-	GridResDeg    float64     `json:"grid_res_deg"`
-	Targets       int         `json:"targets"`
-	Algorithms    []locateRow `json:"algorithms"`
-	MaskStepKm    float64     `json:"mask_step_km"`
-	MaskLevels    int         `json:"mask_levels"`
-	MaskBytes     int         `json:"mask_bytes_per_landmark"`
-	MaskHits      uint64      `json:"mask_hits"`
-	MaskMisses    uint64      `json:"mask_misses"`
-	MaskEvictions uint64      `json:"mask_evictions"`
-	MaskRefined   uint64      `json:"mask_refined_cells"`
-	AuditWallMs   float64     `json:"audit_wall_ms"`
-	Credible      int         `json:"credible"`
-	Uncertain     int         `json:"uncertain"`
-	False         int         `json:"false"`
-	TallyPinned   bool        `json:"tally_pinned"`
+// mismatch is the value of a *_mismatch check: 0 when two runs agree.
+func mismatch(same bool) float64 {
+	if same {
+		return 0
+	}
+	return 1
 }
 
-// timeAudit builds a fresh lab at the given concurrency and times one
-// full audit. A fresh lab per run keeps the comparison honest: nothing
-// is pre-warmed for the second configuration.
-func timeAudit(cfg experiments.Config, workers int) (time.Duration, assess.Tally, int, error) {
-	cfg.Concurrency = workers
-	lab, err := experiments.NewLab(cfg)
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// revision names the commit checked out in the working directory, with
+// "+dirty" for uncommitted changes, or "unknown" outside a git checkout.
+// It asks git because go run stamps no VCS settings into the binary.
+func revision() string {
+	out, err := exec.Command("git", "describe", "--always", "--abbrev=40", "--exclude=*", "--dirty=+dirty").Output()
 	if err != nil {
-		return 0, assess.Tally{}, 0, err
+		return "unknown"
 	}
-	start := time.Now()
-	run, err := lab.Audit()
-	if err != nil {
-		return 0, assess.Tally{}, 0, err
-	}
-	return time.Since(start), assess.Tabulate(run.Results), len(run.Results), nil
+	return strings.TrimSpace(string(out))
 }
 
-func runAudit(scale string, cfg experiments.Config, out string) {
-	workers := runtime.GOMAXPROCS(0)
-	serial, serialTally, servers, err := timeAudit(cfg, 1)
+func runFaults(r *report) error {
+	lab, err := experiments.NewLab(experiments.QuickConfig())
 	if err != nil {
-		log.Fatalf("serial audit: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "serial (1 worker):    %v over %d servers\n", serial.Round(time.Millisecond), servers)
-	parallel, parallelTally, _, err := timeAudit(cfg, workers)
-	if err != nil {
-		log.Fatalf("parallel audit: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "parallel (%d workers): %v\n", workers, parallel.Round(time.Millisecond))
-
-	identical := serialTally == parallelTally
-	if !identical {
-		log.Fatalf("determinism violation: serial tally %+v != parallel tally %+v", serialTally, parallelTally)
-	}
-
-	r := auditReport{
-		Config:           scale,
-		Servers:          servers,
-		Cores:            runtime.NumCPU(),
-		ParallelWorkers:  workers,
-		SerialMs:         float64(serial.Microseconds()) / 1000,
-		ParallelMs:       float64(parallel.Microseconds()) / 1000,
-		Speedup:          float64(serial) / float64(parallel),
-		TalliesIdentical: identical,
-		Credible:         serialTally.Credible,
-		Uncertain:        serialTally.Uncertain,
-		False:            serialTally.False,
-	}
-	writeJSON(out, r)
-	fmt.Fprintf(os.Stderr, "speedup %.2fx on %d cores; tallies identical; wrote %s\n", r.Speedup, r.Cores, out)
-}
-
-// timeLocate reports the mean per-Locate wall time over the target
-// measurement vectors, after one warmup pass (which also fills the
-// distance-field cache for the kernel side — the steady state every
-// audit target after the first runs in).
-func timeLocate(alg geoloc.Algorithm, targets [][]geoloc.Measurement) (float64, error) {
-	for _, ms := range targets {
-		if _, err := alg.Locate(ms); err != nil {
-			return 0, err
-		}
-	}
-	const minRounds, minDuration = 3, 300 * time.Millisecond
-	rounds := 0
-	start := time.Now()
-	for rounds < minRounds || time.Since(start) < minDuration {
-		for _, ms := range targets {
-			if _, err := alg.Locate(ms); err != nil {
-				return 0, err
-			}
-		}
-		rounds++
-	}
-	elapsed := time.Since(start)
-	return float64(elapsed.Microseconds()) / 1000 / float64(rounds*len(targets)), nil
-}
-
-// symmetricDiffCells counts cells in exactly one of the two regions.
-func symmetricDiffCells(a, b interface {
-	Each(func(int))
-	Contains(int) bool
-}) int {
-	n := 0
-	a.Each(func(i int) {
-		if !b.Contains(i) {
-			n++
-		}
-	})
-	b.Each(func(i int) {
-		if !a.Contains(i) {
-			n++
-		}
-	})
-	return n
-}
-
-func runLocate(scale string, cfg experiments.Config, out string) {
-	lab, err := experiments.NewLab(cfg)
-	if err != nil {
-		log.Fatalf("building lab: %v", err)
-	}
-	const nTargets = 3
-	if len(lab.Crowd) < nTargets {
-		log.Fatalf("need %d crowd hosts, lab has %d", nTargets, len(lab.Crowd))
-	}
-	targets := make([][]geoloc.Measurement, nTargets)
-	for i := range targets {
-		rng := rand.New(rand.NewSource(int64(77 + i)))
-		targets[i] = measure.Measurements(lab.Crowd[i].MeasureAllAnchors(lab.Cons, rng))
-		if len(targets[i]) == 0 {
-			log.Fatalf("crowd host %d produced no measurements", i)
-		}
-	}
-
-	model := lab.Spotter.Model()
-	pairs := []struct {
-		name      string
-		ref, fast geoloc.Algorithm
-	}{
-		{"CBG", &refimpl.CBG{Env: lab.Env, Cal: lab.CBG.Calibration()}, lab.CBG},
-		{"CBG++", &refimpl.CBGPP{Env: lab.Env, Cal: lab.CBGpp.Calibration()}, lab.CBGpp},
-		{"Quasi-Octant", &refimpl.Octant{Env: lab.Env, Cal: lab.Octant.Calibration()}, lab.Octant},
-		{"Spotter", &refimpl.Spotter{Env: lab.Env, Model: model}, lab.Spotter},
-		{"Hybrid", &refimpl.Hybrid{Env: lab.Env, Model: model}, lab.Hybrid},
-	}
-
-	rep := locateReport{
-		Config:     scale,
-		Cores:      runtime.NumCPU(),
-		GridResDeg: cfg.GridResDeg,
-		Targets:    nTargets,
-	}
-	for _, p := range pairs {
-		before, err := timeLocate(p.ref, targets)
-		if err != nil {
-			log.Fatalf("%s reference: %v", p.name, err)
-		}
-		after, err := timeLocate(p.fast, targets)
-		if err != nil {
-			log.Fatalf("%s mask path: %v", p.name, err)
-		}
-		// Equivalence oracle over every benchmark target: reference vs
-		// mask path, byte-identical.
-		diff, regionCells := 0, 0
-		for ti, ms := range targets {
-			refRegion, err := p.ref.Locate(ms)
-			if err != nil {
-				log.Fatalf("%s reference: %v", p.name, err)
-			}
-			maskRegion, err := p.fast.Locate(ms)
-			if err != nil {
-				log.Fatalf("%s mask path: %v", p.name, err)
-			}
-			diff += symmetricDiffCells(refRegion, maskRegion)
-			if ti == 0 {
-				regionCells = maskRegion.Count()
-			}
-		}
-		row := locateRow{
-			Algorithm:   p.name,
-			BeforeMsOp:  before,
-			AfterMsOp:   after,
-			Speedup:     before / after,
-			RegionCells: regionCells,
-			DiffCells:   diff,
-		}
-		rep.Algorithms = append(rep.Algorithms, row)
-		fmt.Fprintf(os.Stderr, "%-13s before %8.3f ms  after %8.3f ms  %6.1fx (diff %d cells)\n",
-			p.name, row.BeforeMsOp, row.AfterMsOp, row.Speedup, row.DiffCells)
-		if diff != 0 {
-			log.Fatalf("%s: regions differ from reference by %d cells — geometry must be byte-identical", p.name, diff)
-		}
-	}
-
-	s := lab.Env.Masks.Stats()
-	rep.MaskStepKm = grid.MaskStepKm
-	rep.MaskLevels = s.Levels
-	rep.MaskBytes = s.BytesPerMask
-	rep.MaskHits = s.Hits
-	rep.MaskMisses = s.Misses
-	rep.MaskEvictions = s.Evictions
-	rep.MaskRefined = s.RefinedCells
-	fmt.Fprintf(os.Stderr, "mask cache: %d entries, %d hits / %d misses, %d annulus cells refined (%d levels, %d KB/landmark)\n",
-		s.Entries, s.Hits, s.Misses, s.RefinedCells, s.Levels, s.BytesPerMask/1024)
-
-	wall, tally, servers, err := timeAudit(cfg, runtime.GOMAXPROCS(0))
-	if err != nil {
-		log.Fatalf("audit: %v", err)
-	}
-	rep.AuditWallMs = float64(wall.Microseconds()) / 1000
-	rep.Credible = tally.Credible
-	rep.Uncertain = tally.Uncertain
-	rep.False = tally.False
-	fmt.Fprintf(os.Stderr, "quick audit: %v over %d servers (credible %d / uncertain %d / false %d)\n",
-		wall.Round(time.Millisecond), servers, tally.Credible, tally.Uncertain, tally.False)
-	if scale == "quick" {
-		if tally.Credible != 166 || tally.Uncertain != 25 || tally.False != 161 {
-			log.Fatalf("quick-fleet tally drifted: got %d/%d/%d, want 166/25/161 — the mask cache must not change verdicts",
-				tally.Credible, tally.Uncertain, tally.False)
-		}
-		rep.TallyPinned = true
-	}
-
-	writeJSON(out, rep)
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-func runFaults(scale string, cfg experiments.Config, out string) {
-	lab, err := experiments.NewLab(cfg)
-	if err != nil {
-		log.Fatalf("building lab: %v", err)
+		return err
 	}
 	const crowdHosts = 8
 	start := time.Now()
 	res, err := lab.Robustness(nil, crowdHosts)
 	if err != nil {
-		log.Fatalf("robustness sweep: %v", err)
+		return err
 	}
 	wall := time.Since(start)
+	fmt.Fprint(os.Stderr, res.Render())
 
-	rep := faultsReport{
-		Config:        scale,
-		Cores:         runtime.NumCPU(),
-		Servers:       len(lab.Fleet.Servers()),
-		CrowdHosts:    res.CrowdHosts,
-		LossThreshold: experiments.RobustnessLossThreshold,
-		Tolerance:     experiments.RobustnessTallyTolerance,
-		WallMs:        float64(wall.Microseconds()) / 1000,
-	}
-	baseline := res.Points[0].Tally
+	r.Metrics["servers"] = float64(len(lab.Fleet.Servers()))
+	r.Metrics["crowd_hosts"] = float64(res.CrowdHosts)
+	r.Metrics["loss_threshold"] = experiments.RobustnessLossThreshold
+	r.Metrics["wall_ms"] = ms(wall)
+	r.Points = res.Points
+
+	const tol = experiments.RobustnessTallyTolerance
+	base := res.Points[0].Tally
 	for _, p := range res.Points {
-		row := faultsRow{
-			Loss:            p.Loss,
-			Credible:        p.Tally.Credible,
-			Uncertain:       p.Tally.Uncertain,
-			False:           p.Tally.False,
-			MeanCoverage:    p.MeanCoverage,
-			MeasureFailures: p.MeasureFailures,
-			LocateFailures:  p.LocateFailures,
-			DegradedServers: p.DegradedServers,
-			Disconnects:     p.Disconnects,
-			LostLandmarks:   p.LostLandmarks,
-			Retries:         p.Retries,
-			MeanAreaKm2:     map[string]float64{},
-			WithinTolerance: p.WithinTolerance(baseline, experiments.RobustnessTallyTolerance),
+		if p.Loss > experiments.RobustnessLossThreshold {
+			continue
 		}
-		for _, a := range p.Areas {
-			row.MeanAreaKm2[a.Algorithm] = a.MeanAreaKm2
+		drift := 0
+		for _, d := range []int{p.Tally.Credible - base.Credible, p.Tally.Uncertain - base.Uncertain, p.Tally.False - base.False} {
+			drift = max(drift, d, -d)
 		}
-		rep.Points = append(rep.Points, row)
-		fmt.Fprintf(os.Stderr, "loss %.2f: %4d/%4d/%4d  coverage %.3f  degraded %d  within tolerance: %v\n",
-			p.Loss, p.Tally.Credible, p.Tally.Uncertain, p.Tally.False,
-			p.MeanCoverage, p.DegradedServers, row.WithinTolerance)
+		r.check(fmt.Sprintf("loss_%.2f_tally_drift_max", p.Loss),
+			float64(drift)/float64(base.Total()), tol, p.WithinTolerance(base, tol))
 	}
-	for _, row := range rep.Points {
-		if row.Loss <= rep.LossThreshold && !row.WithinTolerance {
-			log.Fatalf("loss %.2f is under the documented threshold %.2f but outside tolerance", row.Loss, rep.LossThreshold)
-		}
-	}
-	writeJSON(out, rep)
-	fmt.Fprintf(os.Stderr, "swept %d loss rates in %v; wrote %s\n", len(rep.Points), wall.Round(time.Millisecond), out)
+	return nil
 }
 
-type atlasdReport struct {
-	Config      string `json:"config"`
-	Cores       int    `json:"cores"`
-	Landmarks   int    `json:"landmarks"`
-	Clients     int    `json:"clients"`
-	Iterations  int    `json:"iterations"`
-	SecondPhase int    `json:"second_phase"`
-	MaxInflight int    `json:"max_inflight"`
+// heapMB returns the current live-heap size in MiB after a collection,
+// so batch-to-batch samples measure retained state, not GC phase.
+func heapMB() float64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc) / (1 << 20)
+}
 
-	// Concurrent-vs-serial determinism run:
-	Ops                  int     `json:"ops"`
-	SerialWallMs         float64 `json:"serial_wall_ms"`
-	ConcurrentWallMs     float64 `json:"concurrent_wall_ms"`
-	ThroughputOps        float64 `json:"throughput_ops_per_sec"`
-	P50Ms                float64 `json:"p50_ms"`
-	P99Ms                float64 `json:"p99_ms"`
-	Shed                 int     `json:"shed"`
-	ShedRate             float64 `json:"shed_rate"`
-	TranscriptsIdentical bool    `json:"transcripts_identical"`
-	ModelFits            int64   `json:"model_fits"`
-	ModelCacheHits       int64   `json:"model_cache_hits"`
-	ModelCoalesced       int64   `json:"model_coalesced"`
+func runStream(r *report) error {
+	workers := runtime.GOMAXPROCS(0)
+	cfg := experiments.QuickConfig()
+	cfg.Concurrency = workers
+	ctx := context.Background()
 
-	// Graceful-shutdown run:
-	DrainStoppedClients int   `json:"drain_stopped_clients"`
-	DrainAccepted       int   `json:"drain_accepted_reports"`
-	DrainDropped        int   `json:"drain_dropped_reports"`
-	DuplicateReports    int64 `json:"duplicate_reports"`
+	// Part 1: a second pass over the unchanged quick fleet re-measures
+	// nothing.
+	lab, err := experiments.NewLab(cfg)
+	if err != nil {
+		return err
+	}
+	auditor := lab.StreamingAuditor(0, 0)
+	first, err := auditor.Sync(ctx, lab.StreamSource())
+	if err != nil {
+		return err
+	}
+	second, err := auditor.Sync(ctx, lab.StreamSource())
+	if err != nil {
+		return err
+	}
+	tally := auditor.Store().Tally()
+	r.Metrics["servers"] = float64(first.Total)
+	r.Metrics["credible"] = float64(tally.Credible)
+	r.Metrics["uncertain"] = float64(tally.Uncertain)
+	r.Metrics["false"] = float64(tally.False)
+	r.check("quick_second_pass_audits_max", float64(second.Audited), 0, second.Audited == 0)
+
+	// Part 2: bounded memory on a synthetic fleet far larger than RAM
+	// would allow if the pipeline materialized it.
+	const synthServers, batchSize, queueDepth = 100_000, 256, 2
+	simNet := netsim.New(9090)
+	rng := rand.New(rand.NewSource(9090))
+	cons, err := atlas.Build(simNet, atlas.Config{Anchors: 24, Probes: 12, SamplesPerPair: 3}, rng)
+	if err != nil {
+		return err
+	}
+	geoEnv := geoloc.NewEnv(4)
+	cal, err := cbgpp.Calibrate(cons, cbgpp.Options{})
+	if err != nil {
+		return err
+	}
+	client := netsim.HostID("stream-bench-client")
+	if err := simNet.AddHost(&netsim.Host{ID: client, Loc: geo.Point{Lat: 50.11, Lon: 8.68}, AccessDelayMs: 1}); err != nil {
+		return err
+	}
+	src := stream.NewSynthSource(simNet, synthServers, 777)
+
+	baseline := heapMB()
+	ceiling := baseline + 128
+	peak := baseline
+	var mu sync.Mutex
+	synthAuditor := stream.New(stream.Config{
+		Cons:        cons,
+		Client:      client,
+		Env:         geoEnv,
+		Locator:     cbgpp.New(geoEnv, cal, cbgpp.Options{}),
+		Seed:        4242,
+		Concurrency: workers,
+		BatchSize:   batchSize,
+		QueueDepth:  queueDepth,
+		OnBatchDone: func(stream.BatchStats) {
+			h := heapMB()
+			mu.Lock()
+			peak = max(peak, h)
+			mu.Unlock()
+		},
+	})
+	start := time.Now()
+	synthStats, err := synthAuditor.Sync(ctx, src)
+	if err != nil {
+		return err
+	}
+	synthWall := time.Since(start)
+	synthSecond, err := synthAuditor.Sync(ctx, src)
+	if err != nil {
+		return err
+	}
+	synthTally := synthAuditor.Store().Tally()
+	fmt.Fprintf(os.Stderr, "synthetic: %d servers in %d batches over %v\n",
+		synthServers, synthStats.Batches, synthWall.Round(time.Millisecond))
+
+	r.Metrics["synth_servers"] = synthServers
+	r.Metrics["batch_size"] = batchSize
+	r.Metrics["queue_depth"] = queueDepth
+	r.Metrics["synth_wall_ms"] = ms(synthWall)
+	r.Metrics["synth_batches"] = float64(synthStats.Batches)
+	r.Metrics["baseline_heap_mb"] = baseline
+	r.Metrics["synth_credible"] = float64(synthTally.Credible)
+	r.Metrics["synth_uncertain"] = float64(synthTally.Uncertain)
+	r.Metrics["synth_false"] = float64(synthTally.False)
+	r.check("synth_peak_heap_mb_max", peak, ceiling, peak <= ceiling)
+	const liveBound = (queueDepth + 2) * batchSize
+	r.check("synth_live_hosts_max", float64(src.MaxLiveHosts()), liveBound, src.MaxLiveHosts() <= liveBound)
+	r.check("synth_second_pass_audits_max", float64(synthSecond.Audited), 0, synthSecond.Audited == 0)
+	return nil
+}
+
+func runAdversary(r *report) error {
+	const precisionFloor, recallFloor = 0.9, 0.8
+	sweepAt := func(workers int) (*experiments.AdversaryResult, *experiments.Lab, time.Duration, error) {
+		cfg := experiments.AdversaryBenchConfig()
+		cfg.Concurrency = workers
+		lab, err := experiments.NewLab(cfg)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		start := time.Now()
+		res, err := lab.AdversarySweep(nil)
+		return res, lab, time.Since(start), err
+	}
+
+	serial, lab, serialWall, err := sweepAt(1)
+	if err != nil {
+		return err
+	}
+	workers := runtime.GOMAXPROCS(0)
+	parallel, _, parWall, err := sweepAt(workers)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(os.Stderr, serial.Render())
+
+	r.Metrics["servers"] = float64(len(lab.Fleet.Servers()))
+	r.Metrics["anchors"] = float64(len(lab.Cons.Anchors()))
+	r.Metrics["proxy_precision"] = serial.ProxyPrecision
+	r.Metrics["proxy_recall"] = serial.ProxyRecall
+	r.Metrics["landmark_precision"] = serial.LandmarkPrecision
+	r.Metrics["landmark_recall"] = serial.LandmarkRecall
+	r.Metrics["serial_wall_ms"] = ms(serialWall)
+	r.Metrics["parallel_wall_ms"] = ms(parWall)
+	r.Metrics["parallel_workers"] = float64(workers)
+	r.Points = serial.Points
+
+	same := serial.Fingerprint() == parallel.Fingerprint()
+	r.check("fingerprint_mismatch", mismatch(same), 0, same)
+	r.check("precision_min", serial.Precision, precisionFloor, serial.Precision >= precisionFloor)
+	r.check("recall_min", serial.Recall, recallFloor, serial.Recall >= recallFloor)
+	return nil
 }
 
 // ledgerDiff cross-checks client-side 202 receipts against the server
@@ -481,43 +320,30 @@ func ledgerDiff(srv *atlasd.Server, res *loadgen.Result) (dropped, phantom int) 
 	return dropped, phantom
 }
 
-func runAtlasd(scale, out string) {
-	const seed = 2018
-	clients, iterations, secondPhase := 32, 3, 8
-	anchors, probes := 40, 30
-	if scale == "paper" {
-		anchors, probes, iterations = 120, 200, 5
-	}
+func runAtlasd(r *report) error {
+	const seed, clients, iterations, secondPhase = 2018, 32, 3, 8
 
 	simNet := netsim.New(seed)
 	rng := rand.New(rand.NewSource(seed))
-	cons, err := atlas.Build(simNet, atlas.Config{Anchors: anchors, Probes: probes, SamplesPerPair: 3}, rng)
+	cons, err := atlas.Build(simNet, atlas.Config{Anchors: 40, Probes: 30, SamplesPerPair: 3}, rng)
 	if err != nil {
-		log.Fatalf("building constellation: %v", err)
+		return err
 	}
 	hosts := make([]netsim.HostID, clients)
 	for i := range hosts {
 		id := netsim.HostID(fmt.Sprintf("bench-client-%04d", i))
 		loc := geo.Point{Lat: -55 + 120*rng.Float64(), Lon: -175 + 350*rng.Float64()}
 		if err := simNet.AddHost(&netsim.Host{ID: id, Loc: loc}); err != nil {
-			log.Fatalf("adding vantage host: %v", err)
+			return err
 		}
 		hosts[i] = id
 	}
 
 	newServer := func(maxInflight int) *atlasd.Server {
-		return atlasd.NewServer(cons, atlasd.Config{
-			Seed:        seed,
-			Opts:        cbg.Options{Slowline: true},
-			MaxInflight: maxInflight,
-		})
+		return atlasd.NewServer(cons, atlasd.Config{Seed: seed, Opts: cbg.Options{Slowline: true}, MaxInflight: maxInflight})
 	}
 	newRunner := func(srv *atlasd.Server) *loadgen.Runner {
-		return &loadgen.Runner{
-			Handler: srv.Handler(),
-			Tool:    &measure.CLITool{Net: cons.Net()},
-			Hosts:   hosts,
-		}
+		return &loadgen.Runner{Handler: srv.Handler(), Tool: &measure.CLITool{Net: cons.Net()}, Hosts: hosts}
 	}
 	cfg := loadgen.Config{Clients: clients, Iterations: iterations, SecondPhase: secondPhase, Seed: seed}
 	ctx := context.Background()
@@ -527,31 +353,39 @@ func runAtlasd(scale, out string) {
 	serialCfg.Concurrency = 1
 	serial, err := newRunner(newServer(0)).Run(ctx, serialCfg)
 	if err != nil {
-		log.Fatalf("serial run: %v", err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "serial (1 at a time):   %d ops in %.0f ms\n", serial.Ops, serial.WallMs)
 
 	// 2. Fully concurrent run on another fresh server.
 	concSrv := newServer(0)
 	conc, err := newRunner(concSrv).Run(ctx, cfg)
 	if err != nil {
-		log.Fatalf("concurrent run: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "concurrent (%d clients): %d ops in %.0f ms (%.0f ops/s, p50 %.3f ms, p99 %.3f ms)\n",
-		clients, conc.Ops, conc.WallMs, conc.ThroughputOps, conc.P50Ms, conc.P99Ms)
-
-	if !loadgen.TranscriptsIdentical(serial, conc) {
-		log.Fatalf("determinism violation: concurrent transcripts differ from the serial run")
-	}
-	if d, p := ledgerDiff(concSrv, conc); d != 0 || p != 0 {
-		log.Fatalf("ledger mismatch in concurrent run: %d dropped, %d phantom", d, p)
+		return err
 	}
 	cache := concSrv.Metrics().ModelCache
-	if maxFits := int64(len(cons.All()) + 1); cache.Fits > maxFits {
-		log.Fatalf("model cache did not coalesce: %d fits for %d landmarks", cache.Fits, len(cons.All()))
-	}
-	fmt.Fprintf(os.Stderr, "transcripts identical; model cache: %d fits, %d hits, %d coalesced\n",
-		cache.Fits, cache.Hits, cache.Coalesced)
+	landmarks := len(cons.All())
+	r.Metrics["landmarks"] = float64(landmarks)
+	r.Metrics["clients"] = clients
+	r.Metrics["iterations"] = iterations
+	r.Metrics["second_phase"] = secondPhase
+	r.Metrics["max_inflight"] = atlasd.DefaultMaxInflight
+	r.Metrics["ops"] = float64(conc.Ops)
+	r.Metrics["serial_wall_ms"] = serial.WallMs
+	r.Metrics["concurrent_wall_ms"] = conc.WallMs
+	r.Metrics["throughput_ops_per_sec"] = conc.ThroughputOps
+	r.Metrics["p50_ms"] = conc.P50Ms
+	r.Metrics["p99_ms"] = conc.P99Ms
+	r.Metrics["shed"] = float64(conc.Shed)
+	r.Metrics["shed_rate"] = conc.ShedRate()
+	r.Metrics["model_cache_hits"] = float64(cache.Hits)
+	r.Metrics["model_coalesced"] = float64(cache.Coalesced)
+	same := loadgen.TranscriptsIdentical(serial, conc)
+	r.check("transcript_mismatch", mismatch(same), 0, same)
+	dropped, phantom := ledgerDiff(concSrv, conc)
+	r.check("ledger_dropped_max", float64(dropped), 0, dropped == 0)
+	r.check("ledger_phantom_max", float64(phantom), 0, phantom == 0)
+	maxFits := int64(landmarks + 1)
+	r.check("model_fits_max", float64(cache.Fits), float64(maxFits), cache.Fits <= maxFits)
 
 	// 3. Graceful shutdown under load: a small admission bound plus an
 	// over-long campaign; drain once every client has a ledgered report.
@@ -568,18 +402,18 @@ func runAtlasd(scale, out string) {
 	deadline := time.Now().Add(60 * time.Second)
 	for drainSrv.Metrics().ReportsLedgered < clients {
 		if time.Now().After(deadline) {
-			log.Fatalf("shutdown scenario never ledgered a first round of reports")
+			return errors.New("shutdown scenario never ledgered a first round of reports")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	drainCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
 	if err := drainSrv.Drain(drainCtx); err != nil {
-		log.Fatalf("drain: %v", err)
+		return err
 	}
 	drained := <-resc
 	if err := <-errc; err != nil {
-		log.Fatalf("shutdown run: %v", err)
+		return err
 	}
 	stopped := 0
 	for _, st := range drained.PerClient {
@@ -587,389 +421,75 @@ func runAtlasd(scale, out string) {
 			stopped++
 		}
 	}
-	dropped, phantom := ledgerDiff(drainSrv, drained)
-	if dropped != 0 || phantom != 0 {
-		log.Fatalf("graceful shutdown lost reports: %d dropped, %d phantom", dropped, phantom)
-	}
-	m := drainSrv.Metrics()
-	fmt.Fprintf(os.Stderr, "graceful shutdown: %d clients stopped by drain, %d reports accepted, 0 dropped (%d duplicate retries suppressed)\n",
-		stopped, drained.AcceptedReports, m.DuplicateReports)
-
-	writeJSON(out, atlasdReport{
-		Config:      scale,
-		Cores:       runtime.NumCPU(),
-		Landmarks:   len(cons.All()),
-		Clients:     clients,
-		Iterations:  iterations,
-		SecondPhase: secondPhase,
-		MaxInflight: atlasd.DefaultMaxInflight,
-
-		Ops:                  conc.Ops,
-		SerialWallMs:         serial.WallMs,
-		ConcurrentWallMs:     conc.WallMs,
-		ThroughputOps:        conc.ThroughputOps,
-		P50Ms:                conc.P50Ms,
-		P99Ms:                conc.P99Ms,
-		Shed:                 conc.Shed,
-		ShedRate:             conc.ShedRate(),
-		TranscriptsIdentical: true,
-		ModelFits:            cache.Fits,
-		ModelCacheHits:       cache.Hits,
-		ModelCoalesced:       cache.Coalesced,
-
-		DrainStoppedClients: stopped,
-		DrainAccepted:       drained.AcceptedReports,
-		DrainDropped:        dropped,
-		DuplicateReports:    m.DuplicateReports,
-	})
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
+	r.Metrics["drain_stopped_clients"] = float64(stopped)
+	r.Metrics["drain_accepted_reports"] = float64(drained.AcceptedReports)
+	r.Metrics["duplicate_reports"] = float64(drainSrv.Metrics().DuplicateReports)
+	dropped, phantom = ledgerDiff(drainSrv, drained)
+	r.check("drain_dropped_max", float64(dropped), 0, dropped == 0)
+	r.check("drain_phantom_max", float64(phantom), 0, phantom == 0)
+	return nil
 }
 
-type streamReport struct {
-	Config string `json:"config"`
-	Cores  int    `json:"cores"`
-
-	// Quick fleet: full pass, then an incremental pass that must audit 0.
-	Servers          int `json:"servers"`
-	Credible         int `json:"credible"`
-	Uncertain        int `json:"uncertain"`
-	False            int `json:"false"`
-	SecondPassAudits int `json:"second_pass_audits"`
-
-	// Synthetic bounded-memory run:
-	SynthServers    int     `json:"synth_servers"`
-	BatchSize       int     `json:"batch_size"`
-	QueueDepth      int     `json:"queue_depth"`
-	SynthWallMs     float64 `json:"synth_wall_ms"`
-	SynthBatches    int     `json:"synth_batches"`
-	BaselineHeapMB  float64 `json:"baseline_heap_mb"`
-	PeakHeapMB      float64 `json:"peak_heap_mb"`
-	HeapCeilingMB   float64 `json:"heap_ceiling_mb"`
-	MaxLiveHosts    int     `json:"max_live_hosts"`
-	LiveHostBound   int     `json:"live_host_bound"`
-	SynthCredible   int     `json:"synth_credible"`
-	SynthUncertain  int     `json:"synth_uncertain"`
-	SynthFalse      int     `json:"synth_false"`
-	SynthSecondPass int     `json:"synth_second_pass_audits"`
+// modes maps each -mode value to its benchmark.
+var modes = map[string]func(*report) error{
+	"faults":    runFaults,
+	"stream":    runStream,
+	"adversary": runAdversary,
+	"atlasd":    runAtlasd,
 }
 
-// heapMB returns the current live-heap size in MB after a collection,
-// so batch-to-batch samples measure retained state, not GC phase.
-func heapMB() float64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return float64(m.HeapAlloc) / (1 << 20)
-}
-
-func runStream(scale string, cfg experiments.Config, synthServers int, out string) {
-	workers := runtime.GOMAXPROCS(0)
-	cfg.Concurrency = workers
-
-	// Part 1: a second pass over the unchanged quick fleet re-measures
-	// nothing.
-	lab, err := experiments.NewLab(cfg)
-	if err != nil {
-		log.Fatalf("building lab: %v", err)
-	}
-	auditor := lab.StreamingAuditor(0, 0)
-	first, err := auditor.Sync(context.Background(), lab.StreamSource())
-	if err != nil {
-		log.Fatalf("streaming audit: %v", err)
-	}
-	second, err := auditor.Sync(context.Background(), lab.StreamSource())
-	if err != nil {
-		log.Fatalf("second streaming pass: %v", err)
-	}
-	if second.Audited != 0 {
-		log.Fatalf("incremental bug: second pass over the unchanged fleet re-measured %d servers", second.Audited)
-	}
-	tally := auditor.Store().Tally()
-	fmt.Fprintf(os.Stderr, "quick fleet: %d servers audited, pass 2 re-measured 0\n", first.Audited)
-
-	// Part 2: bounded memory on a synthetic fleet far larger than RAM
-	// would allow if the pipeline materialized it.
-	const batchSize, queueDepth = 256, 2
-	simNet := netsim.New(9090)
-	rng := rand.New(rand.NewSource(9090))
-	cons, err := atlas.Build(simNet, atlas.Config{Anchors: 24, Probes: 12, SamplesPerPair: 3}, rng)
-	if err != nil {
-		log.Fatalf("building synth constellation: %v", err)
-	}
-	env := geoloc.NewEnv(4)
-	cal, err := cbgpp.Calibrate(cons, cbgpp.Options{})
-	if err != nil {
-		log.Fatalf("calibrating: %v", err)
-	}
-	client := netsim.HostID("stream-bench-client")
-	if err := simNet.AddHost(&netsim.Host{ID: client, Loc: geo.Point{Lat: 50.11, Lon: 8.68}, AccessDelayMs: 1}); err != nil {
-		log.Fatalf("adding client: %v", err)
-	}
-	src := stream.NewSynthSource(simNet, synthServers, 777)
-
-	baseline := heapMB()
-	ceiling := baseline + 128
-	peak := baseline
-	var mu sync.Mutex
-	synthAuditor := stream.New(stream.Config{
-		Cons:        cons,
-		Client:      client,
-		Env:         env,
-		Locator:     cbgpp.New(env, cal, cbgpp.Options{}),
-		Seed:        4242,
-		Concurrency: workers,
-		BatchSize:   batchSize,
-		QueueDepth:  queueDepth,
-		OnBatchDone: func(bs stream.BatchStats) {
-			h := heapMB()
-			mu.Lock()
-			if h > peak {
-				peak = h
-			}
-			mu.Unlock()
+// run executes one benchmark and writes its report to out. A pipeline
+// error returns before anything is written; failed checks return an
+// error after the report is written.
+func run(mode string, bench func(*report) error, out string) error {
+	r := &report{
+		Mode: mode,
+		Env: env{
+			Cores:      runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion:  runtime.Version(),
+			Revision:   revision(),
 		},
-	})
-	start := time.Now()
-	synthStats, err := synthAuditor.Sync(context.Background(), src)
+		Metrics: map[string]float64{},
+	}
+	if err := bench(r); err != nil {
+		return fmt.Errorf("mode %s: %w", mode, err)
+	}
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
-		log.Fatalf("synthetic streaming audit: %v", err)
+		return err
 	}
-	synthWall := time.Since(start)
-	if peak > ceiling {
-		log.Fatalf("bounded-memory violation: peak heap %.1f MB exceeds ceiling %.1f MB (baseline %.1f MB)", peak, ceiling, baseline)
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	liveBound := (queueDepth + 2) * batchSize
-	if src.MaxLiveHosts() > liveBound {
-		log.Fatalf("provisioning violation: %d live hosts at peak, bound is %d", src.MaxLiveHosts(), liveBound)
-	}
-	synthSecond, err := synthAuditor.Sync(context.Background(), src)
-	if err != nil {
-		log.Fatalf("second synthetic pass: %v", err)
-	}
-	if synthSecond.Audited != 0 {
-		log.Fatalf("incremental bug: second synthetic pass re-measured %d servers", synthSecond.Audited)
-	}
-	synthTally := synthAuditor.Store().Tally()
-	fmt.Fprintf(os.Stderr, "synthetic: %d servers in %d batches over %v; heap baseline %.1f MB, peak %.1f MB (ceiling %.1f); peak live hosts %d (bound %d)\n",
-		synthServers, synthStats.Batches, synthWall.Round(time.Millisecond), baseline, peak, ceiling, src.MaxLiveHosts(), liveBound)
-
-	writeJSON(out, streamReport{
-		Config: scale,
-		Cores:  runtime.NumCPU(),
-
-		Servers:          first.Total,
-		Credible:         tally.Credible,
-		Uncertain:        tally.Uncertain,
-		False:            tally.False,
-		SecondPassAudits: second.Audited,
-
-		SynthServers:    synthServers,
-		BatchSize:       batchSize,
-		QueueDepth:      queueDepth,
-		SynthWallMs:     float64(synthWall.Microseconds()) / 1000,
-		SynthBatches:    synthStats.Batches,
-		BaselineHeapMB:  baseline,
-		PeakHeapMB:      peak,
-		HeapCeilingMB:   ceiling,
-		MaxLiveHosts:    src.MaxLiveHosts(),
-		LiveHostBound:   liveBound,
-		SynthCredible:   synthTally.Credible,
-		SynthUncertain:  synthTally.Uncertain,
-		SynthFalse:      synthTally.False,
-		SynthSecondPass: synthSecond.Audited,
-	})
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-}
-
-type adversaryPointRow struct {
-	Name             string  `json:"name"`
-	Attack           string  `json:"attack"`
-	ProxyFraction    float64 `json:"proxy_fraction"`
-	Aggressiveness   float64 `json:"aggressiveness"`
-	ByzantineFrac    float64 `json:"byzantine_fraction"`
-	DetectOnly       bool    `json:"detect_only"`
-	TP               int     `json:"tp"`
-	FP               int     `json:"fp"`
-	FN               int     `json:"fn"`
-	TN               int     `json:"tn"`
-	Unscored         int     `json:"unscored"`
-	LandmarkTP       int     `json:"landmark_tp"`
-	LandmarkFP       int     `json:"landmark_fp"`
-	LandmarkFN       int     `json:"landmark_fn"`
-	SuspectedServers int     `json:"suspected_servers"`
-	FlaggedLandmarks int     `json:"flagged_landmarks"`
-	ExcludedMeas     int     `json:"excluded_measurements"`
-	AuditSHA         string  `json:"audit_sha256"`
-}
-
-type adversaryReport struct {
-	Config  string `json:"config"`
-	Cores   int    `json:"cores"`
-	Servers int    `json:"servers"`
-	Anchors int    `json:"anchors"`
-
-	Points []adversaryPointRow `json:"points"`
-
-	Precision         float64 `json:"precision"`
-	Recall            float64 `json:"recall"`
-	ProxyPrecision    float64 `json:"proxy_precision"`
-	ProxyRecall       float64 `json:"proxy_recall"`
-	LandmarkPrecision float64 `json:"landmark_precision"`
-	LandmarkRecall    float64 `json:"landmark_recall"`
-
-	PrecisionFloor float64 `json:"precision_floor"`
-	RecallFloor    float64 `json:"recall_floor"`
-	FloorsCleared  bool    `json:"floors_cleared"`
-
-	SerialWallMs          float64 `json:"serial_wall_ms"`
-	ParallelWallMs        float64 `json:"parallel_wall_ms"`
-	ParallelWorkers       int     `json:"parallel_workers"`
-	FingerprintsIdentical bool    `json:"fingerprints_identical"`
-}
-
-func runAdversary(out string) {
-	const precisionFloor, recallFloor = 0.9, 0.8
-	cfg := experiments.AdversaryBenchConfig()
-	sweepAt := func(workers int) (*experiments.AdversaryResult, int, int, time.Duration) {
-		c := cfg
-		c.Concurrency = workers
-		lab, err := experiments.NewLab(c)
-		if err != nil {
-			log.Fatalf("building lab (%d workers): %v", workers, err)
+	failed := 0
+	for _, c := range r.Checks {
+		if !c.Pass {
+			failed++
 		}
-		start := time.Now()
-		res, err := lab.AdversarySweep(nil)
-		if err != nil {
-			log.Fatalf("adversary sweep (%d workers): %v", workers, err)
-		}
-		return res, len(lab.Fleet.Servers()), len(lab.Cons.Anchors()), time.Since(start)
 	}
-
-	serial, servers, anchors, serialWall := sweepAt(1)
-	fmt.Fprintf(os.Stderr, "serial (1 worker):    %d attack points in %v\n", len(serial.Points), serialWall.Round(time.Millisecond))
-	workers := runtime.GOMAXPROCS(0)
-	parallel, _, _, parWall := sweepAt(workers)
-	fmt.Fprintf(os.Stderr, "parallel (%d workers): %d attack points in %v\n", workers, len(parallel.Points), parWall.Round(time.Millisecond))
-
-	if serial.Fingerprint() != parallel.Fingerprint() {
-		log.Fatalf("determinism violation: adversary sweeps differ across concurrency\n--- serial ---\n%s--- parallel ---\n%s",
-			serial.Fingerprint(), parallel.Fingerprint())
+	if failed > 0 {
+		return fmt.Errorf("mode %s: %d of %d checks failed; report written to %s", mode, failed, len(r.Checks), out)
 	}
-	fmt.Fprint(os.Stderr, serial.Render())
-
-	rep := adversaryReport{
-		Config:  "bench",
-		Cores:   runtime.NumCPU(),
-		Servers: servers,
-		Anchors: anchors,
-
-		Precision:         serial.Precision,
-		Recall:            serial.Recall,
-		ProxyPrecision:    serial.ProxyPrecision,
-		ProxyRecall:       serial.ProxyRecall,
-		LandmarkPrecision: serial.LandmarkPrecision,
-		LandmarkRecall:    serial.LandmarkRecall,
-
-		PrecisionFloor: precisionFloor,
-		RecallFloor:    recallFloor,
-		FloorsCleared:  serial.Precision >= precisionFloor && serial.Recall >= recallFloor,
-
-		SerialWallMs:          float64(serialWall.Microseconds()) / 1000,
-		ParallelWallMs:        float64(parWall.Microseconds()) / 1000,
-		ParallelWorkers:       workers,
-		FingerprintsIdentical: true,
-	}
-	for _, pt := range serial.Points {
-		rep.Points = append(rep.Points, adversaryPointRow{
-			Name:             pt.Name,
-			Attack:           pt.Plan.Attack.String(),
-			ProxyFraction:    pt.Plan.ProxyFraction,
-			Aggressiveness:   pt.Plan.Aggressiveness,
-			ByzantineFrac:    pt.Plan.ByzantineFraction,
-			DetectOnly:       pt.Plan.DetectOnly,
-			TP:               pt.TP,
-			FP:               pt.FP,
-			FN:               pt.FN,
-			TN:               pt.TN,
-			Unscored:         pt.Unscored,
-			LandmarkTP:       pt.LandmarkTP,
-			LandmarkFP:       pt.LandmarkFP,
-			LandmarkFN:       pt.LandmarkFN,
-			SuspectedServers: pt.SuspectedServers,
-			FlaggedLandmarks: pt.FlaggedLandmarks,
-			ExcludedMeas:     pt.ExcludedMeasurements,
-			AuditSHA:         pt.AuditSHA,
-		})
-	}
-	writeJSON(out, rep)
-	if !rep.FloorsCleared {
-		log.Fatalf("detection floors violated: precision %.3f (floor %.2f), recall %.3f (floor %.2f)",
-			rep.Precision, precisionFloor, rep.Recall, recallFloor)
-	}
-	fmt.Fprintf(os.Stderr, "precision %.3f ≥ %.2f, recall %.3f ≥ %.2f; fingerprints identical; wrote %s\n",
-		rep.Precision, precisionFloor, rep.Recall, recallFloor, out)
-}
-
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintf(os.Stderr, "mode %s: %d checks passed; wrote %s\n", mode, len(r.Checks), out)
+	return nil
 }
 
 func main() {
-	mode := flag.String("mode", "audit", "what to benchmark: audit, locate, faults, stream, adversary or atlasd")
-	scale := flag.String("scale", "quick", "audit scale: quick or paper")
+	mode := flag.String("mode", "", "benchmark to run: faults, stream, adversary or atlasd")
 	out := flag.String("out", "", "output JSON path (default BENCH_<mode>.json)")
-	synthServers := flag.Int("servers", 100_000, "synthetic fleet size for -mode stream")
 	flag.Parse()
-
-	var cfg experiments.Config
-	switch *scale {
-	case "quick":
-		cfg = experiments.QuickConfig()
-	case "paper":
-		cfg = experiments.PaperConfig()
-	default:
-		log.Fatalf("unknown scale %q", *scale)
+	bench, ok := modes[*mode]
+	if !ok || flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "benchaudit: unknown mode %q\n", *mode)
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	switch *mode {
-	case "audit":
-		if *out == "" {
-			*out = "BENCH_audit.json"
-		}
-		runAudit(*scale, cfg, *out)
-	case "locate":
-		if *out == "" {
-			*out = "BENCH_locate.json"
-		}
-		runLocate(*scale, cfg, *out)
-	case "faults":
-		if *out == "" {
-			*out = "BENCH_faults.json"
-		}
-		runFaults(*scale, cfg, *out)
-	case "stream":
-		if *out == "" {
-			*out = "BENCH_stream.json"
-		}
-		runStream(*scale, cfg, *synthServers, *out)
-	case "adversary":
-		if *out == "" {
-			*out = "BENCH_adversary.json"
-		}
-		runAdversary(*out)
-	case "atlasd":
-		if *out == "" {
-			*out = "BENCH_atlasd.json"
-		}
-		runAtlasd(*scale, *out)
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	if *out == "" {
+		*out = "BENCH_" + *mode + ".json"
+	}
+	if err := run(*mode, bench, *out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchaudit:", err)
+		os.Exit(1)
 	}
 }

@@ -8,13 +8,13 @@ import (
 
 // Tally aggregates verdicts the way Figure 17's top bars do.
 type Tally struct {
-	Credible  int
-	Uncertain int
-	False     int
+	Credible  int `json:"credible"`
+	Uncertain int `json:"uncertain"`
+	False     int `json:"false"`
 
 	// Continent-level splits of the false and uncertain cases.
-	FalseOffContinent int // false, and region doesn't even touch the claimed continent
-	UncertainSameCont int // uncertain, but continent credible
+	FalseOffContinent int `json:"false_off_continent"`      // false, and region doesn't even touch the claimed continent
+	UncertainSameCont int `json:"uncertain_same_continent"` // uncertain, but continent credible
 }
 
 // Total returns the number of tallied results.

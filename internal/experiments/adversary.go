@@ -62,28 +62,33 @@ func DefaultAttackMatrix() []AttackPoint {
 
 // AdversaryPoint is one matrix cell's scored outcome.
 type AdversaryPoint struct {
-	Name string
-	Plan measure.AdversaryPlan
+	Name string                `json:"name"`
+	Plan measure.AdversaryPlan `json:"plan"`
 
 	// Proxy-side confusion matrix: ManipulationSuspected vs the plan's
 	// LyingProxy ground truth, over servers that produced a verdict.
 	// Unscored counts servers whose pipeline failed outright — a liar
 	// that never measured left nothing to detect (or clear).
-	TP, FP, FN, TN int
-	Unscored       int
+	TP       int `json:"tp"`
+	FP       int `json:"fp"`
+	FN       int `json:"fn"`
+	TN       int `json:"tn"`
+	Unscored int `json:"unscored"`
 
 	// Landmark-side confusion matrix: cross-validation flags vs the
 	// plan's ByzantineLandmark ground truth, over all anchors.
-	LandmarkTP, LandmarkFP, LandmarkFN int
+	LandmarkTP int `json:"landmark_tp"`
+	LandmarkFP int `json:"landmark_fp"`
+	LandmarkFN int `json:"landmark_fn"`
 
 	// Audit aggregates at this point.
-	SuspectedServers     int
-	FlaggedLandmarks     int
-	ExcludedMeasurements int
+	SuspectedServers     int `json:"suspected_servers"`
+	FlaggedLandmarks     int `json:"flagged_landmarks"`
+	ExcludedMeasurements int `json:"excluded_measurements"`
 
 	// AuditSHA is the SHA-256 of the full audit fingerprint at this
 	// point — the cross-concurrency determinism check compares these.
-	AuditSHA string
+	AuditSHA string `json:"audit_sha256"`
 }
 
 // AdversaryResult is the scored sweep.

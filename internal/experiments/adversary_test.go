@@ -173,8 +173,8 @@ func TestAdversaryStreamingRearmDirties(t *testing.T) {
 
 // TestAdversaryDetectionFloors: the pooled detection quality over the
 // default attack matrix at the benchmark scale must clear the CI floors
-// (precision ≥ 0.9, recall ≥ 0.8) — the same numbers cmd/benchaudit
-// -mode adversary enforces.
+// (precision ≥ 0.9, recall ≥ 0.8) — the same bounds `make
+// bench-adversary` checks.
 func TestAdversaryDetectionFloors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full attack-matrix sweep at benchmark scale")

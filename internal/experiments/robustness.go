@@ -54,29 +54,30 @@ func FaultProfile(armed bool, loss, outage float64) netsim.FaultConfig {
 
 // AlgorithmArea is one algorithm's mean region size at one sweep point.
 type AlgorithmArea struct {
-	Algorithm   string
-	Hosts       int
-	MeanAreaKm2 float64
+	Algorithm   string  `json:"algorithm"`
+	Hosts       int     `json:"hosts"`
+	MeanAreaKm2 float64 `json:"mean_area_km2"`
 }
 
 // RobustnessPoint is one loss rate's outcome.
 type RobustnessPoint struct {
-	Loss   float64
-	Faults netsim.FaultConfig
+	Loss float64 `json:"loss"`
+	// Faults is netsim.DefaultFaults(Loss), so reports leave it out.
+	Faults netsim.FaultConfig `json:"-"`
 
 	// Audit outcome at this loss rate.
-	Tally           assess.Tally
-	MeasureFailures int
-	LocateFailures  int
-	DegradedServers int
-	Disconnects     int
-	LostLandmarks   int
-	Retries         int
-	MeanCoverage    float64
+	Tally           assess.Tally `json:"tally"`
+	MeasureFailures int          `json:"measure_failures"`
+	LocateFailures  int          `json:"locate_failures"`
+	DegradedServers int          `json:"degraded_servers"`
+	Disconnects     int          `json:"disconnects"`
+	LostLandmarks   int          `json:"lost_landmarks"`
+	Retries         int          `json:"retries"`
+	MeanCoverage    float64      `json:"mean_coverage"`
 
 	// Areas holds each algorithm's mean region size over the crowd
 	// cohort, in sweep order CBG, Quasi-Octant, Spotter, Hybrid, CBG++.
-	Areas []AlgorithmArea
+	Areas []AlgorithmArea `json:"areas"`
 }
 
 // RobustnessResult is the full sweep.

@@ -486,7 +486,7 @@ func (r *Region) AddCap(c geo.Cap) {
 // It is the one reference predicate outside test code, because it shares
 // addCap's candidate enumeration: the pre-kernel implementations in
 // internal/refimpl build on it as the oracle and the "before" side of
-// the BENCH_locate microbenchmarks. New code should use AddCap.
+// the root BenchmarkLocateReference. New code should use AddCap.
 func (r *Region) AddCapReference(c geo.Cap) {
 	r.addCap(c, func(i int) bool { return c.Contains(r.g.centers[i]) })
 }

@@ -10,7 +10,7 @@
 //     simulated campaign time advances a netsim.Clock by the measured
 //     RTTs. Per-client request/response transcripts are therefore
 //     byte-identical at any concurrency — the property the soak tests
-//     and `benchaudit -mode atlasd` assert.
+//     and `make bench-atlasd` check.
 //   - The service observations are wall-clock: per-operation latency
 //     (p50/p99), throughput, and how many requests the server shed.
 //     These describe the machine the run happened on and are reported,

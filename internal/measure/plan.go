@@ -54,37 +54,41 @@ func (a ProxyAttack) String() string {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler, so reports name the
+// attack instead of numbering it.
+func (a ProxyAttack) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+
 // AdversaryPlan arms the adversary layer. The zero value (and a nil
 // plan) is fully disabled: every pipeline behaves byte-identically to
 // the honest engine, which is what the golden-fingerprint regression
 // pins.
 type AdversaryPlan struct {
 	// Seed drives every membership and geometry hash.
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// Attack is the lying proxies' strategy; ProxyFraction the fraction
 	// of the fleet that lies (pure hash draw per proxy ID).
-	Attack        ProxyAttack
-	ProxyFraction float64
+	Attack        ProxyAttack `json:"attack"`
+	ProxyFraction float64     `json:"proxy_fraction"`
 	// Aggressiveness scales the attack strength in (0, 1]; zero means
 	// full strength.
-	Aggressiveness float64
+	Aggressiveness float64 `json:"aggressiveness"`
 	// PretendSpeedKmPerMs is the speed the decoy rewrite's forged
 	// delays imply (default 120 km/ms, a plausible terrestrial path
 	// speed; the full 200 km/ms would look suspiciously fast).
-	PretendSpeedKmPerMs float64
+	PretendSpeedKmPerMs float64 `json:"pretend_speed_km_per_ms"`
 
 	// ByzantineFraction is the fraction of anchors that lie (pure hash
 	// draw per anchor ID). Each Byzantine anchor deterministically
 	// either misreports its position by positionLieKm or pads
 	// meshBiasMs onto every RTT it reports.
-	ByzantineFraction float64
+	ByzantineFraction float64 `json:"byzantine_fraction"`
 
 	// DetectOnly arms the detection layer with zero liars: every actor
 	// is honest, but cross-validation and per-server inspection still
 	// run. The attack matrix's control point uses this to charge false
 	// positives on clean traffic against detection precision.
-	DetectOnly bool
+	DetectOnly bool `json:"detect_only"`
 }
 
 // Enabled reports whether the adversary layer is armed (false for nil).

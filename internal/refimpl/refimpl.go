@@ -12,9 +12,11 @@
 //     Locate is composed from grid.Region.AddCapReference, the
 //     haversine helpers below, and the algorithms' exported calibration
 //     APIs, so it shares no fast-path geometry code with the kernel.
-//  2. Honest "before" benchmarks. cmd/benchaudit -mode locate times
-//     these against the kernel implementations to produce the
-//     before/after table in BENCH_locate.json.
+//     On the quick lab's own vectors the regions must match exactly
+//     (experiments.TestQuickLocateMatchesReference).
+//  2. Honest "before" benchmarks. The root BenchmarkLocateReference and
+//     BenchmarkSpotterLocateReference time these against the kernel
+//     implementations (BenchmarkLocateKernel, BenchmarkSpotterLocate).
 //
 // One deliberate divergence: the pre-kernel Spotter sorted scored cells
 // with an unstable comparator on the score alone, so equal-score cells
