@@ -13,10 +13,11 @@
 //     and the final "bestline region" is the intersection of the largest
 //     consistent subset of the remaining bestline disks.
 //
-// The largest-consistent-subset searches are exact on the grid: a cell
-// covered by k disks witnesses a k-subset with nonempty intersection, so
-// the cells attaining the maximum coverage count are precisely the
-// intersection of the largest subset(s) — no powerset search needed.
+// The largest-consistent-subset searches are exact on the grid
+// (grid.Grid.CoverageArgmax): a cell covered by k disks witnesses a
+// k-subset with nonempty intersection, so the cells attaining the
+// maximum coverage count are precisely the intersection of the largest
+// subset(s) — no powerset search needed.
 package cbgpp
 
 import (
@@ -62,14 +63,19 @@ func (c *CBGPP) Calibration() *cbg.Calibration { return c.cal }
 // BaselineRegion computes the baseline region for a measurement set: the
 // intersection of the largest consistent subset of 200 km/ms disks.
 func (c *CBGPP) BaselineRegion(ms []geoloc.Measurement) *grid.Region {
-	ms = geoloc.Collapse(ms)
+	return c.baselineRegion(geoloc.Collapse(ms))
+}
+
+// baselineRegion is BaselineRegion over an already-collapsed
+// measurement set.
+func (c *CBGPP) baselineRegion(ms []geoloc.Measurement) *grid.Region {
 	pad := c.env.PadKm()
 	regions := make([]*grid.Region, 0, len(ms))
 	for _, m := range ms {
 		r := geo.MaxDistanceKm(m.OneWayMs(), geo.BaselineSpeedKmPerMs) + pad
 		regions = append(regions, c.env.CapRegionFor(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
 	}
-	best, _ := geoloc.CoverageArgmax(c.env.Grid, regions)
+	best, _ := c.env.Grid.CoverageArgmax(regions)
 	return best
 }
 
@@ -97,7 +103,7 @@ func (c *CBGPP) LocateDetailed(ms []geoloc.Measurement) (*grid.Region, int, erro
 
 	kept := bestlineRegions
 	if !c.opts.DisableBaselineFilter {
-		baseRegion := c.BaselineRegion(ms)
+		baseRegion := c.baselineRegion(ms)
 		kept = kept[:0:0]
 		for _, br := range bestlineRegions {
 			if br.IntersectsRegion(baseRegion) {
@@ -111,7 +117,7 @@ func (c *CBGPP) LocateDetailed(ms []geoloc.Measurement) (*grid.Region, int, erro
 		}
 	}
 
-	best, _ := geoloc.CoverageArgmax(c.env.Grid, kept)
+	best, _ := c.env.Grid.CoverageArgmax(kept)
 	return c.env.ApplyExclusions(best), len(kept), nil
 }
 

@@ -201,40 +201,11 @@ func Collapse(ms []Measurement) []Measurement {
 	return out
 }
 
-// CoverageArgmax returns the set of grid cells covered by the maximum
-// number of the given constraint regions, along with that maximum count.
-// It is the discrete analogue of "the largest subset of disks whose
-// intersection is nonempty" from CBG++ (§5.1): any cell covered by k
-// disks witnesses a k-subset with nonempty intersection, so the cells at
-// the maximum count are exactly the intersection of the largest such
-// subset(s).
-func CoverageArgmax(g *grid.Grid, regions []*grid.Region) (*grid.Region, int) {
-	counts := make([]int16, g.NumCells())
-	for _, r := range regions {
-		r.Each(func(i int) { counts[i]++ })
-	}
-	var maxc int16
-	for _, c := range counts {
-		if c > maxc {
-			maxc = c
-		}
-	}
-	out := g.NewRegion()
-	if maxc == 0 {
-		return out, 0
-	}
-	for i, c := range counts {
-		if c == maxc {
-			out.Add(i)
-		}
-	}
-	return out, int(maxc)
-}
-
 // IntersectOrArgmax multilaterates ring/disk constraint regions: it
 // first tries the strict intersection of all constraints; when noise
 // makes that empty (common for ring constraints at world scale, §5),
-// it falls back to the cells covered by the largest consistent subset.
+// it falls back to the cells covered by the largest consistent subset
+// (grid.Grid.CoverageArgmax).
 // The strict path keeps successful predictions small — the behaviour
 // behind the paper's Figure 9C, where ring-based algorithms produce
 // much smaller (and often wrong) regions than CBG.
@@ -250,7 +221,7 @@ func IntersectOrArgmax(g *grid.Grid, regions []*grid.Region) *grid.Region {
 			// cells when all weights are equal — but a region where only
 			// a minority of constraints agree is no prediction at all,
 			// so require a clear majority.
-			best, count := CoverageArgmax(g, regions)
+			best, count := g.CoverageArgmax(regions)
 			if count*2 < len(regions) {
 				return g.NewRegion()
 			}

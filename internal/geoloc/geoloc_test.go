@@ -90,30 +90,6 @@ func TestApplyExclusionsPolar(t *testing.T) {
 	})
 }
 
-func TestCoverageArgmax(t *testing.T) {
-	e := testEnv(t)
-	g := e.Grid
-	a := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1000})
-	b := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1000})
-	c := g.CapRegion(geo.Cap{Center: geo.Point{Lat: -30, Lon: 140}, RadiusKm: 1000}) // disjoint
-
-	best, count := CoverageArgmax(g, []*grid.Region{a, b, c})
-	if count != 2 {
-		t.Fatalf("max count = %d, want 2", count)
-	}
-	// The argmax region is exactly the a∩b lens.
-	ab := a.Clone()
-	ab.IntersectWith(b)
-	if best.Count() != ab.Count() {
-		t.Errorf("argmax %d cells, intersection %d", best.Count(), ab.Count())
-	}
-	// Degenerate cases.
-	empty, count := CoverageArgmax(g, nil)
-	if count != 0 || !empty.Empty() {
-		t.Error("empty input should give empty region")
-	}
-}
-
 func TestIntersectOrArgmaxStrict(t *testing.T) {
 	e := testEnv(t)
 	g := e.Grid

@@ -1,9 +1,11 @@
 package grid
 
-// Native fuzz targets for the word-wise mask kernel: every CapMasks op
-// must stay byte-identical to its per-cell oracle (oracle_test.go) for
-// any center, radius and grid resolution. The seed corpus below runs in
-// every plain `go test`; `make fuzz-smoke` explores beyond it.
+// Native fuzz targets for the word-wise kernel: every CapMasks op must
+// stay byte-identical to its per-cell oracle (oracle_test.go) for any
+// center, radius and grid resolution, and the bit-sliced CoverageArgmax
+// must return the same region and count as a per-cell int count for any
+// set of regions. The seed corpora below run in every plain `go test`;
+// `make fuzz-smoke` explores beyond them.
 //
 // NaN radii are outside the kernel's contract (no caller can produce
 // one, see the CapMasks method docs), so the targets skip them.
@@ -121,6 +123,67 @@ func FuzzFillRingKm(f *testing.F) {
 		fillRingReference(b, dist, minExclusiveKm, maxKm)
 		if !a.Equal(b) {
 			t.Fatalf("center %v ring (%v, %v] res %v: mask fill %d cells, per-cell %d", p, minExclusiveKm, maxKm, g.Resolution(), a.Count(), b.Count())
+		}
+	})
+}
+
+// Region shapes for FuzzCoverageArgmax.
+const (
+	shapeRandom    = iota // independent random regions
+	shapeEmpty            // every region empty
+	shapeIdentical        // k copies of one random region
+	shapeFull             // every region the full grid
+	shapeDisjoint         // small caps at well-separated centers
+	numShapes
+)
+
+// coverageRegions builds k regions of the given shape on g.
+func coverageRegions(g *Grid, k int, shape int, rng *rand.Rand) []*Region {
+	regions := make([]*Region, k)
+	one := randomRegion(g, rng)
+	for j := range regions {
+		switch shape {
+		case shapeRandom:
+			regions[j] = randomRegion(g, rng)
+		case shapeEmpty:
+			regions[j] = g.NewRegion()
+		case shapeIdentical:
+			regions[j] = one.Clone()
+		case shapeFull:
+			regions[j] = g.FullRegion()
+		case shapeDisjoint:
+			// A Fibonacci lattice keeps the centers ≳2,500 km apart for
+			// k ≤ 70, so 300 km caps only touch on the coarsest grids.
+			lat := math.Asin(1-2*(float64(j)+0.5)/float64(k)) * 180 / math.Pi
+			lon := math.Mod(float64(j)*137.508, 360) - 180
+			regions[j] = g.CapRegion(geo.Cap{Center: geo.Point{Lat: lat, Lon: lon}, RadiusKm: 300})
+		}
+	}
+	return regions
+}
+
+func FuzzCoverageArgmax(f *testing.F) {
+	// k = 0 and 1; the plane count steps between 2^p−1 and 2^p.
+	ks := []uint8{0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64}
+	// fuzzGrid(0) is the 2° grid, whose 10,312 cells end in a partial
+	// word; fuzzGrid(27) is the 29° grid, whose 50 cells fill less than
+	// one word.
+	for i, k := range ks {
+		for shape := range numShapes {
+			f.Add(k, uint8(shape), []float64{0, 27}[i%2], int64(i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, k, shape uint8, res float64, seed int64) {
+		if !finite(res) {
+			t.Skip()
+		}
+		g := fuzzGrid(res)
+		regions := coverageRegions(g, int(k)%70, int(shape)%numShapes, rand.New(rand.NewSource(seed)))
+		got, gotN := g.CoverageArgmax(regions)
+		want, wantN := coverageArgmaxReference(g, regions)
+		if gotN != wantN || !got.Equal(want) {
+			t.Fatalf("k %d shape %d res %v: count %d with %d cells, per-cell %d with %d cells",
+				len(regions), shape%numShapes, g.Resolution(), gotN, got.Count(), wantN, want.Count())
 		}
 	})
 }

@@ -79,3 +79,26 @@ func distanceToPointKmReference(r *Region, p geo.Point) float64 {
 	})
 	return best
 }
+
+// coverageArgmaxReference counts every region's cells one by one in a
+// plain int per cell and returns the cells at the maximum count.
+func coverageArgmaxReference(g *Grid, regions []*Region) (*Region, int) {
+	counts := make([]int, g.NumCells())
+	for _, r := range regions {
+		r.Each(func(i int) { counts[i]++ })
+	}
+	maxc := 0
+	for _, c := range counts {
+		maxc = max(maxc, c)
+	}
+	out := g.NewRegion()
+	if maxc == 0 {
+		return out, 0
+	}
+	for i, c := range counts {
+		if c == maxc {
+			out.Add(i)
+		}
+	}
+	return out, maxc
+}

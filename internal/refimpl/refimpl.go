@@ -10,7 +10,9 @@
 //     produce the same region through either path (up to documented
 //     ulp-level boundary ties; see the package tests). Each reference
 //     Locate is composed from grid.Region.AddCapReference, the
-//     haversine helpers below, and the algorithms' exported calibration
+//     haversine helpers below, a per-cell copy of the coverage argmax
+//     (coverageArgmaxReference, against grid.Grid.CoverageArgmax's
+//     bit-sliced counts), and the algorithms' exported calibration
 //     APIs, so it shares no fast-path geometry code with the kernel.
 //     On the quick lab's own vectors the regions must match exactly
 //     (experiments.TestQuickLocateMatchesReference).
@@ -71,6 +73,54 @@ func ringRegionReference(g *grid.Grid, ring geo.Ring) *grid.Region {
 		}
 	}
 	return outer
+}
+
+// coverageArgmaxReference is the pre-bit-sliced largest-consistent-subset
+// search: one int16 count per cell, bumped cell by cell, then the cells
+// at the maximum count.
+func coverageArgmaxReference(g *grid.Grid, regions []*grid.Region) (*grid.Region, int) {
+	counts := make([]int16, g.NumCells())
+	for _, r := range regions {
+		r.Each(func(i int) { counts[i]++ })
+	}
+	var maxc int16
+	for _, c := range counts {
+		if c > maxc {
+			maxc = c
+		}
+	}
+	out := g.NewRegion()
+	if maxc == 0 {
+		return out, 0
+	}
+	for i, c := range counts {
+		if c == maxc {
+			out.Add(i)
+		}
+	}
+	return out, int(maxc)
+}
+
+// intersectOrArgmaxReference is geoloc.IntersectOrArgmax over
+// coverageArgmaxReference: the strict intersection of all regions, or,
+// when that is empty, the maximum-coverage cells if a majority of the
+// regions agree on them.
+func intersectOrArgmaxReference(g *grid.Grid, regions []*grid.Region) *grid.Region {
+	if len(regions) == 0 {
+		return g.NewRegion()
+	}
+	strict := regions[0].Clone()
+	for _, r := range regions[1:] {
+		strict.IntersectWith(r)
+		if strict.Empty() {
+			best, count := coverageArgmaxReference(g, regions)
+			if count*2 < len(regions) {
+				return g.NewRegion()
+			}
+			return best
+		}
+	}
+	return strict
 }
 
 // CBG is the pre-kernel CBG: pad disks, intersect starting from the
@@ -134,7 +184,7 @@ func (c *CBGPP) baselineRegion(ms []geoloc.Measurement) *grid.Region {
 		r := geo.MaxDistanceKm(m.OneWayMs(), geo.BaselineSpeedKmPerMs) + pad
 		regions = append(regions, capRegionReference(c.Env.Grid, geo.Cap{Center: m.Landmark, RadiusKm: r}))
 	}
-	best, _ := geoloc.CoverageArgmax(c.Env.Grid, regions)
+	best, _ := coverageArgmaxReference(c.Env.Grid, regions)
 	return best
 }
 
@@ -166,12 +216,12 @@ func (c *CBGPP) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		}
 	}
 
-	best, _ := geoloc.CoverageArgmax(c.Env.Grid, kept)
+	best, _ := coverageArgmaxReference(c.Env.Grid, kept)
 	return c.Env.ApplyExclusions(best), nil
 }
 
 // Octant is the pre-kernel Quasi-Octant: padded rings rasterized with
-// haversine caps, then IntersectOrArgmax.
+// haversine caps, then intersectOrArgmaxReference.
 type Octant struct {
 	Env *geoloc.Env
 	Cal *octant.Calibration
@@ -202,7 +252,7 @@ func (o *Octant) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		}
 		regions = append(regions, ringRegionReference(o.Env.Grid, r))
 	}
-	best := geoloc.IntersectOrArgmax(o.Env.Grid, regions)
+	best := intersectOrArgmaxReference(o.Env.Grid, regions)
 	return o.Env.ApplyExclusions(best), nil
 }
 
@@ -241,7 +291,7 @@ func (h *Hybrid) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		}
 		regions = append(regions, ringRegionReference(h.Env.Grid, r))
 	}
-	best := geoloc.IntersectOrArgmax(h.Env.Grid, regions)
+	best := intersectOrArgmaxReference(h.Env.Grid, regions)
 	return h.Env.ApplyExclusions(best), nil
 }
 
