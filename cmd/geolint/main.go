@@ -7,16 +7,8 @@
 //
 //	geolint [flags] [packages]
 //
-//	-list            list the analyzers and exit
-//	-json            emit findings as a JSON document (the CI artifact)
-//	-fix             apply suggested fixes to the source tree
-//	-diff            with -fix: print the rewrite as a unified diff
-//	                 instead of writing files (dry run)
-//	-baseline FILE   ratchet: suppress findings recorded in FILE, fail
-//	                 only on new ones
-//	-write-baseline  with -baseline: snapshot current findings to FILE
-//	-parallel N      package-load worker count (default GOMAXPROCS;
-//	                 1 = serial; output is identical either way)
+//	-list   list the analyzers and exit
+//	-json   emit findings as a JSON document (the CI artifact)
 //
 // Packages are go-style patterns relative to the module root
 // ("./...", "./internal/geo", "internal/experiments/..."); the default
@@ -24,11 +16,12 @@
 //
 //	//lint:allow <analyzer> <reason>
 //
-// on the flagged line or alone on the line above; there is no blanket
-// disable, and a malformed directive is itself a finding. Exit status:
-// 0 clean, 1 findings (whether or not -fix repaired them), 2 usage or
-// load failure. Fix application is idempotent: running -fix twice
-// writes nothing the second time.
+// alone on the line above the flagged line or trailing the flagged line
+// itself; there is no blanket disable, and a malformed directive is
+// itself a finding. Packages load concurrently on min(GOMAXPROCS,
+// package count) workers; output is in (file, line, column, analyzer)
+// order regardless. Exit status: 0 clean, 1 findings, 2 usage or load
+// failure.
 package main
 
 import (
@@ -37,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"activegeo/internal/analysis"
 )
@@ -51,11 +43,6 @@ func run(args []string, out, errw io.Writer) int {
 	fs.SetOutput(errw)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	fix := fs.Bool("fix", false, "apply suggested fixes")
-	diff := fs.Bool("diff", false, "with -fix: print the rewrite as a unified diff instead of writing")
-	baselinePath := fs.String("baseline", "", "ratchet file: suppress findings recorded in it")
-	writeBaseline := fs.Bool("write-baseline", false, "with -baseline: snapshot current findings and exit")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "package-load worker count (1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -66,14 +53,6 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		return 0
 	}
-	if *diff && !*fix {
-		fmt.Fprintln(errw, "geolint: -diff requires -fix")
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(errw, "geolint: -write-baseline requires -baseline FILE")
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -83,70 +62,20 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "geolint: %v\n", err)
 		return 2
 	}
-	diags, modDir, err := lintPatterns(wd, patterns, suite, *parallel)
+	diags, err := lintPatterns(wd, patterns, suite)
 	if err != nil {
 		fmt.Fprintf(errw, "geolint: %v\n", err)
 		return 2
 	}
 
-	if *writeBaseline {
-		b := analysis.NewBaseline(diags, modDir)
-		if err := b.WriteBaseline(*baselinePath); err != nil {
-			fmt.Fprintf(errw, "geolint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(out, "geolint: wrote baseline (%d finding(s)) to %s\n", len(diags), *baselinePath)
-		return 0
-	}
-	suppressed := 0
-	if *baselinePath != "" {
-		b, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(errw, "geolint: %v\n", err)
-			return 2
-		}
-		diags, suppressed = b.Filter(diags, modDir)
-	}
-
-	if *fix {
-		res, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(errw, "geolint: %v\n", err)
-			return 2
-		}
-		if *diff {
-			text, err := res.Diff()
-			if err != nil {
-				fmt.Fprintf(errw, "geolint: %v\n", err)
-				return 2
-			}
-			fmt.Fprint(out, text)
-		} else {
-			if err := res.WriteFixes(); err != nil {
-				fmt.Fprintf(errw, "geolint: %v\n", err)
-				return 2
-			}
-			if res.Applied > 0 || res.Skipped > 0 {
-				fmt.Fprintf(out, "geolint: applied %d fix(es), skipped %d\n", res.Applied, res.Skipped)
-			}
-		}
-		if len(diags) > 0 {
-			return 1
-		}
-		return 0
-	}
-
 	if *jsonOut {
-		if err := writeJSON(out, diags, suppressed); err != nil {
+		if err := writeJSON(out, diags); err != nil {
 			fmt.Fprintf(errw, "geolint: %v\n", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(out, d)
-		}
-		if suppressed > 0 {
-			fmt.Fprintf(out, "geolint: %d baselined finding(s) suppressed\n", suppressed)
 		}
 		if len(diags) > 0 {
 			fmt.Fprintf(out, "geolint: %d finding(s)\n", len(diags))
@@ -160,20 +89,18 @@ func run(args []string, out, errw io.Writer) int {
 
 // jsonDiag is the stable JSON rendering of one finding.
 type jsonDiag struct {
-	File     string                  `json:"file"`
-	Line     int                     `json:"line"`
-	Col      int                     `json:"col"`
-	Analyzer string                  `json:"analyzer"`
-	Message  string                  `json:"message"`
-	Fixes    []analysis.SuggestedFix `json:"fixes,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
-func writeJSON(out io.Writer, diags []analysis.Diagnostic, suppressed int) error {
+func writeJSON(out io.Writer, diags []analysis.Diagnostic) error {
 	payload := struct {
-		Count      int        `json:"count"`
-		Suppressed int        `json:"suppressed"`
-		Findings   []jsonDiag `json:"findings"`
-	}{Count: len(diags), Suppressed: suppressed, Findings: []jsonDiag{}}
+		Count    int        `json:"count"`
+		Findings []jsonDiag `json:"findings"`
+	}{Count: len(diags), Findings: []jsonDiag{}}
 	for _, d := range diags {
 		payload.Findings = append(payload.Findings, jsonDiag{
 			File:     d.Pos.Filename,
@@ -181,7 +108,6 @@ func writeJSON(out io.Writer, diags []analysis.Diagnostic, suppressed int) error
 			Col:      d.Pos.Column,
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
-			Fixes:    d.Fixes,
 		})
 	}
 	data, err := json.MarshalIndent(payload, "", "  ")
@@ -192,25 +118,24 @@ func writeJSON(out io.Writer, diags []analysis.Diagnostic, suppressed int) error
 	return err
 }
 
-// lintPatterns loads the packages over a worker pool and returns every
-// finding in deterministic (directory, position) order plus the module
-// root for baseline relativization.
-func lintPatterns(dir string, patterns []string, suite []*analysis.Analyzer, workers int) ([]analysis.Diagnostic, string, error) {
+// lintPatterns loads the packages and returns every finding in
+// deterministic (directory, position) order.
+func lintPatterns(dir string, patterns []string, suite []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	loader, err := analysis.NewLoader(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	pkgs, err := loader.LoadPatternsParallel(workers, patterns...)
+	pkgs, err := loader.LoadPatterns(patterns...)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		diags, err := analysis.RunPackage(pkg, suite)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		all = append(all, diags...)
 	}
-	return all, loader.ModDir, nil
+	return all, nil
 }

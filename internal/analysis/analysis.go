@@ -36,21 +36,17 @@
 //   - goroleak:   goroutines launched in library packages must have an
 //     owner — a context, a WaitGroup join, or a channel handoff.
 //
-// Diagnostics may carry mechanical SuggestedFixes which cmd/geolint
-// -fix applies (with -diff as dry-run); fix application is idempotent.
-// A ratchet baseline file (cmd/geolint -baseline) makes CI fail only on
-// findings not already recorded.
-//
 // # Allow directive
 //
 // A deliberate exception is annotated in the source with
 //
 //	//lint:allow <analyzer> <reason>
 //
-// placed on the flagged line or alone on the line directly above it.
-// The analyzer name must match one analyzer exactly and the reason is
-// mandatory; a directive without a reason is itself reported. There is
-// no blanket file- or package-level disable.
+// placed alone on the line directly above the flagged line, or trailing
+// the flagged line itself; a directive that shares its line with code
+// covers only that line. The analyzer name must match one analyzer
+// exactly and the reason is mandatory; a directive without a reason is
+// itself reported. There is no blanket file- or package-level disable.
 package analysis
 
 import (
@@ -63,30 +59,11 @@ import (
 )
 
 // Diagnostic is one finding, positioned in the file set of the loaded
-// package. Fixes, when present, are mechanical repairs cmd/geolint -fix
-// can apply; applying them must make the diagnostic disappear on the
-// next run (the idempotence contract fix_test.go enforces).
+// package.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []SuggestedFix
-}
-
-// TextEdit replaces the byte range [Start, End) of Filename with
-// NewText. Offsets are byte offsets into the file as parsed.
-type TextEdit struct {
-	Filename string `json:"file"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	NewText  string `json:"new_text"`
-}
-
-// SuggestedFix is one self-contained mechanical repair: all edits are
-// applied together or not at all.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
 }
 
 func (d Diagnostic) String() string {
@@ -120,24 +97,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportFix records a finding at pos carrying one suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []SuggestedFix{fix},
-	})
-}
-
-// Edit builds a TextEdit replacing the source range [from, to) with
-// newText, resolving positions through the pass's file set.
-func (p *Pass) Edit(from, to token.Pos, newText string) TextEdit {
-	start := p.Fset.Position(from)
-	end := p.Fset.Position(to)
-	return TextEdit{Filename: start.Filename, Start: start.Offset, End: end.Offset, NewText: newText}
 }
 
 // TypeOf is a nil-tolerant shorthand for Pass.Info.TypeOf.
@@ -179,11 +138,13 @@ const DirectiveAnalyzer = "directive"
 
 const directivePrefix = "//lint:allow"
 
-// allowSite is one parsed //lint:allow directive.
+// allowSite is one parsed //lint:allow directive. A trailing directive
+// shares its line with code and covers only that line.
 type allowSite struct {
 	analyzer string
 	file     string
 	line     int
+	trailing bool
 }
 
 // parseAllows extracts the allow directives of one file. Malformed
@@ -215,11 +176,42 @@ func parseAllows(fset *token.FileSet, f *ast.File, known map[string]bool) ([]all
 				bad = append(bad, Diagnostic{Pos: pos, Analyzer: DirectiveAnalyzer,
 					Message: fmt.Sprintf("directive for %q is missing the mandatory reason", fields[0])})
 			default:
-				sites = append(sites, allowSite{analyzer: fields[0], file: pos.Filename, line: pos.Line})
+				sites = append(sites, allowSite{analyzer: fields[0], file: pos.Filename, line: pos.Line,
+					trailing: codeBefore(fset, f, c.Pos())})
 			}
 		}
 	}
 	return sites, bad
+}
+
+// codeBefore reports whether a token of f precedes pos on pos's line.
+// Every token starts or ends some node, so it suffices to look for a
+// node boundary on that line before pos; subtrees lying wholly before
+// the line or starting at or after pos are pruned.
+func codeBefore(fset *token.FileSet, f *ast.File, pos token.Pos) bool {
+	line := fset.Position(pos).Line
+	found := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		if found || n.Pos() >= pos {
+			return false
+		}
+		if fset.Position(n.Pos()).Line == line {
+			found = true
+			return false
+		}
+		if n.End() <= pos {
+			if fset.Position(n.End()).Line == line {
+				found = true
+			}
+			return false
+		}
+		return true
+	})
+	return found
 }
 
 // RunPackage runs every analyzer over one loaded package and returns
@@ -280,13 +272,14 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // allowed reports whether a directive covers the diagnostic: same file,
-// same analyzer, on the flagged line or the line directly above it.
+// same analyzer, on the flagged line or alone on the line directly
+// above it.
 func allowed(d Diagnostic, allows []allowSite) bool {
 	for _, a := range allows {
 		if a.analyzer != d.Analyzer || a.file != d.Pos.Filename {
 			continue
 		}
-		if a.line == d.Pos.Line || a.line == d.Pos.Line-1 {
+		if a.line == d.Pos.Line || (!a.trailing && a.line == d.Pos.Line-1) {
 			return true
 		}
 	}

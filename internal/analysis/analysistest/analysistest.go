@@ -38,18 +38,7 @@ type expectation struct {
 // analyzers can be pointed at (or away from) the fixture.
 func Run(t *testing.T, dir, fixturePath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	pkg, err := loader.LoadDir(dir, fixturePath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	diags, err := analysis.RunPackage(pkg, analyzers)
-	if err != nil {
-		t.Fatalf("running analyzers on %s: %v", dir, err)
-	}
+	diags, pkg := load(t, dir, fixturePath, analyzers)
 	wants := collectWants(t, pkg)
 	for _, d := range diags {
 		if !matchWant(wants, d) {
@@ -106,6 +95,15 @@ func collectWants(t *testing.T, pkg *analysis.Package) []*expectation {
 // that assert on counts or exit behaviour rather than want comments.
 func Findings(t *testing.T, dir, fixturePath string, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
+	diags, _ := load(t, dir, fixturePath, analyzers)
+	return diags
+}
+
+// load type-checks the fixture and runs the analyzers over it,
+// returning the diagnostics and the loaded package whose comments
+// carry the want expectations.
+func load(t *testing.T, dir, fixturePath string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, *analysis.Package) {
+	t.Helper()
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("loader: %v", err)
@@ -118,5 +116,5 @@ func Findings(t *testing.T, dir, fixturePath string, analyzers ...*analysis.Anal
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", dir, err)
 	}
-	return diags
+	return diags, pkg
 }

@@ -24,14 +24,13 @@ var errdropMethods = map[string]bool{
 
 // NewErrdrop builds the errdrop analyzer: a bare expression-statement
 // call to one of the lifecycle methods above that returns exactly an
-// error is flagged, carrying a suggested fix that prefixes the call
-// with `_ = ` (the explicit discard the message asks for). Handling
-// the error, explicitly discarding it, or deferring the call
-// (`defer c.Close()`, the idiomatic best-effort cleanup) all pass.
+// error is flagged. Handling the error, explicitly discarding it
+// (`_ = c.Close()`), or deferring the call (`defer c.Close()`, the
+// idiomatic best-effort cleanup) all pass.
 func NewErrdrop() *Analyzer {
 	a := &Analyzer{
 		Name: "errdrop",
-		Doc:  "flags silently dropped errors from Close / SetDeadline / SetReadDeadline / SetWriteDeadline",
+		Doc:  "flags silently dropped errors from Close / SetDeadline / SetReadDeadline / SetWriteDeadline / Drain / Sync / Shutdown / Flush",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, f := range pass.Files {
@@ -54,11 +53,7 @@ func NewErrdrop() *Analyzer {
 					return true // pkg.Close(...) is not a method call
 				}
 				if t := pass.TypeOf(call); t != nil && isErrorType(t) {
-					fix := SuggestedFix{
-						Message: "discard the error explicitly with `_ = `",
-						Edits:   []TextEdit{pass.Edit(call.Pos(), call.Pos(), "_ = ")},
-					}
-					pass.ReportFix(call.Pos(), fix,
+					pass.Reportf(call.Pos(),
 						"%s error silently dropped: handle it or discard explicitly (_ = x.%s())",
 						sel.Sel.Name, sel.Sel.Name)
 				}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // DefaultFloatExactScope lists the geometry packages where exact float
@@ -40,7 +39,6 @@ func NewFloatexact(scope []string) *Analyzer {
 			return nil
 		}
 		for _, f := range pass.Files {
-			mathxName := importName(f, "activegeo/internal/mathx")
 			ast.Inspect(f, func(n ast.Node) bool {
 				be, ok := n.(*ast.BinaryExpr)
 				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
@@ -52,51 +50,12 @@ func NewFloatexact(scope []string) *Analyzer {
 				if pass.Info.Types[be.X].Value != nil && pass.Info.Types[be.Y].Value != nil {
 					return true // constant-folded: decided at compile time
 				}
-				msg := "exact float comparison (%s) in geometry package %s: acos-dot and haversine paths differ by ULPs — use mathx.ApproxEqual / mathx.Within"
-				// The mechanical rewrite a == b → mathx.ApproxEqual(a, b)
-				// (negated for !=) is only offered when the file already
-				// imports mathx: suggested fixes edit text, not import
-				// graphs.
-				if mathxName == "" {
-					pass.Reportf(be.OpPos, msg, be.Op, pass.Path)
-					return true
-				}
-				open := mathxName + ".ApproxEqual("
-				if be.Op == token.NEQ {
-					open = "!" + open
-				}
-				fix := SuggestedFix{
-					Message: "compare through " + mathxName + ".ApproxEqual",
-					Edits: []TextEdit{
-						pass.Edit(be.X.Pos(), be.X.Pos(), open),
-						pass.Edit(be.X.End(), be.Y.Pos(), ", "),
-						pass.Edit(be.Y.End(), be.Y.End(), ")"),
-					},
-				}
-				pass.ReportFix(be.OpPos, fix, msg, be.Op, pass.Path)
+				pass.Reportf(be.OpPos, "exact float comparison (%s) in geometry package %s: acos-dot and haversine paths differ by ULPs — use mathx.ApproxEqual / mathx.Within",
+					be.Op, pass.Path)
 				return true
 			})
 		}
 		return nil
 	}
 	return a
-}
-
-// importName returns the name the file refers to the given import path
-// by ("" when not imported; blank and dot imports don't count — the
-// rewrite needs a usable qualifier).
-func importName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != path {
-			continue
-		}
-		if imp.Name == nil {
-			return path[strings.LastIndex(path, "/")+1:]
-		}
-		if imp.Name.Name == "_" || imp.Name.Name == "." {
-			return ""
-		}
-		return imp.Name.Name
-	}
-	return ""
 }

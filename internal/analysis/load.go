@@ -97,9 +97,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Expand resolves go-style package patterns ("./...", "./internal/geo",
 // "internal/geo/...") relative to the module root into package dirs.
 // testdata, vendor and hidden directories are skipped.
@@ -168,66 +165,35 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 }
 
 // LoadPatterns expands the patterns and fully type-checks every
-// package directory that contains buildable Go files, serially.
-func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
-	return l.LoadPatternsParallel(1, patterns...)
-}
-
-// LoadPatternsParallel is LoadPatterns over a bounded worker pool:
-// package directories are parsed and type-checked on up to workers
-// goroutines (workers <= 1 selects the serial path), with dependency
+// package directory that contains buildable Go files. Directories are
+// loaded on min(GOMAXPROCS, len(dirs)) goroutines, with dependency
 // checks coalescing in the shared singleflight cache. The returned
-// slice is in directory order regardless of completion order, so a
-// parallel load is byte-identical to a serial one — downstream
-// diagnostic ordering cannot observe the pool.
-func (l *Loader) LoadPatternsParallel(workers int, patterns ...string) ([]*Package, error) {
+// slice is in directory order regardless of completion order, so
+// downstream diagnostic ordering cannot observe the pool.
+func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	dirs, err := l.Expand(patterns)
 	if err != nil {
 		return nil, err
 	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(dirs))
 	loaded := make([]*Package, len(dirs))
 	errs := make([]error, len(dirs))
-	loadOne := func(i int) {
-		path, err := l.importPathFor(dirs[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		pkg, err := l.LoadDir(dirs[i], path)
-		if err != nil {
-			if _, ok := err.(*build.NoGoError); ok {
-				return // directory without buildable Go files: skip
-			}
-			errs[i] = err
-			return
-		}
-		loaded[i] = pkg
-	}
-	if workers <= 1 {
-		for i := range dirs {
-			loadOne(i)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(dirs) {
-						return
-					}
-					loadOne(i)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(dirs) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				loaded[i], errs[i] = l.loadPatternDir(dirs[i])
+			}
+		}()
 	}
+	wg.Wait()
 	var pkgs []*Package
 	for i := range dirs {
 		if errs[i] != nil {
@@ -239,6 +205,20 @@ func (l *Loader) LoadPatternsParallel(workers int, patterns ...string) ([]*Packa
 		}
 	}
 	return pkgs, nil
+}
+
+// loadPatternDir loads one expanded directory; a directory without
+// buildable Go files yields (nil, nil).
+func (l *Loader) loadPatternDir(dir string) (*Package, error) {
+	path, err := l.importPathFor(dir)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.LoadDir(dir, path)
+	if _, ok := err.(*build.NoGoError); ok {
+		return nil, nil
+	}
+	return pkg, err
 }
 
 // LoadDir parses and fully type-checks the single package in dir under

@@ -2,6 +2,8 @@ package analysis_test
 
 import (
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"activegeo/internal/analysis"
@@ -26,8 +28,9 @@ func render(t *testing.T, pkgs []*analysis.Package) string {
 }
 
 // TestParallelLoadMatchesSerial: the worker-pool loader must be
-// byte-identical to the serial one — same packages, same order, same
-// diagnostics — including on fixture packages that actually produce
+// byte-identical to a serial oracle — LoadDir on each directory of
+// Expand(patterns), in order — with the same packages, order and
+// diagnostics, including on fixture packages that actually produce
 // findings.
 func TestParallelLoadMatchesSerial(t *testing.T) {
 	patterns := []string{
@@ -36,19 +39,31 @@ func TestParallelLoadMatchesSerial(t *testing.T) {
 		"internal/analysis/testdata/src/errdrop",
 		"internal/analysis/testdata/src/maporder",
 	}
-	serialLoader, err := analysis.NewLoader(".")
+	oracleLoader, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := serialLoader.LoadPatterns(patterns...)
+	dirs, err := oracleLoader.Expand(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelLoader, err := analysis.NewLoader(".")
+	var serial []*analysis.Package
+	for _, dir := range dirs {
+		rel, err := filepath.Rel(oracleLoader.ModDir, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := oracleLoader.LoadDir(dir, oracleLoader.ModPath+"/"+filepath.ToSlash(rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial = append(serial, pkg)
+	}
+	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := parallelLoader.LoadPatternsParallel(8, patterns...)
+	par, err := loader.LoadPatterns(patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +71,8 @@ func TestParallelLoadMatchesSerial(t *testing.T) {
 	if a != b {
 		t.Fatalf("parallel load differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", a, b)
 	}
-	if a == "" {
-		t.Fatal("render produced nothing; the comparison is vacuous")
+	if !strings.Contains(a, "[errdrop]") || !strings.Contains(a, "[maporder]") {
+		t.Fatalf("fixture packages produced no findings; the comparison is vacuous:\n%s", a)
 	}
 }
 
@@ -72,7 +87,7 @@ func TestParallelLoadSharedDeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.LoadPatternsParallel(8, "./internal/measure", "./internal/atlasd",
+	pkgs, err := loader.LoadPatterns("./internal/measure", "./internal/atlasd",
 		"./internal/stream", "./internal/netsim", "./internal/geoloc", "./internal/proxy")
 	if err != nil {
 		t.Fatal(err)

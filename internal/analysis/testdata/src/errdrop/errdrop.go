@@ -84,3 +84,10 @@ func allowedDrop(c conn) {
 	//lint:allow errdrop best-effort close on an already-failed connection
 	c.Close()
 }
+
+// trailingAllow: a directive that shares its line with code covers only
+// that line, never the unrelated call on the next one.
+func trailingAllow(a, b conn) {
+	a.Close() //lint:allow errdrop best-effort close on an already-failed connection
+	b.Close() // want "Close error silently dropped"
+}
