@@ -5,7 +5,7 @@
 #                      (the unit tests include the quick-fleet golden audit
 #                      and the zero-cell check against internal/refimpl)
 #   make ci-deep       the deep lane: bench compile + race smoke + soak + cover
-#                      + fuzz smoke + the adversary detection floors
+#                      + fuzz smoke
 #   make ci-local      alias for `make ci` — the exact gate .github/workflows/ci.yml runs
 #   make lint          geolint static-analysis suite over the whole tree (DESIGN.md §9)
 #   make lint-json     same suite, machine-readable geolint.json (the CI artifact)
@@ -15,16 +15,12 @@
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
 #   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel and Theil–Sen
 #   make cover         per-package coverage with an 85% floor on the service packages
-#   make bench-faults  robustness sweep: tallies vs injected loss -> BENCH_faults.json
-#   make bench-atlasd  32-client coordination-service load test -> BENCH_atlasd.json
-#   make bench-stream  audit-engine incremental check + 100k bounded-memory run -> BENCH_stream.json
-#   make bench-adversary  attack-matrix detection floors (precision/recall) -> BENCH_adversary.json
 
 GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 85.0
 
-.PHONY: all vet lint lint-json vuln build test race race-smoke soak fuzz-smoke cover ci ci-fast ci-deep ci-local benchcompile fmtcheck bench-faults bench-atlasd bench-stream bench-adversary clean
+.PHONY: all vet lint lint-json vuln build test race race-smoke soak fuzz-smoke cover ci ci-fast ci-deep ci-local benchcompile fmtcheck clean
 
 all: ci
 
@@ -70,12 +66,12 @@ race:
 # measure.Batch — the single entry point for honest, resilient and
 # adversarial measurement — under the race detector; fast enough for
 # every CI run, unlike the full `make race` suite. -short keeps the
-# heavy paper-scale audits out. The patterns are anchored so future
-# tests merely containing "TestAudit" don't silently bloat the smoke
-# gate.
+# heavy paper-scale audits and the 100k-server streaming pass out. The
+# patterns are anchored so future tests merely containing "TestAudit"
+# don't silently bloat the smoke gate.
 race-smoke:
 	$(GO) test -race -short -run '^TestAudit|^TestStreaming' ./internal/experiments
-	$(GO) test -race -run '^TestSync|^TestSynth' ./internal/stream
+	$(GO) test -race -short -run '^TestSync|^TestSynth' ./internal/stream
 	$(GO) test -race -run '^TestBatch|^TestResilientBatch' ./internal/measure
 
 # Service soak (DESIGN.md §11): 32 concurrent clients through the full
@@ -132,12 +128,13 @@ fmtcheck:
 	fi
 
 # The tiered gate (ci.yml mirrors this split): ci-fast is the PR lane —
-# everything a reviewer needs inside a few minutes; ci-deep is the
-# race/soak/coverage/fuzz battery plus the adversary detection floors,
-# which CI runs as a second job gated on the fast lane.
+# the checks that finish inside a few minutes, including the
+# robustness, streaming-memory and adversary-floor tests that -short
+# skips; ci-deep is the race/soak/coverage/fuzz battery, which CI runs
+# as a second job gated on the fast lane.
 ci-fast: vet lint build test fmtcheck
 
-ci-deep: benchcompile race-smoke soak cover fuzz-smoke bench-adversary
+ci-deep: benchcompile race-smoke soak cover fuzz-smoke
 
 ci: ci-fast ci-deep
 
@@ -145,41 +142,6 @@ ci: ci-fast ci-deep
 # what passes `make ci-local` passes the ci.yml workflow, nothing more.
 ci-local: ci
 
-# The bench-* targets below each write one cmd/benchaudit report
-# (environment, metrics, and every check with its bound) and exit
-# non-zero if any check fails, after writing it.
-
-# Robustness sweep: the full audit plus five-algorithm crowd
-# localization at each loss rate of the default sweep, recorded in
-# BENCH_faults.json (DESIGN.md §10).
-bench-faults:
-	$(GO) run ./cmd/benchaudit -mode faults -out BENCH_faults.json
-
-# Coordination-service load test: serial vs 32-way-concurrent loadgen
-# runs (aborts unless byte-identical), plus a graceful-shutdown
-# scenario that must drop zero accepted reports, recorded in
-# BENCH_atlasd.json (DESIGN.md §11).
-bench-atlasd:
-	$(GO) run ./cmd/benchaudit -mode atlasd -out BENCH_atlasd.json
-
-# Audit-engine certification: a second pass over the unchanged quick
-# fleet must re-measure nothing, then a synthetic 100,000-server pass
-# with per-batch heap sampling must stay under the bounded-memory
-# ceiling and the queue+2 batch provisioning bound and re-measure
-# nothing on its second pass, recorded in BENCH_stream.json.
-bench-stream:
-	$(GO) run ./cmd/benchaudit -mode stream -out BENCH_stream.json
-
-# Adversary detection floors: the full audit under every point of the
-# default attack matrix (lying proxies, Byzantine landmarks, blends and
-# an all-honest control), serially and at the machine's width on fresh
-# labs. Aborts non-zero unless the two sweeps are byte-identical and
-# the pooled detection quality clears precision ≥ 0.9 / recall ≥ 0.8,
-# recorded in BENCH_adversary.json (DESIGN.md §14).
-bench-adversary:
-	$(GO) run ./cmd/benchaudit -mode adversary -out BENCH_adversary.json
-
 clean:
-	rm -f BENCH_faults.json BENCH_atlasd.json BENCH_stream.json BENCH_adversary.json
 	rm -f cover_atlasd.out cover_loadgen.out cover_detect.out
 	$(GO) clean ./...

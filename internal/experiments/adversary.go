@@ -16,12 +16,11 @@ import (
 // truth. The paper's §7–§8 threat — an adversary forging delays to fake
 // a location — becomes a measurable quantity: how often does the
 // manipulation-suspected verdict hit actual liars (precision), and how
-// many liars does it catch (recall)? BENCH_adversary.json pins CI
-// floors on both.
+// many liars does it catch (recall)? TestAdversaryDetectionFloors pins
+// CI floors on both.
 
 // AdversaryBenchConfig is the lab scale the CI detection floors are
-// measured at (cmd/benchaudit -mode adversary and the floors test use
-// the same one): big enough that the honest server population
+// measured at: big enough that the honest server population
 // calibrates the inspection gates and every attack has a statistical
 // signature, small enough that the nine-point sweep stays CI-friendly.
 func AdversaryBenchConfig() Config {
@@ -62,33 +61,33 @@ func DefaultAttackMatrix() []AttackPoint {
 
 // AdversaryPoint is one matrix cell's scored outcome.
 type AdversaryPoint struct {
-	Name string                `json:"name"`
-	Plan measure.AdversaryPlan `json:"plan"`
+	Name string
+	Plan measure.AdversaryPlan
 
 	// Proxy-side confusion matrix: ManipulationSuspected vs the plan's
 	// LyingProxy ground truth, over servers that produced a verdict.
 	// Unscored counts servers whose pipeline failed outright — a liar
 	// that never measured left nothing to detect (or clear).
-	TP       int `json:"tp"`
-	FP       int `json:"fp"`
-	FN       int `json:"fn"`
-	TN       int `json:"tn"`
-	Unscored int `json:"unscored"`
+	TP       int
+	FP       int
+	FN       int
+	TN       int
+	Unscored int
 
 	// Landmark-side confusion matrix: cross-validation flags vs the
 	// plan's ByzantineLandmark ground truth, over all anchors.
-	LandmarkTP int `json:"landmark_tp"`
-	LandmarkFP int `json:"landmark_fp"`
-	LandmarkFN int `json:"landmark_fn"`
+	LandmarkTP int
+	LandmarkFP int
+	LandmarkFN int
 
 	// Audit aggregates at this point.
-	SuspectedServers     int `json:"suspected_servers"`
-	FlaggedLandmarks     int `json:"flagged_landmarks"`
-	ExcludedMeasurements int `json:"excluded_measurements"`
+	SuspectedServers     int
+	FlaggedLandmarks     int
+	ExcludedMeasurements int
 
 	// AuditSHA is the SHA-256 of the full audit fingerprint at this
 	// point — the cross-concurrency determinism check compares these.
-	AuditSHA string `json:"audit_sha256"`
+	AuditSHA string
 }
 
 // AdversaryResult is the scored sweep.

@@ -173,31 +173,40 @@ func TestAdversaryStreamingRearmDirties(t *testing.T) {
 
 // TestAdversaryDetectionFloors: the pooled detection quality over the
 // default attack matrix at the benchmark scale must clear the CI floors
-// (precision ≥ 0.9, recall ≥ 0.8) — the same bounds `make
-// bench-adversary` checks.
+// (precision ≥ 0.9, recall ≥ 0.8), and a serial sweep on a fresh lab
+// must produce the same scored fingerprint as the 8-worker one.
+// Run with -v to see the sweep's table.
 func TestAdversaryDetectionFloors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full attack-matrix sweep at benchmark scale")
 	}
-	cfg := AdversaryBenchConfig()
-	cfg.Concurrency = 8
-	lab, err := NewLab(cfg)
-	if err != nil {
-		t.Fatal(err)
+	sweepAt := func(workers int) (*AdversaryResult, *Lab) {
+		cfg := AdversaryBenchConfig()
+		cfg.Concurrency = workers
+		lab, err := NewLab(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := lab.AdversarySweep(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, lab
 	}
-	res, err := lab.AdversarySweep(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, lab := sweepAt(8)
+	t.Log(res.Render())
 	if res.Precision < 0.9 {
-		t.Errorf("pooled detection precision %.3f below the 0.9 floor\n%s", res.Precision, res.Render())
+		t.Errorf("pooled detection precision %.3f below the 0.9 floor", res.Precision)
 	}
 	if res.Recall < 0.8 {
-		t.Errorf("pooled detection recall %.3f below the 0.8 floor\n%s", res.Recall, res.Render())
+		t.Errorf("pooled detection recall %.3f below the 0.8 floor", res.Recall)
 	}
 	for _, pt := range res.Points {
 		if pt.Unscored > len(lab.Fleet.Servers())/4 {
 			t.Errorf("%s: %d unscored servers — the attack is breaking the pipeline, not evading it", pt.Name, pt.Unscored)
 		}
+	}
+	if serial, _ := sweepAt(1); serial.Fingerprint() != res.Fingerprint() {
+		t.Errorf("serial sweep diverged from the 8-worker sweep:\n--- serial ---\n%s--- 8 workers ---\n%s", serial.Fingerprint(), res.Fingerprint())
 	}
 }

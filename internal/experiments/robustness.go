@@ -6,7 +6,6 @@ import (
 
 	"activegeo/internal/assess"
 	"activegeo/internal/geoloc"
-	"activegeo/internal/grid"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 )
@@ -20,8 +19,8 @@ import (
 // default fault mix at increasing loss rates and records the
 // credible/uncertain/false tallies and per-algorithm region sizes.
 
-// DefaultLossSweep is the loss-rate grid the robustness experiment and
-// the BENCH_faults benchmark sweep.
+// DefaultLossSweep is the loss-rate grid the robustness experiment
+// sweeps.
 var DefaultLossSweep = []float64{0, 0.02, 0.05, 0.10, 0.15, 0.20}
 
 // RobustnessLossThreshold is the documented loss rate up to which the
@@ -54,30 +53,30 @@ func FaultProfile(armed bool, loss, outage float64) netsim.FaultConfig {
 
 // AlgorithmArea is one algorithm's mean region size at one sweep point.
 type AlgorithmArea struct {
-	Algorithm   string  `json:"algorithm"`
-	Hosts       int     `json:"hosts"`
-	MeanAreaKm2 float64 `json:"mean_area_km2"`
+	Algorithm   string
+	Hosts       int
+	MeanAreaKm2 float64
 }
 
 // RobustnessPoint is one loss rate's outcome.
 type RobustnessPoint struct {
-	Loss float64 `json:"loss"`
-	// Faults is netsim.DefaultFaults(Loss), so reports leave it out.
-	Faults netsim.FaultConfig `json:"-"`
+	Loss float64
+	// Faults is netsim.DefaultFaults(Loss).
+	Faults netsim.FaultConfig
 
 	// Audit outcome at this loss rate.
-	Tally           assess.Tally `json:"tally"`
-	MeasureFailures int          `json:"measure_failures"`
-	LocateFailures  int          `json:"locate_failures"`
-	DegradedServers int          `json:"degraded_servers"`
-	Disconnects     int          `json:"disconnects"`
-	LostLandmarks   int          `json:"lost_landmarks"`
-	Retries         int          `json:"retries"`
-	MeanCoverage    float64      `json:"mean_coverage"`
+	Tally           assess.Tally
+	MeasureFailures int
+	LocateFailures  int
+	DegradedServers int
+	Disconnects     int
+	LostLandmarks   int
+	Retries         int
+	MeanCoverage    float64
 
 	// Areas holds each algorithm's mean region size over the crowd
 	// cohort, in sweep order CBG, Quasi-Octant, Spotter, Hybrid, CBG++.
-	Areas []AlgorithmArea `json:"areas"`
+	Areas []AlgorithmArea
 }
 
 // RobustnessResult is the full sweep.
@@ -88,26 +87,8 @@ type RobustnessResult struct {
 
 // locators returns the five algorithms the sweep compares, in paper
 // order with CBG++ last.
-func (l *Lab) locators() []struct {
-	name   string
-	locate func([]geoloc.Measurement) (*grid.Region, error)
-} {
-	out := []struct {
-		name   string
-		locate func([]geoloc.Measurement) (*grid.Region, error)
-	}{}
-	for _, alg := range l.Algorithms() {
-		a := alg
-		out = append(out, struct {
-			name   string
-			locate func([]geoloc.Measurement) (*grid.Region, error)
-		}{a.Name(), a.Locate})
-	}
-	out = append(out, struct {
-		name   string
-		locate func([]geoloc.Measurement) (*grid.Region, error)
-	}{l.CBGpp.Name(), l.CBGpp.Locate})
-	return out
+func (l *Lab) locators() []geoloc.Algorithm {
+	return append(l.Algorithms(), l.CBGpp)
 }
 
 // Robustness sweeps the default fault mix over the given loss rates
@@ -180,7 +161,7 @@ func (l *Lab) robustnessAreas(maxHosts int) []AlgorithmArea {
 	locs := l.locators()
 	areas := make([]AlgorithmArea, len(locs))
 	for i, lc := range locs {
-		areas[i].Algorithm = lc.name
+		areas[i].Algorithm = lc.Name()
 	}
 	pol := l.policy()
 	for _, h := range l.Crowd[:maxHosts] {
@@ -201,7 +182,7 @@ func (l *Lab) robustnessAreas(maxHosts int) []AlgorithmArea {
 			continue
 		}
 		for i, lc := range locs {
-			region, err := lc.locate(ms)
+			region, err := lc.Locate(ms)
 			if err != nil || region == nil || region.Empty() {
 				continue
 			}

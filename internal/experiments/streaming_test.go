@@ -86,51 +86,65 @@ func TestStreamingDeterministicAcrossWidths(t *testing.T) {
 
 // TestStreamingIncrementalSkip: a second pass over an unchanged fleet
 // re-measures nothing; dirtying exactly k servers' claims re-measures
-// exactly those k.
+// exactly those k. The quick fleet runs at the default batch geometry.
 func TestStreamingIncrementalSkip(t *testing.T) {
-	lab, err := NewLab(tinyAuditConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := lab.StreamingAuditor(8, 2)
-	src := lab.StreamSource()
-	if _, err := a.Sync(context.Background(), src); err != nil {
-		t.Fatal(err)
-	}
-
-	second, err := a.Sync(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Audited != 0 || second.Skipped != second.Total {
-		t.Fatalf("unchanged fleet must be fully skipped on pass 2: %+v", second)
-	}
-
-	// Dirty three servers by changing their advertised claims.
-	servers := lab.Fleet.Servers()
-	dirty := map[netsim.HostID]bool{}
-	for _, i := range []int{0, 7, 23} {
-		servers[i].ClaimedCountry = "xx"
-		dirty[servers[i].Host.ID] = true
-	}
-	third, err := a.Sync(context.Background(), stream.NewFleetSource(lab.Fleet))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Audited != len(dirty) {
-		t.Fatalf("pass 3 audited %d servers, want exactly the %d dirty ones (%+v)", third.Audited, len(dirty), third)
-	}
-	for id := range dirty {
-		if p := a.Store().LastPass(id); p != 3 {
-			t.Errorf("dirty server %s last measured in pass %d, want 3", id, p)
-		}
-	}
-	for _, s := range servers {
-		if !dirty[s.Host.ID] {
-			if p := a.Store().LastPass(s.Host.ID); p == 3 {
-				t.Errorf("clean server %s was re-measured in pass 3", s.Host.ID)
+	for _, tc := range []struct {
+		name             string
+		lab              func(*testing.T) *Lab
+		batchSize, queue int
+	}{
+		{"tiny", func(t *testing.T) *Lab { return armedLab(t, 4, "honest") }, 8, 2},
+		{"quick", func(t *testing.T) *Lab { return lab(t) }, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "quick" && testing.Short() {
+				t.Skip("full quick-fleet streaming pass")
 			}
-		}
+			lab := tc.lab(t)
+			a := lab.StreamingAuditor(tc.batchSize, tc.queue)
+			src := lab.StreamSource()
+			if _, err := a.Sync(context.Background(), src); err != nil {
+				t.Fatal(err)
+			}
+
+			second, err := a.Sync(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Audited != 0 || second.Skipped != second.Total {
+				t.Fatalf("unchanged fleet must be fully skipped on pass 2: %+v", second)
+			}
+
+			// Dirty three servers by changing their advertised claims,
+			// and put the claims back afterwards: the quick lab is shared.
+			servers := lab.Fleet.Servers()
+			dirty := map[netsim.HostID]bool{}
+			for _, i := range []int{0, 7, 23} {
+				s, claim := servers[i], servers[i].ClaimedCountry
+				t.Cleanup(func() { s.ClaimedCountry = claim })
+				s.ClaimedCountry = "xx"
+				dirty[s.Host.ID] = true
+			}
+			third, err := a.Sync(context.Background(), stream.NewFleetSource(lab.Fleet))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if third.Audited != len(dirty) {
+				t.Fatalf("pass 3 audited %d servers, want exactly the %d dirty ones (%+v)", third.Audited, len(dirty), third)
+			}
+			for id := range dirty {
+				if p := a.Store().LastPass(id); p != 3 {
+					t.Errorf("dirty server %s last measured in pass %d, want 3", id, p)
+				}
+			}
+			for _, s := range servers {
+				if !dirty[s.Host.ID] {
+					if p := a.Store().LastPass(s.Host.ID); p == 3 {
+						t.Errorf("clean server %s was re-measured in pass 3", s.Host.ID)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -10,11 +10,11 @@
 //     simulated campaign time advances a netsim.Clock by the measured
 //     RTTs. Per-client request/response transcripts are therefore
 //     byte-identical at any concurrency — the property the soak tests
-//     and `make bench-atlasd` check.
-//   - The service observations are wall-clock: per-operation latency
-//     (p50/p99), throughput, and how many requests the server shed.
-//     These describe the machine the run happened on and are reported,
-//     never asserted deterministic.
+//     check.
+//   - The service observations are wall-clock: per-operation latency,
+//     observed into the telemetry distribution "loadgen.op_ms", and how
+//     many requests the server shed. These describe the machine the run
+//     happened on and are reported, never asserted deterministic.
 //
 // Clients run closed-loop (each issues its next request only after the
 // previous one completes), so concurrency equals offered parallelism
@@ -33,12 +33,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"sync"
 	"time"
 
 	"activegeo/internal/atlasd"
-	"activegeo/internal/mathx"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 	"activegeo/internal/telemetry"
@@ -125,19 +123,6 @@ type Result struct {
 	Shed      int
 	// AcceptedReports sums accepted uploads across clients.
 	AcceptedReports int
-	// Wall-clock observations (machine-dependent, never asserted):
-	WallMs        float64
-	ThroughputOps float64 // completed ops per wall second
-	P50Ms         float64 // per-op service latency
-	P99Ms         float64
-}
-
-// ShedRate is the fraction of issued requests the server shed.
-func (r *Result) ShedRate() float64 {
-	if r.Ops+r.Shed == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Ops+r.Shed)
 }
 
 // TranscriptsIdentical reports whether two runs produced byte-identical
@@ -159,7 +144,6 @@ type opRecorder struct {
 	hash    hash.Hash
 	ops     int
 	shed    int
-	latMs   []float64
 	tel     *telemetry.Collector
 	handler http.Handler
 }
@@ -176,7 +160,6 @@ func (t *opRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	switch {
 	case resp.StatusCode/100 == 2:
 		t.ops++
-		t.latMs = append(t.latMs, latMs)
 		t.tel.Observe("loadgen.op_ms", latMs)
 		body := rec.Body.Bytes()
 		fmt.Fprintf(t.hash, "%s %s %d\n", req.Method, req.URL.RequestURI(), resp.StatusCode)
@@ -197,10 +180,8 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, errors.New("loadgen: no vantage hosts")
 	}
 	stats := make([]ClientStats, cfg.Clients)
-	recorders := make([]*opRecorder, cfg.Clients)
 	errs := make([]error, cfg.Clients)
 
-	start := time.Now()
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Concurrency; w++ {
@@ -208,8 +189,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				st, rec, err := r.runClient(ctx, cfg, i)
-				stats[i], recorders[i], errs[i] = st, rec, err
+				stats[i], errs[i] = r.runClient(ctx, cfg, i)
 			}
 		}()
 	}
@@ -218,10 +198,8 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	wallMs := float64(time.Since(start).Microseconds()) / 1000
 
-	res := &Result{PerClient: stats, WallMs: wallMs}
-	var lat []float64
+	res := &Result{PerClient: stats}
 	for i, st := range stats {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("loadgen: client %s: %w", st.Client, errs[i])
@@ -230,15 +208,6 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.Ops += st.Ops
 		res.Shed += st.Shed
 		res.AcceptedReports += len(st.AcceptedSeqs)
-		lat = append(lat, recorders[i].latMs...)
-	}
-	if wallMs > 0 {
-		res.ThroughputOps = float64(res.Ops) / (wallMs / 1000)
-	}
-	if len(lat) > 0 {
-		sort.Float64s(lat)
-		res.P50Ms = mathx.Quantile(lat, 0.50)
-		res.P99Ms = mathx.Quantile(lat, 0.99)
 	}
 	return res, nil
 }
@@ -250,7 +219,7 @@ func newClientRNG(seed int64, from netsim.HostID) *rand.Rand {
 }
 
 // runClient walks one client through its campaigns.
-func (r *Runner) runClient(ctx context.Context, cfg Config, i int) (ClientStats, *opRecorder, error) {
+func (r *Runner) runClient(ctx context.Context, cfg Config, i int) (ClientStats, error) {
 	from := r.Hosts[i%len(r.Hosts)]
 	rec := &opRecorder{hash: sha256.New(), tel: r.Telemetry, handler: r.Handler}
 	client := &atlasd.Client{
@@ -273,7 +242,7 @@ func (r *Runner) runClient(ctx context.Context, cfg Config, i int) (ClientStats,
 				st.DrainStopped = true
 				break
 			}
-			return st, rec, err
+			return st, err
 		}
 		st.Campaigns++
 		for _, s := range res.Samples() {
@@ -287,5 +256,5 @@ func (r *Runner) runClient(ctx context.Context, cfg Config, i int) (ClientStats,
 	st.Shed = rec.shed
 	st.SimMs = clk.NowMs()
 	st.TranscriptSHA = hex.EncodeToString(rec.hash.Sum(nil))
-	return st, rec, nil
+	return st, nil
 }

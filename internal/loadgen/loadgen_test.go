@@ -81,11 +81,8 @@ func TestRunSmoke(t *testing.T) {
 	if res.AcceptedReports != 8 {
 		t.Errorf("accepted = %d, want 8", res.AcceptedReports)
 	}
-	if res.Ops == 0 || res.ThroughputOps <= 0 {
-		t.Errorf("ops = %d, throughput = %v", res.Ops, res.ThroughputOps)
-	}
-	if res.P50Ms <= 0 || res.P99Ms < res.P50Ms {
-		t.Errorf("latency quantiles p50=%v p99=%v", res.P50Ms, res.P99Ms)
+	if res.Ops == 0 {
+		t.Error("no operations completed")
 	}
 	for _, st := range res.PerClient {
 		if st.SimMs <= 0 {
@@ -98,8 +95,12 @@ func TestRunSmoke(t *testing.T) {
 			t.Errorf("client %s: accepted seqs %v", st.Client, st.AcceptedSeqs)
 		}
 	}
-	if d, ok := tel.Distribution("loadgen.op_ms"); !ok || d.Count != int64(res.Ops) {
+	d, ok := tel.Distribution("loadgen.op_ms")
+	if !ok || d.Count != int64(res.Ops) {
 		t.Errorf("telemetry distribution missing or short: %+v", d)
+	}
+	if d.P50 <= 0 || d.P99 < d.P50 {
+		t.Errorf("latency quantiles p50=%v p99=%v", d.P50, d.P99)
 	}
 	// All campaign reports were ledgered, none twice.
 	assertLedgerExactlyOnce(t, srv, res)

@@ -14,9 +14,9 @@ import (
 // without ever materializing it: each server's spec and host are pure
 // functions of (seed, index), built on demand and registered in the
 // network only for the lifetime of the batch measuring them (the
-// Provisioner contract). This is how benchaudit proves the streaming
-// audit's memory is O(batch): a 100k-server pass holds ~BatchSize hosts
-// and regions at any instant.
+// Provisioner contract). This is how TestSynthSourceBoundedProvisioning
+// proves the streaming audit's memory is O(batch): a 100k-server pass
+// holds ~BatchSize hosts and regions at any instant.
 type SynthSource struct {
 	net  *netsim.Network
 	n    int
