@@ -83,15 +83,17 @@ soak:
 
 # Native fuzzing over the atlasd wire surface (query parsing, model
 # path handling and report decoding), over the geometry kernel (each
-# quantized-mask op, and the bit-sliced coverage argmax, against its
-# per-cell oracle) and over Theil–Sen's median-slope selection
-# (against the all-pairs enumeration), FUZZTIME per target.
+# quantized-mask op, the ring constraint, the pruned coverage argmax and
+# geoloc.IntersectOrArgmax, against their per-cell oracles) and over
+# Theil–Sen's median-slope selection (against the all-pairs
+# enumeration), FUZZTIME per target.
 # The seed corpora also run (for free) in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzModelPath$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	for f in FuzzFillWithinKm FuzzIntersectWithinKm FuzzFillRingKm FuzzCoverageArgmax; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/grid || exit 1; done
+	$(GO) test -run '^$$' -fuzz '^FuzzIntersectOrArgmax$$' -fuzztime $(FUZZTIME) ./internal/refimpl
 	$(GO) test -run '^$$' -fuzz '^FuzzTheilSen$$' -fuzztime $(FUZZTIME) ./internal/mathx
 
 # Coverage floor on the service packages: the coordination server and

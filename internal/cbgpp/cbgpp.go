@@ -63,20 +63,25 @@ func (c *CBGPP) Calibration() *cbg.Calibration { return c.cal }
 // BaselineRegion computes the baseline region for a measurement set: the
 // intersection of the largest consistent subset of 200 km/ms disks.
 func (c *CBGPP) BaselineRegion(ms []geoloc.Measurement) *grid.Region {
-	return c.baselineRegion(geoloc.Collapse(ms))
+	_, base := c.disks(geoloc.Collapse(ms))
+	best, _ := c.env.Grid.CoverageArgmax(base)
+	return best
 }
 
-// baselineRegion is BaselineRegion over an already-collapsed
-// measurement set.
-func (c *CBGPP) baselineRegion(ms []geoloc.Measurement) *grid.Region {
+// disks returns each measurement's bestline and baseline disks, padded
+// for rasterization, from one mask lookup per landmark.
+func (c *CBGPP) disks(ms []geoloc.Measurement) (best, base []grid.Constraint) {
 	pad := c.env.PadKm()
-	regions := make([]*grid.Region, 0, len(ms))
-	for _, m := range ms {
-		r := geo.MaxDistanceKm(m.OneWayMs(), geo.BaselineSpeedKmPerMs) + pad
-		regions = append(regions, c.env.CapRegionFor(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
+	cs := make([]grid.Constraint, 2*len(ms))
+	best, base = cs[:len(ms)], cs[len(ms):]
+	for i, m := range ms {
+		cm := c.env.MasksFor(m.LandmarkID, m.Landmark)
+		cell := c.env.Grid.CellAt(m.Landmark)
+		t := m.OneWayMs()
+		best[i] = grid.Disk(cm, cell, c.cal.MaxDistanceKm(m.LandmarkID, t)+pad)
+		base[i] = grid.Disk(cm, cell, geo.MaxDistanceKm(t, geo.BaselineSpeedKmPerMs)+pad)
 	}
-	best, _ := c.env.Grid.CoverageArgmax(regions)
-	return best
+	return best, base
 }
 
 // Locate implements geoloc.Algorithm.
@@ -93,23 +98,17 @@ func (c *CBGPP) LocateDetailed(ms []geoloc.Measurement) (*grid.Region, int, erro
 	if len(ms) == 0 {
 		return nil, 0, geoloc.ErrNoMeasurements
 	}
-	pad := c.env.PadKm()
-
-	bestlineRegions := make([]*grid.Region, 0, len(ms))
-	for _, m := range ms {
-		r := c.cal.MaxDistanceKm(m.LandmarkID, m.OneWayMs()) + pad
-		bestlineRegions = append(bestlineRegions, c.env.CapRegionFor(m.LandmarkID, geo.Cap{Center: m.Landmark, RadiusKm: r}))
-	}
-
-	kept := bestlineRegions
+	kept, base := c.disks(ms)
 	if !c.opts.DisableBaselineFilter {
-		baseRegion := c.baselineRegion(ms)
-		kept = kept[:0:0]
-		for _, br := range bestlineRegions {
-			if br.IntersectsRegion(baseRegion) {
-				kept = append(kept, br)
+		baseRegion, _ := c.env.Grid.CoverageArgmax(base)
+		n := 0
+		for _, d := range kept {
+			if d.Intersects(baseRegion) {
+				kept[n] = d
+				n++
 			}
 		}
+		kept = kept[:n]
 		if len(kept) == 0 {
 			// Every bestline disk was inconsistent with the baseline
 			// region: trust the baseline region itself.

@@ -1,0 +1,52 @@
+package experiments
+
+import (
+	"math/rand"
+	"testing"
+
+	"activegeo/internal/geoloc"
+	"activegeo/internal/measure"
+)
+
+// TestLocateAllocs holds the allocation savings of the constraint form
+// (grid.Constraint): the mean allocations of one Locate over the honest
+// two-phase vectors of the quick fleet's first 48 servers, the vectors
+// the audit-quick benchmark's locate probe uses, once every landmark's
+// masks are cached. Before the constraint form CBG++ made 196, Octant
+// 165 and Hybrid 101; with it they make 24, 16.3 and 16.2, and the
+// Octant and Hybrid bounds leave about half that again as headroom.
+func TestLocateAllocs(t *testing.T) {
+	l := lab(t)
+	var vecs [][]geoloc.Measurement
+	for _, s := range l.Fleet.Servers()[:48] {
+		rng := rand.New(rand.NewSource(measure.StreamSeed(l.Cfg.Seed, s.Host.ID)))
+		res, err := measure.ProxiedTwoPhase(l.Cons, l.Client, s.Host.ID, measure.DefaultEta, rng)
+		if err != nil {
+			continue
+		}
+		vecs = append(vecs, res.Measurements())
+	}
+	if len(vecs) == 0 {
+		t.Fatal("no server measured")
+	}
+	for _, tc := range []struct {
+		alg geoloc.Algorithm
+		max float64
+	}{
+		{l.CBGpp, 48},
+		{l.Octant, 24},
+		{l.Hybrid, 24},
+	} {
+		got := testing.AllocsPerRun(2, func() {
+			for _, v := range vecs {
+				if _, err := tc.alg.Locate(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / float64(len(vecs))
+		t.Logf("%s: %.1f allocs per Locate (bound %.0f)", tc.alg.Name(), got, tc.max)
+		if got > tc.max {
+			t.Errorf("%s: %.1f allocs per Locate, bound %.0f", tc.alg.Name(), got, tc.max)
+		}
+	}
+}

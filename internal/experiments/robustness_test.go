@@ -35,7 +35,8 @@ func TestRobustnessToleranceUpToThreshold(t *testing.T) {
 			if tc.name == "quick" && testing.Short() {
 				t.Skip("six full quick-fleet audits")
 			}
-			res, err := tc.lab(t).Robustness(nil, tc.crowdHosts)
+			l := tc.lab(t)
+			res, err := l.Robustness(nil, tc.crowdHosts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,6 +54,10 @@ func TestRobustnessToleranceUpToThreshold(t *testing.T) {
 			if got := [3]int{baseline.Credible, baseline.Uncertain, baseline.False}; tc.baseline != nil && got != *tc.baseline {
 				t.Errorf("fault-free tally credible/uncertain/false %v, want %v", got, *tc.baseline)
 			}
+			// The tally tolerance alone passes a resilient path that ends
+			// every session at its first lost probe: the tallies barely
+			// move. Coverage and the disconnect count do.
+			maxDisconnects := len(l.Fleet.Servers()) / 10
 			for _, p := range res.Points {
 				if p.Loss > RobustnessLossThreshold {
 					continue
@@ -62,6 +67,12 @@ func TestRobustnessToleranceUpToThreshold(t *testing.T) {
 						p.Loss, p.Tally.Credible, p.Tally.Uncertain, p.Tally.False,
 						100*RobustnessTallyTolerance,
 						baseline.Credible, baseline.Uncertain, baseline.False)
+				}
+				if p.MeanCoverage < 0.90 {
+					t.Errorf("loss %.2f: mean coverage %.3f below 0.90", p.Loss, p.MeanCoverage)
+				}
+				if p.Disconnects > maxDisconnects {
+					t.Errorf("loss %.2f: %d disconnected sessions, more than 10%% of the fleet (%d)", p.Loss, p.Disconnects, maxDisconnects)
 				}
 			}
 			// The sweep must actually degrade: the highest loss point records

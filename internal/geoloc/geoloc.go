@@ -85,8 +85,11 @@ func NewEnv(resDeg float64) *Env {
 	}
 }
 
-// masksFor returns the landmark's quantized mask family.
-func (e *Env) masksFor(id netsim.HostID, landmark geo.Point) *grid.CapMasks {
+// MasksFor returns the landmark's quantized mask family, the input of
+// every disk or ring constraint around it (grid.Disk, RingConstraint).
+// Take it once per landmark per Locate: each lookup takes the cache's
+// lock.
+func (e *Env) MasksFor(id netsim.HostID, landmark geo.Point) *grid.CapMasks {
 	return e.Masks.Masks(grid.FieldKey{ID: string(id), Lat: landmark.Lat, Lon: landmark.Lon})
 }
 
@@ -98,22 +101,16 @@ func (e *Env) Distances(id netsim.HostID, landmark geo.Point) []float32 {
 
 // CapRegionFor builds the cap's region from the landmark's cached
 // distance field, with AddCap's semantics (the cap center's cell is
-// always included): every cell within RadiusKm, filled word-wise
-// against the bracketing quantized masks.
+// always included): the cells of its disk constraint.
 func (e *Env) CapRegionFor(id netsim.HostID, c geo.Cap) *grid.Region {
-	r := e.Grid.NewRegion()
-	if c.RadiusKm > 0 {
-		e.masksFor(id, c.Center).FillWithinKm(r, c.RadiusKm)
-	}
-	r.Add(e.Grid.CellAt(c.Center))
-	return r
+	return e.Grid.Intersect([]grid.Constraint{grid.Disk(e.MasksFor(id, c.Center), e.Grid.CellAt(c.Center), c.RadiusKm)})
 }
 
 // IntersectWithinFor prunes r to the cells within maxKm of the
 // landmark, word-wise against its quantized masks. CBG's
 // per-measurement disk intersection runs through here.
 func (e *Env) IntersectWithinFor(r *grid.Region, id netsim.HostID, landmark geo.Point, maxKm float64) {
-	e.masksFor(id, landmark).IntersectWithinKm(r, maxKm)
+	e.MasksFor(id, landmark).IntersectWithinKm(r, maxKm)
 }
 
 // InvalidateLandmark evicts the host's entries from both the distance
@@ -126,37 +123,23 @@ func (e *Env) InvalidateLandmark(id netsim.HostID) (fields, masks int) {
 	return e.Field.Invalidate(string(id)), e.Masks.Invalidate(string(id))
 }
 
-// RingRegionFor builds the ring's region from the landmark's cached
-// distance field: the outer cap minus the inner cap, where the inner cap
-// is shrunk by one cell diagonal so boundary cells that may still
-// contain ring area are kept, and AddCap's center-cell rule applies to
-// both caps.
-func (e *Env) RingRegionFor(id netsim.HostID, ring geo.Ring) *grid.Region {
-	g := e.Grid
-	r := g.NewRegion()
+// RingConstraint is the ring as a constraint on the landmark's masks:
+// the outer cap minus the inner cap, where the inner cap is shrunk by
+// one cell diagonal so boundary cells that may still contain ring area
+// are kept, and AddCap's center-cell rule applies to both caps.
+func (e *Env) RingConstraint(id netsim.HostID, ring geo.Ring) grid.Constraint {
 	// The inner cap is subtracted only when it can be shrunk by one cell
 	// diagonal while staying positive; otherwise boundary cells (which
 	// may still contain ring area) are kept.
 	shrink := math.Inf(-1)
 	if ring.MinKm > 0 {
-		if s := ring.MinKm - 1.5*grid.KmPerDeg*g.Resolution(); s > 0 {
+		if s := ring.MinKm - 1.5*grid.KmPerDeg*e.Grid.Resolution(); s > 0 {
 			shrink = s
 		}
 	}
-	if ring.MaxKm > 0 {
-		// Word-wise: certain ring cells by mask algebra, the exact
-		// two-sided predicate only near the two quantization boundaries.
-		e.masksFor(id, ring.Center).FillRingKm(r, shrink, ring.MaxKm)
-	}
 	// The outer cap's AddCap always includes the center cell; when the
 	// inner cap is subtracted, its own center-cell rule removes it again.
-	cc := g.CellAt(ring.Center)
-	if math.IsInf(shrink, -1) {
-		r.Add(cc)
-	} else {
-		r.Remove(cc)
-	}
-	return r
+	return grid.Ring(e.MasksFor(id, ring.Center), e.Grid.CellAt(ring.Center), shrink, ring.MaxKm, math.IsInf(shrink, -1))
 }
 
 // PadKm is the conservative rasterization margin for this grid: a cell
@@ -201,32 +184,25 @@ func Collapse(ms []Measurement) []Measurement {
 	return out
 }
 
-// IntersectOrArgmax multilaterates ring/disk constraint regions: it
-// first tries the strict intersection of all constraints; when noise
-// makes that empty (common for ring constraints at world scale, §5),
-// it falls back to the cells covered by the largest consistent subset
-// (grid.Grid.CoverageArgmax).
+// IntersectOrArgmax multilaterates ring/disk constraints: it first
+// tries the strict intersection of all constraints (grid.Grid.Intersect);
+// when noise makes that empty (common for ring constraints at world
+// scale, §5), it falls back to the cells covered by the largest
+// consistent subset (grid.Grid.CoverageArgmax).
 // The strict path keeps successful predictions small — the behaviour
 // behind the paper's Figure 9C, where ring-based algorithms produce
 // much smaller (and often wrong) regions than CBG.
-func IntersectOrArgmax(g *grid.Grid, regions []*grid.Region) *grid.Region {
-	if len(regions) == 0 {
+func IntersectOrArgmax(g *grid.Grid, cs []grid.Constraint) *grid.Region {
+	if strict := g.Intersect(cs); !strict.Empty() || len(cs) == 0 {
+		return strict
+	}
+	// Octant's weighted regions reduce to the maximum-coverage cells
+	// when all weights are equal — but a region where only a minority of
+	// constraints agree is no prediction at all, so require a clear
+	// majority.
+	best, count := g.CoverageArgmax(cs)
+	if count*2 < len(cs) {
 		return g.NewRegion()
 	}
-	strict := regions[0].Clone()
-	for _, r := range regions[1:] {
-		strict.IntersectWith(r)
-		if strict.Empty() {
-			// Octant's weighted regions reduce to the maximum-coverage
-			// cells when all weights are equal — but a region where only
-			// a minority of constraints agree is no prediction at all,
-			// so require a clear majority.
-			best, count := g.CoverageArgmax(regions)
-			if count*2 < len(regions) {
-				return g.NewRegion()
-			}
-			return best
-		}
-	}
-	return strict
+	return best
 }

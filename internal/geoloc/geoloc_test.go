@@ -1,11 +1,13 @@
 package geoloc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"activegeo/internal/geo"
 	"activegeo/internal/grid"
+	"activegeo/internal/netsim"
 )
 
 var (
@@ -90,28 +92,35 @@ func TestApplyExclusionsPolar(t *testing.T) {
 	})
 }
 
+// diskFor is the cap as a disk constraint on the Env's masks, under a
+// landmark ID derived from its center.
+func diskFor(e *Env, c geo.Cap) grid.Constraint {
+	id := netsim.HostID(fmt.Sprintf("lm-%v-%v", c.Center.Lat, c.Center.Lon))
+	return grid.Disk(e.MasksFor(id, c.Center), e.Grid.CellAt(c.Center), c.RadiusKm)
+}
+
 func TestIntersectOrArgmaxStrict(t *testing.T) {
 	e := testEnv(t)
 	g := e.Grid
-	a := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1500})
-	b := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1500})
-	strict := IntersectOrArgmax(g, []*grid.Region{a, b})
-	want := a.Clone()
-	want.IntersectWith(b)
-	if strict.Count() != want.Count() {
-		t.Errorf("strict path: %d cells, want %d", strict.Count(), want.Count())
+	a := diskFor(e, geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1500})
+	b := diskFor(e, geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1500})
+	strict := IntersectOrArgmax(g, []grid.Constraint{a, b})
+	want := g.Intersect([]grid.Constraint{a})
+	want.IntersectWith(g.Intersect([]grid.Constraint{b}))
+	if want.Empty() || !strict.Equal(want) {
+		t.Errorf("strict path: %d cells, want a∩b's %d", strict.Count(), want.Count())
 	}
 }
 
 func TestIntersectOrArgmaxFallback(t *testing.T) {
 	e := testEnv(t)
 	g := e.Grid
-	// Three regions: a and b overlap; c is disjoint → strict intersection
-	// empty → majority fallback (2 of 3) returns a∩b.
-	a := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1200})
-	b := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1200})
-	c := g.CapRegion(geo.Cap{Center: geo.Point{Lat: -30, Lon: 140}, RadiusKm: 500})
-	out := IntersectOrArgmax(g, []*grid.Region{a, b, c})
+	// Three constraints: a and b overlap; c is disjoint → strict
+	// intersection empty → majority fallback (2 of 3) returns a∩b.
+	a := diskFor(e, geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1200})
+	b := diskFor(e, geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1200})
+	c := diskFor(e, geo.Cap{Center: geo.Point{Lat: -30, Lon: 140}, RadiusKm: 500})
+	out := IntersectOrArgmax(g, []grid.Constraint{a, b, c})
 	if out.Empty() {
 		t.Fatal("fallback should be nonempty (2/3 majority)")
 	}
@@ -119,12 +128,12 @@ func TestIntersectOrArgmaxFallback(t *testing.T) {
 		t.Error("fallback should cover the a∩b lens")
 	}
 
-	// No majority: four pairwise-disjoint regions → empty result.
-	d1 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 0, Lon: 0}, RadiusKm: 300})
-	d2 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 0, Lon: 90}, RadiusKm: 300})
-	d3 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 0, Lon: -90}, RadiusKm: 300})
-	d4 := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 60, Lon: 180}, RadiusKm: 300})
-	out = IntersectOrArgmax(g, []*grid.Region{d1, d2, d3, d4})
+	// No majority: four pairwise-disjoint disks → empty result.
+	var ds []grid.Constraint
+	for _, p := range []geo.Point{{Lat: 0, Lon: 0}, {Lat: 0, Lon: 90}, {Lat: 0, Lon: -90}, {Lat: 60, Lon: 180}} {
+		ds = append(ds, diskFor(e, geo.Cap{Center: p, RadiusKm: 300}))
+	}
+	out = IntersectOrArgmax(g, ds)
 	if !out.Empty() {
 		t.Errorf("minority agreement should yield no prediction, got %d cells", out.Count())
 	}
@@ -133,12 +142,17 @@ func TestIntersectOrArgmaxFallback(t *testing.T) {
 	}
 }
 
+// ringRegion materializes the ring constraint as a region.
+func ringRegion(e *Env, id netsim.HostID, ring geo.Ring) *grid.Region {
+	return e.Grid.Intersect([]grid.Constraint{e.RingConstraint(id, ring)})
+}
+
 func TestRingRegion(t *testing.T) {
 	e := testEnv(t)
 	g := e.Grid
 	center := geo.Point{Lat: 48.86, Lon: 2.35}
 	ring := geo.Ring{Center: center, MinKm: 1000, MaxKm: 2500}
-	r := e.RingRegionFor("paris", ring)
+	r := ringRegion(e, "paris", ring)
 	if r.Empty() {
 		t.Fatal("empty ring region")
 	}
@@ -157,7 +171,7 @@ func TestRingRegion(t *testing.T) {
 		}
 	})
 	// Zero-min ring is a disk.
-	disk := e.RingRegionFor("paris", geo.Ring{Center: center, MinKm: 0, MaxKm: 800})
+	disk := ringRegion(e, "paris", geo.Ring{Center: center, MinKm: 0, MaxKm: 800})
 	if !disk.ContainsPoint(center) {
 		t.Error("zero-min ring should contain center")
 	}

@@ -37,7 +37,7 @@ func capOracle(g *grid.Grid, c geo.Cap) *grid.Region {
 	return r
 }
 
-// ringOracle is RingRegionFor as one per-cell loop: the two-sided
+// ringOracle is RingConstraint as one per-cell loop: the two-sided
 // predicate against the shrunk inner bound, then the center-cell rule.
 func ringOracle(g *grid.Grid, ring geo.Ring) *grid.Region {
 	r := g.NewRegion()
@@ -79,8 +79,9 @@ func randomPoint(rng *rand.Rand) geo.Point {
 	}
 }
 
-// TestEnvMaskEquivalence: CapRegionFor, RingRegionFor and
-// IntersectWithinFor must be byte-identical to the per-cell oracles,
+// TestEnvMaskEquivalence: CapRegionFor, the disk constraint of the same
+// cap, RingConstraint and IntersectWithinFor must be byte-identical to
+// the per-cell oracles,
 // including degenerate radii (≤ 0), rings with no usable inner bound,
 // inverted rings, and radii past the antipode.
 func TestEnvMaskEquivalence(t *testing.T) {
@@ -101,6 +102,10 @@ func TestEnvMaskEquivalence(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("cap %v r=%v: mask path %d cells, per-cell %d", p, radius, got.Count(), want.Count())
 			}
+			disk := grid.Disk(env.MasksFor(id, p), env.Grid.CellAt(p), radius)
+			if got := env.Grid.Intersect([]grid.Constraint{disk}); !got.Equal(want) {
+				t.Fatalf("disk %v r=%v: constraint %d cells, per-cell %d", p, radius, got.Count(), want.Count())
+			}
 		}
 		rings := []geo.Ring{
 			{Center: p, MinKm: rng.Float64() * 3000, MaxKm: rng.Float64() * geo.HalfEquatorKm},
@@ -110,7 +115,7 @@ func TestEnvMaskEquivalence(t *testing.T) {
 			{Center: p, MinKm: 0, MaxKm: 0},       // empty outer
 		}
 		for _, ring := range rings {
-			got, want := env.RingRegionFor(id, ring), ringOracle(env.Grid, ring)
+			got, want := env.Grid.Intersect([]grid.Constraint{env.RingConstraint(id, ring)}), ringOracle(env.Grid, ring)
 			if !got.Equal(want) {
 				t.Fatalf("ring %+v: mask path %d cells, per-cell %d", ring, got.Count(), want.Count())
 			}

@@ -8,26 +8,30 @@ import (
 	"activegeo/internal/geo"
 )
 
+// diskOn is the disk constraint of radius rKm around p, on masks built
+// from a fresh distance slice.
+func diskOn(g *Grid, p geo.Point, rKm float64) Constraint {
+	return Disk(newCapMasks(g, g.DistancesFrom(p), nil), g.CellAt(p), rKm)
+}
+
 func TestCoverageArgmax(t *testing.T) {
 	g := New(2.0)
-	a := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 50, Lon: 10}, RadiusKm: 1000})
-	b := g.CapRegion(geo.Cap{Center: geo.Point{Lat: 51, Lon: 12}, RadiusKm: 1000})
-	c := g.CapRegion(geo.Cap{Center: geo.Point{Lat: -30, Lon: 140}, RadiusKm: 1000}) // disjoint
+	a := diskOn(g, geo.Point{Lat: 50, Lon: 10}, 1000)
+	b := diskOn(g, geo.Point{Lat: 51, Lon: 12}, 1000)
+	c := diskOn(g, geo.Point{Lat: -30, Lon: 140}, 1000) // disjoint
 
-	best, count := g.CoverageArgmax([]*Region{a, b, c})
+	best, count := g.CoverageArgmax([]Constraint{a, b, c})
 	if count != 2 {
 		t.Fatalf("max count = %d, want 2", count)
 	}
 	// The argmax region is exactly the a∩b lens.
-	ab := a.Clone()
-	ab.IntersectWith(b)
-	if !best.Equal(ab) {
+	if ab := g.Intersect([]Constraint{a, b}); !best.Equal(ab) {
 		t.Errorf("argmax %d cells, a∩b lens %d cells", best.Count(), ab.Count())
 	}
 	// A tie: two disjoint disks each covered once are both the argmax.
-	best, count = g.CoverageArgmax([]*Region{a, c})
-	ac := a.Clone()
-	ac.UnionWith(c)
+	best, count = g.CoverageArgmax([]Constraint{a, c})
+	ac := g.Intersect([]Constraint{a})
+	ac.UnionWith(g.Intersect([]Constraint{c}))
 	if count != 1 || !best.Equal(ac) {
 		t.Errorf("tie: count %d with %d cells, want 1 with a∪c's %d", count, best.Count(), ac.Count())
 	}
@@ -35,6 +39,9 @@ func TestCoverageArgmax(t *testing.T) {
 	empty, count := g.CoverageArgmax(nil)
 	if count != 0 || !empty.Empty() {
 		t.Error("empty input should give empty region")
+	}
+	if !g.Intersect(nil).Empty() {
+		t.Error("no constraints should intersect to an empty region")
 	}
 }
 
@@ -55,20 +62,20 @@ func argmaxBenchCaps(n int) []geo.Cap {
 }
 
 // BenchmarkCoverageArgmax times one largest-consistent-subset search
-// over 40 disks, on the locate-replay (1.0°) and audit-quick (1.5°)
-// grid resolutions.
+// over 40 disk constraints, on the locate-replay (1.0°) and audit-quick
+// (1.5°) grid resolutions.
 func BenchmarkCoverageArgmax(b *testing.B) {
 	for _, res := range []float64{1.0, 1.5} {
 		b.Run(fmt.Sprintf("res=%.1f", res), func(b *testing.B) {
 			g := New(res)
-			var regions []*Region
+			var cs []Constraint
 			for _, c := range argmaxBenchCaps(40) {
-				regions = append(regions, g.CapRegion(c))
+				cs = append(cs, diskOn(g, c.Center, c.RadiusKm))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.CoverageArgmax(regions)
+				g.CoverageArgmax(cs)
 			}
 		})
 	}

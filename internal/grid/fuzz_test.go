@@ -1,10 +1,11 @@
 package grid
 
-// Native fuzz targets for the word-wise kernel: every CapMasks op must
-// stay byte-identical to its per-cell oracle (oracle_test.go) for any
-// center, radius and grid resolution, and the bit-sliced CoverageArgmax
-// must return the same region and count as a per-cell int count for any
-// set of regions. The seed corpora below run in every plain `go test`;
+// Native fuzz targets for the word-wise kernel: every CapMasks op and
+// every constraint op must stay byte-identical to its per-cell oracle
+// (oracle_test.go) for any center, radius and grid resolution, and the
+// pruned bit-sliced CoverageArgmax must return the same region and
+// count as a per-cell int count for any set of disk and ring
+// constraints. The seed corpora below run in every plain `go test`;
 // `make fuzz-smoke` explores beyond them.
 //
 // NaN radii are outside the kernel's contract (no caller can produce
@@ -62,11 +63,12 @@ func FuzzFillWithinKm(f *testing.F) {
 		}
 		p, g := geo.Point{Lat: lat, Lon: lon}, fuzzGrid(res)
 		dist := g.DistancesFrom(p)
-		a, b := g.NewRegion(), g.NewRegion()
-		newCapMasks(g, dist, nil).FillWithinKm(a, maxKm)
-		fillRingReference(b, dist, math.Inf(-1), maxKm)
+		center := g.CellAt(p)
+		a := g.Intersect([]Constraint{Disk(newCapMasks(g, dist, nil), center, maxKm)})
+		b := g.NewRegion()
+		addWithinKm(b, dist, maxKm, center)
 		if !a.Equal(b) {
-			t.Fatalf("center %v radius %v res %v: mask fill %d cells, per-cell %d", p, maxKm, g.Resolution(), a.Count(), b.Count())
+			t.Fatalf("center %v radius %v res %v: disk %d cells, per-cell %d", p, maxKm, g.Resolution(), a.Count(), b.Count())
 		}
 	})
 }
@@ -118,48 +120,127 @@ func FuzzFillRingKm(f *testing.F) {
 		}
 		p, g := geo.Point{Lat: lat, Lon: lon}, fuzzGrid(res)
 		dist := g.DistancesFrom(p)
-		a, b := g.NewRegion(), g.NewRegion()
-		newCapMasks(g, dist, nil).FillRingKm(a, minExclusiveKm, maxKm)
-		fillRingReference(b, dist, minExclusiveKm, maxKm)
-		if !a.Equal(b) {
-			t.Fatalf("center %v ring (%v, %v] res %v: mask fill %d cells, per-cell %d", p, minExclusiveKm, maxKm, g.Resolution(), a.Count(), b.Count())
+		// Env.RingConstraint keeps the center cell exactly when the ring
+		// has no inner bound.
+		center, centerIn := g.CellAt(p), math.IsInf(minExclusiveKm, -1)
+		c := Ring(newCapMasks(g, dist, nil), center, minExclusiveKm, maxKm, centerIn)
+		want := ringReference(g, dist, minExclusiveKm, maxKm, center, centerIn)
+		if got := g.Intersect([]Constraint{c}); !got.Equal(want) {
+			t.Fatalf("center %v ring (%v, %v] res %v: constraint %d cells, per-cell %d", p, minExclusiveKm, maxKm, g.Resolution(), got.Count(), want.Count())
+		}
+		best, n := g.CoverageArgmax([]Constraint{c})
+		if wantN := min(want.Count(), 1); n != wantN || !best.Equal(want) {
+			t.Fatalf("center %v ring (%v, %v] res %v: argmax count %d with %d cells, want %d with %d", p, minExclusiveKm, maxKm, g.Resolution(), n, best.Count(), wantN, want.Count())
+		}
+		if got := c.Intersects(g.FullRegion()); got == want.Empty() {
+			t.Fatalf("center %v ring (%v, %v] res %v: Intersects(full) = %v with %d cells", p, minExclusiveKm, maxKm, g.Resolution(), got, want.Count())
 		}
 	})
 }
 
-// Region shapes for FuzzCoverageArgmax.
+// Constraint shapes for FuzzCoverageArgmax.
 const (
-	shapeRandom    = iota // independent random regions
-	shapeEmpty            // every region empty
-	shapeIdentical        // k copies of one random region
-	shapeFull             // every region the full grid
-	shapeDisjoint         // small caps at well-separated centers
+	shapeRandom    = iota // random disks and rings, some sharing masks
+	shapeEmpty            // rings with no cells at all
+	shapeIdentical        // k copies of one random constraint
+	shapeFull             // disks past the antipode
+	shapeDisjoint         // small disks at well-separated centers
+	shapeSubLevel         // rings below the first mask level, center removed: max L = 0
+	shapePoint            // disks of radius ≤ 0: the center cell alone
+	shapeOffCenter        // disks too small to reach their own cell's center
+	shapeOpenRing         // rings with a −Inf lower bound
 	numShapes
 )
 
-// coverageRegions builds k regions of the given shape on g.
-func coverageRegions(g *Grid, k int, shape int, rng *rand.Rand) []*Region {
-	regions := make([]*Region, k)
-	one := randomRegion(g, rng)
-	for j := range regions {
+// coverageCase is a fuzz case's constraints with their per-cell oracle
+// regions.
+type coverageCase struct {
+	g       *Grid
+	cs      []Constraint
+	regions []*Region
+}
+
+// add appends the ring (a disk when minExclusiveKm is −Inf and the
+// center is kept) around p, on cm's masks when cm is not nil.
+func (cc *coverageCase) add(cm *CapMasks, p geo.Point, minExclusiveKm, maxKm float64, centerIn bool) *CapMasks {
+	g := cc.g
+	dist := g.DistancesFrom(p)
+	if cm == nil {
+		cm = newCapMasks(g, dist, nil)
+	}
+	center := g.CellAt(p)
+	if math.IsInf(minExclusiveKm, -1) && centerIn {
+		r := g.NewRegion()
+		addWithinKm(r, dist, maxKm, center)
+		cc.cs = append(cc.cs, Disk(cm, center, maxKm))
+		cc.regions = append(cc.regions, r)
+		return cm
+	}
+	cc.cs = append(cc.cs, Ring(cm, center, minExclusiveKm, maxKm, centerIn))
+	cc.regions = append(cc.regions, ringReference(g, dist, minExclusiveKm, maxKm, center, centerIn))
+	return cm
+}
+
+// near returns a point within about 300 km of p.
+func near(p geo.Point, rng *rand.Rand) geo.Point {
+	return geo.Point{Lat: math.Max(-89, math.Min(89, p.Lat+rng.Float64()*5-2.5)), Lon: p.Lon + rng.Float64()*5 - 2.5}
+}
+
+// coverageConstraints builds k constraints of the given shape on g.
+func coverageConstraints(g *Grid, k int, shape int, rng *rand.Rand) *coverageCase {
+	cc := &coverageCase{g: g}
+	hub := randomCap(rng).Center
+	maxSphere := math.Pi * geo.EarthRadiusKm
+	var prev *CapMasks
+	var prevP geo.Point
+	for j := 0; j < k; j++ {
 		switch shape {
 		case shapeRandom:
-			regions[j] = randomRegion(g, rng)
+			// Every third constraint reuses the previous landmark's
+			// masks at a new radius, as CBG++'s baseline and bestline
+			// disks do.
+			p := randomCap(rng).Center
+			var cm *CapMasks
+			if j%3 == 2 {
+				p, cm = prevP, prev
+			}
+			prevP = p
+			maxKm := rng.Float64() * geo.HalfEquatorKm
+			if rng.Intn(2) == 0 {
+				prev = cc.add(cm, p, math.Inf(-1), maxKm, true)
+			} else {
+				prev = cc.add(cm, p, rng.Float64()*maxKm-500, maxKm, rng.Intn(2) == 0)
+			}
 		case shapeEmpty:
-			regions[j] = g.NewRegion()
+			cc.add(nil, randomCap(rng).Center, 100, []float64{-5, 0}[j%2], false)
 		case shapeIdentical:
-			regions[j] = one.Clone()
+			if j == 0 {
+				prev = cc.add(nil, hub, rng.Float64()*3000, 3000+rng.Float64()*8000, false)
+				continue
+			}
+			cc.cs = append(cc.cs, cc.cs[0])
+			cc.regions = append(cc.regions, cc.regions[0])
 		case shapeFull:
-			regions[j] = g.FullRegion()
+			cc.add(nil, randomCap(rng).Center, math.Inf(-1), maxSphere+100, true)
 		case shapeDisjoint:
 			// A Fibonacci lattice keeps the centers ≳2,500 km apart for
 			// k ≤ 70, so 300 km caps only touch on the coarsest grids.
 			lat := math.Asin(1-2*(float64(j)+0.5)/float64(k)) * 180 / math.Pi
 			lon := math.Mod(float64(j)*137.508, 360) - 180
-			regions[j] = g.CapRegion(geo.Cap{Center: geo.Point{Lat: lat, Lon: lon}, RadiusKm: 300})
+			cc.add(nil, geo.Point{Lat: lat, Lon: lon}, math.Inf(-1), 300, true)
+		case shapeSubLevel:
+			cc.add(nil, near(hub, rng), math.Inf(-1), rng.Float64()*MaskStepKm, false)
+		case shapePoint:
+			cc.add(nil, near(hub, rng), math.Inf(-1), []float64{-5, 0}[j%2], true)
+		case shapeOffCenter:
+			// A radius far below the cell size: the landmark's own cell
+			// center is outside its disk unless it sits almost on it.
+			cc.add(nil, near(hub, rng), math.Inf(-1), 1+rng.Float64()*20, true)
+		case shapeOpenRing:
+			cc.add(nil, near(hub, rng), math.Inf(-1), rng.Float64()*4000, j%2 == 0)
 		}
 	}
-	return regions
+	return cc
 }
 
 func FuzzCoverageArgmax(f *testing.F) {
@@ -169,8 +250,13 @@ func FuzzCoverageArgmax(f *testing.F) {
 	// word; fuzzGrid(27) is the 29° grid, whose 50 cells fill less than
 	// one word.
 	for i, k := range ks {
-		for shape := range numShapes {
+		for shape := range shapeSubLevel {
 			f.Add(k, uint8(shape), []float64{0, 27}[i%2], int64(i))
+		}
+	}
+	for shape := shapeSubLevel; shape < numShapes; shape++ {
+		for i, k := range []uint8{1, 3, 4, 9, 33} {
+			f.Add(k, uint8(shape), []float64{0, 27}[i%2], int64(100+i))
 		}
 	}
 	f.Fuzz(func(t *testing.T, k, shape uint8, res float64, seed int64) {
@@ -178,12 +264,12 @@ func FuzzCoverageArgmax(f *testing.F) {
 			t.Skip()
 		}
 		g := fuzzGrid(res)
-		regions := coverageRegions(g, int(k)%70, int(shape)%numShapes, rand.New(rand.NewSource(seed)))
-		got, gotN := g.CoverageArgmax(regions)
-		want, wantN := coverageArgmaxReference(g, regions)
+		cc := coverageConstraints(g, int(k)%70, int(shape)%numShapes, rand.New(rand.NewSource(seed)))
+		got, gotN := g.CoverageArgmax(cc.cs)
+		want, wantN := coverageArgmaxReference(g, cc.regions)
 		if gotN != wantN || !got.Equal(want) {
 			t.Fatalf("k %d shape %d res %v: count %d with %d cells, per-cell %d with %d cells",
-				len(regions), shape%numShapes, g.Resolution(), gotN, got.Count(), wantN, want.Count())
+				len(cc.cs), shape%numShapes, g.Resolution(), gotN, got.Count(), wantN, want.Count())
 		}
 	})
 }

@@ -42,6 +42,7 @@ type Grid struct {
 	centers    []geo.Point
 	units      []geo.Vec3 // unit vector of each cell center
 	bandIdx    []int32    // band of each cell
+	zero       []uint64   // one region's worth of zero words, never written
 }
 
 // New builds a grid with latitude bands resDeg degrees tall. A resolution
@@ -73,6 +74,7 @@ func New(resDeg float64) *Grid {
 		g.cellArea[b] = bandArea / float64(n)
 	}
 	g.total = offset
+	g.zero = make([]uint64, (g.total+63)/64)
 	g.centers = make([]geo.Point, g.total)
 	g.units = make([]geo.Vec3, g.total)
 	g.bandIdx = make([]int32, g.total)

@@ -165,8 +165,7 @@ func TestIntersectCapAndRing(t *testing.T) {
 	g := testGrid(t)
 	paris := geo.Point{Lat: 48.8566, Lon: 2.3522}
 	r := g.CapRegion(geo.Cap{Center: paris, RadiusKm: 1000})
-	ring := g.NewRegion()
-	newCapMasks(g, g.DistancesFrom(paris), nil).FillRingKm(ring, 300, 600)
+	ring := g.Intersect([]Constraint{Ring(newCapMasks(g, g.DistancesFrom(paris), nil), g.CellAt(paris), 300, 600, false)})
 	r.IntersectWith(ring)
 	r.Each(func(i int) {
 		d := geo.DistanceKm(g.Center(i), paris)

@@ -8,14 +8,19 @@ package grid
 // amortizes the *geometry* as well: for each landmark it precomputes a
 // monotone family of radius-quantized cap bitmasks (level q covers the
 // cells within q·MaskStepKm), so a cap or ring of any radius reduces to
-// word-wise OR/AND/AND-NOT against the two bracketing levels, with the
-// exact float64 distance predicate applied only in the thin annulus
-// between the inner (certainly inside) and outer (certainly covering)
-// bracket. Because the annulus refinement applies the *identical*
-// per-cell predicate (dist ≤ r, or min < dist ≤ max for a ring),
-// results are byte-identical to a plain per-cell scan of the distance
-// slice — the masks are an accelerator, never an approximation. The
-// per-cell scans live on as test oracles (DESIGN.md §8).
+// word-wise OR/AND/AND-NOT against the two bracketing levels. The exact
+// float64 distance predicate (dist ≤ r, or min < dist ≤ max for a ring)
+// is applied only to cells in the thin annulus between the inner
+// (certainly inside) and outer (certainly covering) bracket, and only
+// to those annulus cells that can still change the op's answer:
+// IntersectWithinKm refines only the annulus cells still in the
+// region, and the constraint ops in constraint.go only the cells that
+// can still reach the coverage maximum or the strict intersection
+// (DESIGN.md §8, "Pruned refinement"). Because every refined cell
+// sees the *identical* per-cell predicate, results are byte-identical
+// to a plain per-cell scan of the distance slice — the masks are an
+// accelerator, never an approximation. The per-cell scans live on as
+// test oracles.
 
 import (
 	"math"
@@ -53,18 +58,27 @@ type CapMasks struct {
 	dist    []float32 // the landmark's cached distance field (shared, immutable)
 	words   int
 	levels  []uint64       // flattened maskLevels × words
+	spans   []span         // per level, the words that can be non-zero
+	zero    []uint64       // the grid's shared zero words: the empty level
 	refined *atomic.Uint64 // annulus cells exactly refined; nil-safe
 }
 
+// span is the half-open word range [lo, hi) outside which a level's
+// words are all zero; an all-zero level has lo = words and hi = 0, so
+// the min/max of several spans is their union.
+type span struct{ lo, hi int }
+
 // newCapMasks builds the mask family from a landmark's distance slice.
-// refined may be nil; when set, every op adds the number of annulus
-// cells it refined with the exact predicate.
+// refined may be nil; when set, every op adds, once per call, the
+// number of annulus cells it refined with the exact predicate.
 func newCapMasks(g *Grid, dist []float32, refined *atomic.Uint64) *CapMasks {
 	words := (g.total + 63) / 64
 	cm := &CapMasks{
 		dist:    dist,
 		words:   words,
 		levels:  make([]uint64, maskLevels*words),
+		spans:   make([]span, maskLevels),
+		zero:    g.zero,
 		refined: refined,
 	}
 	for i, d := range dist {
@@ -72,11 +86,18 @@ func newCapMasks(g *Grid, dist []float32, refined *atomic.Uint64) *CapMasks {
 		cm.levels[q*words+i/64] |= 1 << uint(i%64)
 	}
 	// Prefix-OR: each level also covers everything nearer.
-	for q := 1; q < maskLevels; q++ {
+	for q := range cm.spans {
 		dst := cm.levels[q*words : (q+1)*words]
-		src := cm.levels[(q-1)*words : q*words]
-		for w := range dst {
-			dst[w] |= src[w]
+		if q > 0 {
+			src := cm.levels[(q-1)*words : q*words]
+			for w := range dst {
+				dst[w] |= src[w]
+			}
+		}
+		if lo, hi := trim(dst, 0, words); lo < hi {
+			cm.spans[q] = span{lo: lo, hi: hi}
+		} else {
+			cm.spans[q] = span{lo: words}
 		}
 	}
 	return cm
@@ -140,56 +161,38 @@ func (cm *CapMasks) bracket(rKm float64) (lo, hi int) {
 	return q, q + 1
 }
 
-// level returns the words of level q; nil for q < 0 (empty mask). A q
-// beyond the top level is clamped to the top, which covers the sphere.
-func (cm *CapMasks) level(q int) []uint64 {
+// level returns the words of level q and their span; the zero words
+// and an empty span for q < 0 (empty mask). A q beyond the top level is
+// clamped to the top, which covers the sphere.
+func (cm *CapMasks) level(q int) ([]uint64, span) {
 	if q < 0 {
-		return nil
+		return cm.zero, span{lo: cm.words}
 	}
 	if q > maskLevels-1 {
 		q = maskLevels - 1
 	}
-	return cm.levels[q*cm.words : (q+1)*cm.words]
+	return cm.levels[q*cm.words : (q+1)*cm.words], cm.spans[q]
+}
+
+// pass returns the bits of word w's cells in ann whose cached distance
+// d satisfies minExclusiveKm < d ≤ maxKm: the exact per-cell predicate
+// every mask op falls back to in the annulus.
+func (cm *CapMasks) pass(w int, ann uint64, minExclusiveKm, maxKm float64) uint64 {
+	var keep uint64
+	base := w * 64
+	for t := ann; t != 0; t &= t - 1 {
+		b := bits.TrailingZeros64(t)
+		if d := float64(cm.dist[base+b]); d <= maxKm && d > minExclusiveKm {
+			keep |= 1 << uint(b)
+		}
+	}
+	return keep
 }
 
 func (cm *CapMasks) addRefined(n uint64) {
 	if cm.refined != nil && n > 0 {
 		cm.refined.Add(n)
 	}
-}
-
-// FillWithinKm ORs into dst exactly the cells whose cached distance is
-// ≤ maxKm — the per-cell scan of the distance slice, without the center
-// cell (callers add that separately, preserving AddCap's center rule).
-// Inner-bracket words are ORed wholesale; only annulus bits see the
-// exact float64 predicate. A NaN maxKm is outside the contract: no
-// caller can produce one, and the result need not match the scan.
-func (cm *CapMasks) FillWithinKm(dst *Region, maxKm float64) {
-	lo, hi := cm.bracket(maxKm)
-	inner := cm.level(lo)
-	outer := cm.level(hi)
-	var refined uint64
-	for w := 0; w < cm.words; w++ {
-		var in uint64
-		if inner != nil {
-			in = inner[w]
-		}
-		keep := in
-		if ann := outer[w] &^ in; ann != 0 {
-			refined += uint64(bits.OnesCount64(ann))
-			base := w * 64
-			for t := ann; t != 0; t &= t - 1 {
-				b := bits.TrailingZeros64(t)
-				if float64(cm.dist[base+b]) <= maxKm {
-					keep |= 1 << uint(b)
-				}
-			}
-		}
-		if keep != 0 {
-			dst.bits[w] |= keep
-		}
-	}
-	cm.addRefined(refined)
 }
 
 // IntersectWithinKm removes from r every cell whose cached distance
@@ -201,76 +204,19 @@ func (cm *CapMasks) FillWithinKm(dst *Region, maxKm float64) {
 // keep every cell.
 func (cm *CapMasks) IntersectWithinKm(r *Region, maxKm float64) {
 	lo, hi := cm.bracket(maxKm)
-	inner := cm.level(lo)
-	outer := cm.level(hi)
+	inner, _ := cm.level(lo)
+	outer, _ := cm.level(hi)
 	var refined uint64
 	for w, word := range r.bits {
 		if word == 0 {
 			continue
 		}
-		var in uint64
-		if inner != nil {
-			in = inner[w]
-		}
-		keep := word & in
-		if ann := word & outer[w] &^ in; ann != 0 {
+		keep := word & inner[w]
+		if ann := word & outer[w] &^ inner[w]; ann != 0 {
 			refined += uint64(bits.OnesCount64(ann))
-			base := w * 64
-			for t := ann; t != 0; t &= t - 1 {
-				b := bits.TrailingZeros64(t)
-				if float64(cm.dist[base+b]) <= maxKm {
-					keep |= 1 << uint(b)
-				}
-			}
+			keep |= cm.pass(w, ann, math.Inf(-1), maxKm)
 		}
 		r.bits[w] = keep
-	}
-	cm.addRefined(refined)
-}
-
-// FillRingKm ORs into dst exactly the cells with
-// minExclusiveKm < dist ≤ maxKm — byte-identical to the per-cell ring
-// loop over the same distance slice. minExclusiveKm may be −Inf (no
-// inner bound). Cells certainly in the ring (inside the outer bound's
-// inner bracket and outside the inner bound's outer bracket) are ORed
-// word-wise; only candidate bits near either boundary see the exact
-// two-sided predicate. NaN bounds are outside the contract: the masks
-// may keep cells the per-cell rule rejects.
-func (cm *CapMasks) FillRingKm(dst *Region, minExclusiveKm, maxKm float64) {
-	oLo, oHi := cm.bracket(maxKm)
-	iLo, iHi := cm.bracket(minExclusiveKm)
-	outSure := cm.level(oLo)  // certainly ≤ maxKm; nil if none
-	outAll := cm.level(oHi)   // everything possibly ≤ maxKm
-	innDrop := cm.level(iLo)  // certainly ≤ minExclusiveKm (excluded); nil if none
-	innMaybe := cm.level(iHi) // possibly ≤ minExclusiveKm
-	var refined uint64
-	for w := 0; w < cm.words; w++ {
-		var os, id, im uint64
-		if outSure != nil {
-			os = outSure[w]
-		}
-		if innDrop != nil {
-			id = innDrop[w]
-		}
-		if innMaybe != nil {
-			im = innMaybe[w]
-		}
-		cand := outAll[w] &^ id // possibly in the ring
-		keep := os &^ im        // certainly in the ring (⊆ cand)
-		if ann := cand &^ keep; ann != 0 {
-			refined += uint64(bits.OnesCount64(ann))
-			base := w * 64
-			for t := ann; t != 0; t &= t - 1 {
-				b := bits.TrailingZeros64(t)
-				dd := float64(cm.dist[base+b])
-				if dd <= maxKm && dd > minExclusiveKm {
-					keep |= 1 << uint(b)
-				}
-			}
-		}
-		if keep != 0 {
-			dst.bits[w] |= keep
-		}
 	}
 	cm.addRefined(refined)
 }

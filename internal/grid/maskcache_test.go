@@ -54,11 +54,12 @@ func TestMaskBracketInvariant(t *testing.T) {
 			cm := newCapMasks(g, dist, nil)
 			for _, rKm := range maskTestRadii(rng) {
 				lo, hi := cm.bracket(rKm)
-				inner, outer := cm.level(lo), cm.level(hi)
+				inner, _ := cm.level(lo)
+				outer, _ := cm.level(hi)
 				for i, d := range dist {
 					w, bit := i/64, uint64(1)<<uint(i%64)
 					exact := float64(d) <= rKm
-					in := inner != nil && inner[w]&bit != 0
+					in := inner[w]&bit != 0
 					out := outer[w]&bit != 0
 					if in && !exact {
 						t.Fatalf("res %v radius %v cell %d (dist %v): inner mask ⊄ exact region (lo=%d)", res, rKm, i, d, lo)
@@ -72,9 +73,9 @@ func TestMaskBracketInvariant(t *testing.T) {
 	}
 }
 
-// TestMaskFillWithinKmMatchesAddWithinKm: the word-wise cap fill plus
-// the caller's center-cell rule must be byte-identical to the per-cell
-// addWithinKm oracle over the same distance slice.
+// TestMaskFillWithinKmMatchesAddWithinKm: a disk constraint, the
+// word-wise cap fill with its center-cell rule, must be byte-identical
+// to the per-cell addWithinKm oracle over the same distance slice.
 func TestMaskFillWithinKmMatchesAddWithinKm(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(72))
@@ -84,14 +85,11 @@ func TestMaskFillWithinKmMatchesAddWithinKm(t *testing.T) {
 		cm := newCapMasks(g, dist, nil)
 		center := g.CellAt(c.Center)
 		for _, rKm := range maskTestRadii(rng) {
-			a, b := g.NewRegion(), g.NewRegion()
-			if rKm > 0 {
-				cm.FillWithinKm(a, rKm)
-			}
-			a.Add(center)
+			a := g.Intersect([]Constraint{Disk(cm, center, rKm)})
+			b := g.NewRegion()
 			addWithinKm(b, dist, rKm, center)
 			if !a.Equal(b) {
-				t.Fatalf("cap %v radius %v: mask fill differs from addWithinKm (%d vs %d cells)",
+				t.Fatalf("cap %v radius %v: disk differs from addWithinKm (%d vs %d cells)",
 					c.Center, rKm, a.Count(), b.Count())
 			}
 		}
@@ -119,10 +117,10 @@ func TestMaskIntersectWithinKmMatches(t *testing.T) {
 	}
 }
 
-// TestMaskFillRingKmMatches: the two-bracket ring fill must reproduce
-// the exact two-sided predicate (min < dist ≤ max) bit for bit,
-// including an unbounded inner edge (−Inf), inverted bounds, and rings
-// past the antipode.
+// TestMaskFillRingKmMatches: a ring constraint must reproduce the exact
+// two-sided predicate (min < dist ≤ max) bit for bit, then its
+// center-cell rule, including an unbounded inner edge (−Inf), inverted
+// bounds, and rings past the antipode.
 func TestMaskFillRingKmMatches(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(74))
@@ -131,6 +129,7 @@ func TestMaskFillRingKmMatches(t *testing.T) {
 		lm := randomCap(rng).Center
 		dist := g.DistancesFrom(lm)
 		cm := newCapMasks(g, dist, nil)
+		center := g.CellAt(lm)
 		bounds := [][2]float64{
 			{math.Inf(-1), rng.Float64() * geo.HalfEquatorKm},
 			{rng.Float64() * 2000, rng.Float64() * geo.HalfEquatorKm},
@@ -141,14 +140,33 @@ func TestMaskFillRingKmMatches(t *testing.T) {
 			{math.Inf(-1), maxSphere + 500},
 			{0, 1e-9},
 		}
-		for _, mm := range bounds {
-			minEx, maxKm := mm[0], mm[1]
-			a := g.NewRegion()
-			cm.FillRingKm(a, minEx, maxKm)
-			b := g.NewRegion()
-			fillRingReference(b, dist, minEx, maxKm)
+		for i, mm := range bounds {
+			minEx, maxKm, centerIn := mm[0], mm[1], (k+i)%2 == 0
+			a := g.Intersect([]Constraint{Ring(cm, center, minEx, maxKm, centerIn)})
+			b := ringReference(g, dist, minEx, maxKm, center, centerIn)
 			if !a.Equal(b) {
-				t.Fatalf("ring (%v, %v]: mask fill differs from scan (%d vs %d cells)", minEx, maxKm, a.Count(), b.Count())
+				t.Fatalf("ring (%v, %v] center in %v: constraint differs from scan (%d vs %d cells)", minEx, maxKm, centerIn, a.Count(), b.Count())
+			}
+		}
+	}
+}
+
+// TestMaskLevelSpans: every non-zero word of a level lies inside its
+// span, and the span's end words are non-zero.
+func TestMaskLevelSpans(t *testing.T) {
+	g := New(2.5)
+	rng := rand.New(rand.NewSource(75))
+	for k := 0; k < 10; k++ {
+		cm := newCapMasks(g, g.DistancesFrom(randomCap(rng).Center), nil)
+		for q := -1; q < maskLevels; q++ {
+			lv, sp := cm.level(q)
+			for w, x := range lv {
+				if inside := w >= sp.lo && w < sp.hi; x != 0 && !inside {
+					t.Fatalf("level %d: word %d is non-zero outside span [%d, %d)", q, w, sp.lo, sp.hi)
+				}
+			}
+			if sp.lo < sp.hi && (lv[sp.lo] == 0 || lv[sp.hi-1] == 0) {
+				t.Fatalf("level %d: span [%d, %d) is wider than its non-zero words", q, sp.lo, sp.hi)
 			}
 		}
 	}
@@ -230,14 +248,13 @@ func TestMaskCacheSharedBuild(t *testing.T) {
 }
 
 // TestMaskRefinedCounter: ops through the cache must account the
-// annulus cells they refined exactly.
+// annulus cells they refined, once per call.
 func TestMaskRefinedCounter(t *testing.T) {
 	g := New(5)
 	f := NewDistanceField(g, 4)
 	c := NewMaskCache(f, 4)
 	cm := c.Masks(FieldKey{ID: "x", Lat: 10, Lon: 10})
-	r := g.NewRegion()
-	cm.FillWithinKm(r, 3000)
+	g.Intersect([]Constraint{Disk(cm, 0, 3000)})
 	s := c.Stats()
 	if s.RefinedCells == 0 {
 		t.Fatalf("refined-cell counter did not advance")

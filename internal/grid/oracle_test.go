@@ -48,6 +48,21 @@ func fillRingReference(r *Region, dist []float32, minExclusiveKm, maxKm float64)
 	}
 }
 
+// ringReference is a ring Constraint as one per-cell loop: the
+// two-sided predicate when maxKm > 0, then the center-cell rule.
+func ringReference(g *Grid, dist []float32, minExclusiveKm, maxKm float64, center int, centerIn bool) *Region {
+	r := g.NewRegion()
+	if maxKm > 0 {
+		fillRingReference(r, dist, minExclusiveKm, maxKm)
+	}
+	if centerIn {
+		r.Add(center)
+	} else {
+		r.Remove(center)
+	}
+	return r
+}
+
 // areaKm2Reference sums CellArea over the region's cells one by one.
 func areaKm2Reference(r *Region) float64 {
 	var area float64

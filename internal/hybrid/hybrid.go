@@ -59,7 +59,7 @@ func (h *Hybrid) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		return nil, geoloc.ErrNoMeasurements
 	}
 	pad := h.env.PadKm()
-	regions := make([]*grid.Region, 0, len(ms))
+	cs := make([]grid.Constraint, 0, len(ms))
 	for _, m := range ms {
 		t := m.OneWayMs()
 		mu, sig := h.model.MuKm(t), h.model.SigmaKm(t)
@@ -72,9 +72,9 @@ func (h *Hybrid) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		if r.MinKm < 0 {
 			r.MinKm = 0
 		}
-		regions = append(regions, h.env.RingRegionFor(m.LandmarkID, r))
+		cs = append(cs, h.env.RingConstraint(m.LandmarkID, r))
 	}
-	best := geoloc.IntersectOrArgmax(h.env.Grid, regions)
+	best := geoloc.IntersectOrArgmax(h.env.Grid, cs)
 	return h.env.ApplyExclusions(best), nil
 }
 

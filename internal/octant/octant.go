@@ -148,7 +148,7 @@ func evalKnots(knots []mathx.XY, t, cutoff, speedBeyond float64) float64 {
 	last := knots[len(knots)-1]
 	end := math.Min(cutoff, last.X)
 	if t >= end {
-		base := mathx.NewPiecewiseLinear(knots).At(end)
+		base := (&mathx.PiecewiseLinear{Knots: knots}).At(end)
 		return base + (t-end)*speedBeyond
 	}
 	if t <= knots[0].X {
@@ -158,7 +158,7 @@ func evalKnots(knots []mathx.XY, t, cutoff, speedBeyond float64) float64 {
 		}
 		return knots[0].Y * t / knots[0].X
 	}
-	return mathx.NewPiecewiseLinear(knots).At(t)
+	return (&mathx.PiecewiseLinear{Knots: knots}).At(t)
 }
 
 // Calibration holds per-anchor curves and the pooled fallback.
@@ -240,7 +240,7 @@ func (o *Octant) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		return nil, geoloc.ErrNoMeasurements
 	}
 	pad := o.env.PadKm()
-	regions := make([]*grid.Region, 0, len(ms))
+	cs := make([]grid.Constraint, 0, len(ms))
 	for _, m := range ms {
 		cv := o.cal.Curves(m.LandmarkID)
 		t := m.OneWayMs()
@@ -252,9 +252,9 @@ func (o *Octant) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 		if r.MinKm < 0 {
 			r.MinKm = 0
 		}
-		regions = append(regions, o.env.RingRegionFor(m.LandmarkID, r))
+		cs = append(cs, o.env.RingConstraint(m.LandmarkID, r))
 	}
-	best := geoloc.IntersectOrArgmax(o.env.Grid, regions)
+	best := geoloc.IntersectOrArgmax(o.env.Grid, cs)
 	return o.env.ApplyExclusions(best), nil
 }
 
