@@ -7,12 +7,14 @@ package algtest
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"activegeo/internal/atlas"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/grid"
 	"activegeo/internal/netsim"
 )
 
@@ -100,4 +102,43 @@ func TestCities() map[string]geo.Point {
 		"joburg":    {Lat: -26.20, Lon: 28.05},
 		"singapore": {Lat: 1.35, Lon: 103.82},
 	}
+}
+
+// CityNames returns TestCities' names in sorted order, for suites that
+// draw from one rng across cities and must do so in a fixed order.
+func CityNames() []string {
+	cities := TestCities()
+	names := make([]string, 0, len(cities))
+	for name := range cities {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// Growth returns the number of cells of b outside a: 0 when b ⊆ a.
+func Growth(a, b *grid.Region) int {
+	out := b.Clone()
+	out.SubtractWith(a)
+	return out.Count()
+}
+
+// SeaFallback reports whether wide and narrow, two regions returned
+// through geoloc.Env.ApplyExclusions, are the case in which the
+// exclusions break monotonicity: wide kept a land cell, and narrow kept
+// none, so narrow holds the sea cells its fallback returns and wide
+// holds only land.
+func SeaFallback(env *geoloc.Env, wide, narrow *grid.Region) bool {
+	land := env.Mask.LandRef()
+	return !narrow.Empty() && wide.IntersectsRegion(land) && !narrow.IntersectsRegion(land)
+}
+
+// ScaleRTTs returns a copy of ms with every RTT multiplied by f.
+func ScaleRTTs(ms []geoloc.Measurement, f float64) []geoloc.Measurement {
+	out := make([]geoloc.Measurement, len(ms))
+	for i, m := range ms {
+		m.RTTms *= f
+		out[i] = m
+	}
+	return out
 }

@@ -234,6 +234,31 @@ func TestMaxDistanceKmCaps(t *testing.T) {
 	}
 }
 
+// TestMaxDistanceWithinBaseline: a bestline distance never exceeds the
+// baseline distance at the same one-way time, the precondition of
+// CBG++'s strict-first exit (cbgpp.CBGPP.LocateDetailed). Calibrate
+// never fits these hand-built lines: a negative intercept, a slope
+// faster than the baseline, and a flat line. The quick lab's fitted
+// lines are checked in package experiments.
+func TestMaxDistanceWithinBaseline(t *testing.T) {
+	for _, l := range []mathx.Line{
+		{Slope: 1 / 100.0, Intercept: -5},
+		{Slope: 1 / 300.0, Intercept: -1},
+		{Slope: 0, Intercept: 3},
+		{Slope: slowlineSlope, Intercept: -0.5},
+	} {
+		cal := &Calibration{lines: map[netsim.HostID]mathx.Line{"lm": l}, pooled: l}
+		for i := 0; i <= 1600; i++ {
+			ms := float64(i) / 4 // 0 to 400 ms, past the slowline's 237 ms
+			for _, id := range []netsim.HostID{"lm", "unknown"} {
+				if d, lim := cal.MaxDistanceKm(id, ms), geo.MaxDistanceKm(ms, geo.BaselineSpeedKmPerMs); !(d <= lim) {
+					t.Fatalf("line %+v at %.2f ms: %v km, baseline %v km", l, ms, d, lim)
+				}
+			}
+		}
+	}
+}
+
 func TestCBGLocateCoversEuropeanTarget(t *testing.T) {
 	cons, env := fixture(t)
 	cal, err := Calibrate(cons, Options{})

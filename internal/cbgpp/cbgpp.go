@@ -13,7 +13,11 @@
 //     and the final "bestline region" is the intersection of the largest
 //     consistent subset of the remaining bestline disks.
 //
-// The largest-consistent-subset searches are exact on the grid
+// Both filters exist for inconsistent bestline disks. When every
+// bestline disk shares a cell, neither changes anything and the region
+// is the plain intersection of the bestline disks, so the
+// largest-consistent-subset searches run only when the bestline disks
+// share no cell (LocateDetailed). Those searches are exact on the grid
 // (grid.Grid.CoverageArgmax): a cell covered by k disks witnesses a
 // k-subset with nonempty intersection, so the cells attaining the
 // maximum coverage count are precisely the intersection of the largest
@@ -99,6 +103,18 @@ func (c *CBGPP) LocateDetailed(ms []geoloc.Measurement) (*grid.Region, int, erro
 		return nil, 0, geoloc.ErrNoMeasurements
 	}
 	kept, base := c.disks(ms)
+	// Strict first (DESIGN.md §8): if the bestline disks share a cell,
+	// their intersection is the answer, with or without the filter.
+	// cbg.Calibration.MaxDistanceKm clamps at the baseline distance and
+	// both disks add the same pad on the same masks, so each bestline
+	// disk lies inside its baseline disk cell for cell. A shared bestline
+	// cell then lies in every baseline disk, so the baseline region is
+	// the k-way intersection of the baseline disks, it holds that cell,
+	// every bestline disk meets it and none is dropped, and the argmax
+	// over all k bestline disks is their intersection.
+	if strict := c.env.Grid.Intersect(kept); !strict.Empty() {
+		return c.env.ApplyExclusions(strict), len(kept), nil
+	}
 	if !c.opts.DisableBaselineFilter {
 		baseRegion, _ := c.env.Grid.CoverageArgmax(base)
 		n := 0

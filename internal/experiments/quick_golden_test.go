@@ -3,12 +3,20 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"activegeo/internal/assess"
+	"activegeo/internal/cbg"
+	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/grid"
 	"activegeo/internal/measure"
 	"activegeo/internal/refimpl"
 )
@@ -47,6 +55,10 @@ func TestQuickAuditGolden(t *testing.T) {
 // TestQuickLocateMatchesReference: on the quick lab's own measurement
 // vectors, every production algorithm returns exactly the region of its
 // pre-kernel twin in internal/refimpl, with no boundary-tie allowance.
+// CBG++ is also held to its twin on the quick fleet's honest two-phase
+// vectors, on both sides of its strict-first exit: the first 48
+// servers, whose bestline disks mostly share a cell, plus every server
+// whose bestline disks share none.
 func TestQuickLocateMatchesReference(t *testing.T) {
 	l := lab(t)
 	const nTargets = 3
@@ -71,23 +83,111 @@ func TestQuickLocateMatchesReference(t *testing.T) {
 		{&refimpl.Hybrid{Env: l.Env, Model: model}, l.Hybrid},
 	}
 	for _, p := range pairs {
-		diff := 0
-		for _, ms := range targets {
-			want, err := p.ref.Locate(ms)
-			if err != nil {
-				t.Fatalf("%s reference: %v", p.ref.Name(), err)
-			}
-			got, err := p.prod.Locate(ms)
-			if err != nil {
-				t.Fatalf("%s: %v", p.prod.Name(), err)
-			}
-			onlyWant, onlyGot := want.Clone(), got.Clone()
-			onlyWant.SubtractWith(got)
-			onlyGot.SubtractWith(want)
-			diff += onlyWant.Count() + onlyGot.Count()
-		}
-		if diff != 0 {
+		if diff := referenceDiff(t, p.ref, p.prod, targets); diff != 0 {
 			t.Errorf("%s: regions differ from the reference by %d cells over %d targets", p.prod.Name(), diff, nTargets)
+		}
+	}
+
+	var vecs [][]geoloc.Measurement
+	var measured, strict, counted int
+	for i, s := range l.Fleet.Servers() {
+		rng := rand.New(rand.NewSource(measure.StreamSeed(l.Cfg.Seed, s.Host.ID)))
+		res, err := measure.ProxiedTwoPhase(l.Cons, l.Client, s.Host.ID, measure.DefaultEta, rng)
+		if err != nil {
+			continue
+		}
+		measured++
+		ms := res.Measurements()
+		shared := bestlinesShareCell(l, ms)
+		if shared && i >= 48 {
+			continue
+		}
+		if shared {
+			strict++
+		} else {
+			counted++
+		}
+		vecs = append(vecs, ms)
+	}
+	t.Logf("CBG++ on %d of %d two-phase vectors: %d with a shared bestline cell, %d without", len(vecs), measured, strict, counted)
+	if strict == 0 || counted == 0 {
+		t.Errorf("two-phase vectors: %d with a shared bestline cell and %d without, want both", strict, counted)
+	}
+	if diff := referenceDiff(t, pairs[1].ref, l.CBGpp, vecs); diff != 0 {
+		t.Errorf("CBG++: regions differ from the reference by %d cells over %d two-phase vectors", diff, len(vecs))
+	}
+}
+
+// referenceDiff returns the number of cells by which prod's regions
+// differ from ref's over the vectors, locating on GOMAXPROCS workers.
+func referenceDiff(t *testing.T, ref, prod geoloc.Algorithm, vecs [][]geoloc.Measurement) int {
+	t.Helper()
+	diffs := make([]int, len(vecs))
+	errs := make([]error, len(vecs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(vecs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(vecs); i = int(next.Add(1)) - 1 {
+				want, err := ref.Locate(vecs[i])
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %w", ref.Name(), err)
+					continue
+				}
+				got, err := prod.Locate(vecs[i])
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %w", prod.Name(), err)
+					continue
+				}
+				onlyWant, onlyGot := want.Clone(), got.Clone()
+				onlyWant.SubtractWith(got)
+				onlyGot.SubtractWith(want)
+				diffs[i] = onlyWant.Count() + onlyGot.Count()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	diff := 0
+	for _, d := range diffs {
+		diff += d
+	}
+	return diff
+}
+
+// bestlinesShareCell reports whether the padded CBG++ bestline disks of
+// ms share a grid cell, the condition of CBG++'s strict-first exit.
+func bestlinesShareCell(l *Lab, ms []geoloc.Measurement) bool {
+	cal, pad := l.CBGpp.Calibration(), l.Env.PadKm()
+	var cs []grid.Constraint
+	for _, m := range geoloc.Collapse(ms) {
+		maxKm := cal.MaxDistanceKm(m.LandmarkID, m.OneWayMs()) + pad
+		cs = append(cs, grid.Disk(l.Env.MasksFor(m.LandmarkID, m.Landmark), l.Env.Grid.CellAt(m.Landmark), maxKm))
+	}
+	return !l.Env.Grid.Intersect(cs).Empty()
+}
+
+// TestMaxDistanceWithinBaseline: on every landmark of the quick lab,
+// under the CBG and the CBG++ calibration, the bestline distance never
+// exceeds the baseline distance at the same one-way time, from 0 ms to
+// past the slowline's 237 ms. Each bestline disk then lies inside its
+// baseline disk, which CBG++'s strict-first exit rests on
+// (cbgpp.CBGPP.LocateDetailed). Probes use the pooled line.
+func TestMaxDistanceWithinBaseline(t *testing.T) {
+	l := lab(t)
+	landmarks := slices.Concat(l.Cons.Anchors(), l.Cons.Probes())
+	for _, cal := range []*cbg.Calibration{l.CBG.Calibration(), l.CBGpp.Calibration()} {
+		for _, lm := range landmarks {
+			for i := 0; i <= 800; i++ {
+				ms := float64(i) / 2
+				if d, lim := cal.MaxDistanceKm(lm.Host.ID, ms), geo.MaxDistanceKm(ms, geo.BaselineSpeedKmPerMs); !(d <= lim) {
+					t.Fatalf("%s at %.1f ms: %v km, baseline %v km", lm.Host.ID, ms, d, lim)
+				}
+			}
 		}
 	}
 }

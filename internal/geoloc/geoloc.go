@@ -6,9 +6,10 @@
 package geoloc
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"activegeo/internal/geo"
 	"activegeo/internal/grid"
@@ -168,34 +169,31 @@ func (e *Env) ApplyExclusions(r *grid.Region) *grid.Region {
 
 // Collapse deduplicates measurements by landmark, keeping the minimum RTT
 // for each — the standard treatment, since queueing can only add delay.
-// The result is sorted by landmark ID for determinism.
+// Among equal RTTs the first occurrence wins. The result is a new slice
+// sorted by landmark ID for determinism; ms itself is never reordered,
+// since callers may share it across goroutines. NaN RTTs are outside
+// the contract.
 func Collapse(ms []Measurement) []Measurement {
-	best := map[netsim.HostID]Measurement{}
-	for _, m := range ms {
-		if cur, ok := best[m.LandmarkID]; !ok || m.RTTms < cur.RTTms {
-			best[m.LandmarkID] = m
-		}
-	}
-	out := make([]Measurement, 0, len(best))
-	for _, m := range best {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].LandmarkID < out[j].LandmarkID })
-	return out
+	out := slices.Clone(ms)
+	// A stable sort keeps equal (landmark, RTT) pairs in input order, so
+	// the first of each landmark's run is its earliest minimum.
+	slices.SortStableFunc(out, func(a, b Measurement) int {
+		return cmp.Or(cmp.Compare(a.LandmarkID, b.LandmarkID), cmp.Compare(a.RTTms, b.RTTms))
+	})
+	return slices.CompactFunc(out, func(a, b Measurement) bool { return a.LandmarkID == b.LandmarkID })
 }
 
-// IntersectOrArgmax multilaterates ring/disk constraints: it first
-// tries the strict intersection of all constraints (grid.Grid.Intersect);
-// when noise makes that empty (common for ring constraints at world
-// scale, §5), it falls back to the cells covered by the largest
-// consistent subset (grid.Grid.CoverageArgmax).
+// IntersectOrArgmax multilaterates ring/disk constraints: the strict
+// intersection of all constraints when it is non-empty; when noise
+// makes that empty (common for ring constraints at world scale, §5),
+// the cells covered by the largest consistent subset. Both come from
+// grid.Grid.CoverageArgmax: the strict rule lives in the kernel, which
+// returns the intersection, at count len(cs), whenever the constraints
+// share a cell.
 // The strict path keeps successful predictions small — the behaviour
 // behind the paper's Figure 9C, where ring-based algorithms produce
 // much smaller (and often wrong) regions than CBG.
 func IntersectOrArgmax(g *grid.Grid, cs []grid.Constraint) *grid.Region {
-	if strict := g.Intersect(cs); !strict.Empty() || len(cs) == 0 {
-		return strict
-	}
 	// Octant's weighted regions reduce to the maximum-coverage cells
 	// when all weights are equal — but a region where only a minority of
 	// constraints agree is no prediction at all, so require a clear

@@ -2,6 +2,7 @@ package geoloc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,6 +41,26 @@ func TestCollapse(t *testing.T) {
 	}
 	if len(Collapse(nil)) != 0 {
 		t.Error("collapse of nil")
+	}
+
+	// Equal-RTT duplicates that differ in another field: the first
+	// occurrence wins, and the caller's slice keeps its order.
+	ms = []Measurement{
+		{LandmarkID: "c", Landmark: geo.Point{Lat: 1}, RTTms: 10},
+		{LandmarkID: "a", Landmark: geo.Point{Lat: 2}, RTTms: 7},
+		{LandmarkID: "c", Landmark: geo.Point{Lat: 3}, RTTms: 10},
+		{LandmarkID: "a", Landmark: geo.Point{Lat: 4}, RTTms: 7},
+		{LandmarkID: "c", Landmark: geo.Point{Lat: 5}, RTTms: 12},
+		{LandmarkID: "b", Landmark: geo.Point{Lat: 6}, RTTms: 9},
+	}
+	in := slices.Clone(ms)
+	out = Collapse(ms)
+	want := []Measurement{in[1], in[5], in[0]}
+	if !slices.Equal(out, want) {
+		t.Errorf("collapsed to %+v, want %+v", out, want)
+	}
+	if !slices.Equal(ms, in) {
+		t.Errorf("input changed to %+v, was %+v", ms, in)
 	}
 }
 

@@ -148,7 +148,7 @@ func (c *Constraint) Intersects(r *Region) bool {
 }
 
 // Intersect returns the cells in every constraint: the strict
-// multilateration of geoloc.IntersectOrArgmax. The maybe words of all
+// multilateration CoverageArgmax tries first. The maybe words of all
 // constraints are ANDed first; then each constraint refines only its
 // annulus cells that survived the AND and every refinement before it.
 // No constraints give an empty region.

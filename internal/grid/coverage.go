@@ -28,6 +28,13 @@ import (
 // exactly the cells whose count equals the maximum (DESIGN.md §8,
 // "Bit-sliced coverage").
 //
+// Strict first (DESIGN.md §8, "Strict first"): when the constraints
+// share a cell, the answer is their intersection with count len(cs). A
+// cell in every constraint counts len(cs), and no cell counts more, so
+// the argmax is exactly Intersect(cs). Only when that is empty does the
+// count below run; the empty region Intersect returned becomes its
+// output.
+//
 // The exact predicate is pruned (DESIGN.md §8, "Pruned refinement").
 // The sure words count into a lower bound L and the maybe words into an
 // upper bound U. Every cell whose count is the maximum M has
@@ -35,9 +42,9 @@ import (
 // only their annulus cells are refined into L. L is then exact on every
 // candidate, and the argmax is read from L over the candidates alone.
 func (g *Grid) CoverageArgmax(cs []Constraint) (*Region, int) {
-	out := g.NewRegion()
-	if len(cs) == 0 {
-		return out, 0
+	out := g.Intersect(cs)
+	if len(cs) == 0 || !out.Empty() {
+		return out, len(cs)
 	}
 	nw := len(out.bits)
 	np := bits.Len(uint(len(cs)))

@@ -243,7 +243,16 @@ func coverageConstraints(g *Grid, k int, shape int, rng *rand.Rand) *coverageCas
 	return cc
 }
 
-func FuzzCoverageArgmax(f *testing.F) {
+// coverageSeed is one FuzzCoverageArgmax input.
+type coverageSeed struct {
+	k, shape uint8
+	res      float64
+	seed     int64
+}
+
+// coverageSeeds is FuzzCoverageArgmax's seed corpus.
+func coverageSeeds() []coverageSeed {
+	var seeds []coverageSeed
 	// k = 0 and 1; the plane count steps between 2^p−1 and 2^p.
 	ks := []uint8{0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64}
 	// fuzzGrid(0) is the 2° grid, whose 10,312 cells end in a partial
@@ -251,25 +260,66 @@ func FuzzCoverageArgmax(f *testing.F) {
 	// one word.
 	for i, k := range ks {
 		for shape := range shapeSubLevel {
-			f.Add(k, uint8(shape), []float64{0, 27}[i%2], int64(i))
+			seeds = append(seeds, coverageSeed{k, uint8(shape), []float64{0, 27}[i%2], int64(i)})
 		}
 	}
 	for shape := shapeSubLevel; shape < numShapes; shape++ {
 		for i, k := range []uint8{1, 3, 4, 9, 33} {
-			f.Add(k, uint8(shape), []float64{0, 27}[i%2], int64(100+i))
+			seeds = append(seeds, coverageSeed{k, uint8(shape), []float64{0, 27}[i%2], int64(100 + i)})
 		}
+	}
+	return seeds
+}
+
+// checkCoverageArgmax holds CoverageArgmax to the per-cell oracle and
+// to its strict rule: the count is len(cs) exactly when the constraints
+// share a cell. It reports whether they did.
+func checkCoverageArgmax(t *testing.T, s coverageSeed) (strict bool) {
+	g := fuzzGrid(s.res)
+	cc := coverageConstraints(g, int(s.k)%70, int(s.shape)%numShapes, rand.New(rand.NewSource(s.seed)))
+	got, gotN := g.CoverageArgmax(cc.cs)
+	want, wantN := coverageArgmaxReference(g, cc.regions)
+	if gotN != wantN || !got.Equal(want) {
+		t.Fatalf("k %d shape %d res %v: count %d with %d cells, per-cell %d with %d cells",
+			len(cc.cs), s.shape%numShapes, g.Resolution(), gotN, got.Count(), wantN, want.Count())
+	}
+	strict = !g.Intersect(cc.cs).Empty()
+	if full := len(cc.cs) > 0 && gotN == len(cc.cs); full != strict {
+		t.Fatalf("k %d shape %d res %v: count %d, but Intersect non-empty is %v",
+			len(cc.cs), s.shape%numShapes, g.Resolution(), gotN, strict)
+	}
+	return strict
+}
+
+func FuzzCoverageArgmax(f *testing.F) {
+	for _, s := range coverageSeeds() {
+		f.Add(s.k, s.shape, s.res, s.seed)
 	}
 	f.Fuzz(func(t *testing.T, k, shape uint8, res float64, seed int64) {
 		if !finite(res) {
 			t.Skip()
 		}
-		g := fuzzGrid(res)
-		cc := coverageConstraints(g, int(k)%70, int(shape)%numShapes, rand.New(rand.NewSource(seed)))
-		got, gotN := g.CoverageArgmax(cc.cs)
-		want, wantN := coverageArgmaxReference(g, cc.regions)
-		if gotN != wantN || !got.Equal(want) {
-			t.Fatalf("k %d shape %d res %v: count %d with %d cells, per-cell %d with %d cells",
-				len(cc.cs), shape%numShapes, g.Resolution(), gotN, got.Count(), wantN, want.Count())
-		}
+		checkCoverageArgmax(t, coverageSeed{k, shape, res, seed})
 	})
+}
+
+// TestCoverageArgmaxSeedsHitBothBranches: FuzzCoverageArgmax's seed
+// corpus reaches both CoverageArgmax branches, the strict intersection
+// (every identical and full seed does) and the pruned count.
+func TestCoverageArgmaxSeedsHitBothBranches(t *testing.T) {
+	var strict, counted int
+	for _, s := range coverageSeeds() {
+		if checkCoverageArgmax(t, s) {
+			strict++
+			continue
+		}
+		if s.k > 0 && (s.shape == shapeIdentical || s.shape == shapeFull) {
+			t.Errorf("seed %+v: %d identical or full constraints share no cell", s, s.k)
+		}
+		counted++
+	}
+	t.Logf("%d seeds take the strict branch, %d the count", strict, counted)
+	if strict == 0 || counted == 0 {
+		t.Errorf("seeds take the strict branch %d times and the count %d times, want both", strict, counted)
+	}
 }

@@ -1,8 +1,9 @@
 package refimpl
 
-// FuzzIntersectOrArgmax holds geoloc.IntersectOrArgmax, whose strict
-// path ANDs constraint words and whose fallback runs the pruned
-// coverage argmax, to intersectOrArgmaxReference over per-cell regions
+// FuzzIntersectOrArgmax holds geoloc.IntersectOrArgmax, whose coverage
+// argmax returns the strict intersection of the constraint words when
+// it is non-empty and otherwise runs the pruned count, with the
+// majority rule on top, to intersectOrArgmaxReference over per-cell regions
 // of the same distance slices. The seed corpus runs in every plain
 // `go test`; `make fuzz-smoke` explores beyond it.
 
