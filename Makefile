@@ -13,7 +13,7 @@
 #   make race          full test suite under the race detector
 #   make race-smoke    quick audit pipeline and measure batch, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel and Theil–Sen
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel, Theil–Sen and netsim.Path
 #   make cover         per-package coverage with an 85% floor on the service packages
 
 GO ?= go
@@ -84,9 +84,10 @@ soak:
 # Native fuzzing over the atlasd wire surface (query parsing, model
 # path handling and report decoding), over the geometry kernel (each
 # quantized-mask op, the ring constraint, the pruned coverage argmax and
-# geoloc.IntersectOrArgmax, against their per-cell oracles) and over
+# geoloc.IntersectOrArgmax, against their per-cell oracles), over
 # Theil–Sen's median-slope selection (against the all-pairs
-# enumeration), FUZZTIME per target.
+# enumeration) and over netsim.Path (a reused leg against fresh by-ID
+# calls), FUZZTIME per target.
 # The seed corpora also run (for free) in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
@@ -95,6 +96,7 @@ fuzz-smoke:
 	for f in FuzzFillWithinKm FuzzIntersectWithinKm FuzzFillRingKm FuzzCoverageArgmax; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/grid || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectOrArgmax$$' -fuzztime $(FUZZTIME) ./internal/refimpl
 	$(GO) test -run '^$$' -fuzz '^FuzzTheilSen$$' -fuzztime $(FUZZTIME) ./internal/mathx
+	$(GO) test -run '^$$' -fuzz '^FuzzPathMatchesNetwork$$' -fuzztime $(FUZZTIME) ./internal/netsim
 
 # Coverage floor on the service packages: the coordination server and
 # the load generator are concurrency-heavy, so untested branches there

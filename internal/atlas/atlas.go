@@ -93,6 +93,10 @@ type Constellation struct {
 	// reads the epoch to stamp dependency signatures.
 	epoch atomic.Uint64
 
+	// byCont is the landmark set grouped by continent, rebuilt by
+	// regroup wherever the landmark set changes.
+	byCont map[worldmap.Continent][]*Landmark
+
 	// anchorSeq numbers anchors minted by AddAnchors. A monotonic
 	// counter — never an rng draw — so churned-in anchor IDs are unique
 	// for the constellation's lifetime.
@@ -183,6 +187,7 @@ func Build(net *netsim.Network, cfg Config, rng *rand.Rand) (*Constellation, err
 			return nil, err
 		}
 	}
+	c.regroup()
 	c.RefreshCalibration(cfg.SamplesPerPair, rng)
 	return c, nil
 }
@@ -232,8 +237,9 @@ func (c *Constellation) RefreshCalibration(samplesPerPair int, rng *rand.Rand) {
 				Peer:   b.Host.ID,
 				DistKm: geo.DistanceKm(a.Host.Loc, b.Host.Loc),
 			}
+			path := c.net.Path(a.Host.ID, b.Host.ID)
 			for i := 0; i < samplesPerPair; i++ {
-				rtt, err := c.net.SampleRTTMs(a.Host.ID, b.Host.ID, rng)
+				rtt, err := path.SampleRTTMs(rng)
 				if err != nil {
 					continue
 				}
@@ -305,8 +311,17 @@ func (c *Constellation) Pooled() []mathx.XY {
 	return out
 }
 
-// ByContinent groups all landmarks by the continent of their country.
+// ByContinent groups all landmarks by the continent of their country,
+// each group in All's order. The grouping is computed when the landmark
+// set changes (Build, Decommission, AddAnchors) and shared by every
+// caller, which must not mutate the map or its slices.
 func (c *Constellation) ByContinent() map[worldmap.Continent][]*Landmark {
+	return c.byCont
+}
+
+// regroup recomputes ByContinent's grouping from All. It runs before
+// the epoch bump that publishes a landmark-set change.
+func (c *Constellation) regroup() {
 	out := map[worldmap.Continent][]*Landmark{}
 	for _, lm := range c.All() {
 		wc := worldmap.ByCode(lm.Host.Country)
@@ -315,5 +330,5 @@ func (c *Constellation) ByContinent() map[worldmap.Continent][]*Landmark {
 		}
 		out[wc.Continent] = append(out[wc.Continent], lm)
 	}
-	return out
+	c.byCont = out
 }

@@ -300,3 +300,54 @@ func TestEpochTracksCalibration(t *testing.T) {
 		t.Fatalf("epoch %d → %d across RefreshCalibration, want +1", before, after)
 	}
 }
+
+// TestByContinentTracksLandmarkSet: the precomputed grouping equals a
+// fresh grouping of All, slice order included, after Build, Decommission
+// and AddAnchors — also when AddAnchors stops at a duplicate host
+// partway through.
+func TestByContinentTracksLandmarkSet(t *testing.T) {
+	c := buildSmall(t)
+	check := func(step string) {
+		t.Helper()
+		want := map[worldmap.Continent][]*Landmark{}
+		for _, lm := range c.All() {
+			if wc := worldmap.ByCode(lm.Host.Country); wc != nil {
+				want[wc.Continent] = append(want[wc.Continent], lm)
+			}
+		}
+		got := c.ByContinent()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d continent groups, want %d", step, len(got), len(want))
+		}
+		for cont, lms := range want {
+			g := got[cont]
+			if len(g) != len(lms) {
+				t.Fatalf("%s: %v has %d landmarks, want %d", step, cont, len(g), len(lms))
+			}
+			for i := range lms {
+				if g[i] != lms[i] {
+					t.Fatalf("%s: %v[%d] is %s, want %s", step, cont, i, g[i].Host.ID, lms[i].Host.ID)
+				}
+			}
+		}
+	}
+	check("Build")
+	rng := rand.New(rand.NewSource(3))
+	c.Decommission(5, rng)
+	check("Decommission")
+	if _, err := c.AddAnchors(4, rng); err != nil {
+		t.Fatal(err)
+	}
+	check("AddAnchors")
+	c.RefreshCalibration(1, rng)
+	check("RefreshCalibration")
+	// The next minted ID is anchor-new-000004; taking 000005 first makes
+	// the second of three additions fail after the first landed.
+	if err := c.Net().AddHost(&netsim.Host{ID: "anchor-new-000005", Loc: geo.Point{Lat: 1, Lon: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := c.AddAnchors(3, rng); err == nil || len(ids) != 1 {
+		t.Fatalf("AddAnchors over a taken ID: ids %v, err %v", ids, err)
+	}
+	check("failed AddAnchors")
+}

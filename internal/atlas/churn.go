@@ -41,6 +41,7 @@ func (c *Constellation) Decommission(n int, rng *rand.Rand) []netsim.HostID {
 		kept = append(kept, a)
 	}
 	c.anchors = kept
+	c.regroup()
 	c.epoch.Add(1)
 	return ids
 }
@@ -72,6 +73,7 @@ func (c *Constellation) AddAnchors(n int, rng *rand.Rand) ([]netsim.HostID, erro
 			ListensHTTP:   rng.Float64() < 0.5,
 		}
 		if err := c.net.AddHost(h); err != nil {
+			c.regroup()
 			return ids, err
 		}
 		lm := &Landmark{Host: h, IsAnchor: true}
@@ -79,6 +81,7 @@ func (c *Constellation) AddAnchors(n int, rng *rand.Rand) ([]netsim.HostID, erro
 		c.byID[h.ID] = lm
 		ids = append(ids, h.ID)
 	}
+	c.regroup()
 	c.epoch.Add(1)
 	return ids, nil
 }

@@ -1,6 +1,7 @@
 package cbgpp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"activegeo/internal/cbg"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/netsim"
 )
 
 func newAlg(t testing.TB, opts Options) (*CBGPP, *geoloc.Env) {
@@ -148,5 +150,70 @@ func TestLocateNoMeasurements(t *testing.T) {
 	}
 	if alg.Calibration() == nil {
 		t.Error("calibration accessor")
+	}
+}
+
+// TestBaselineFilterOverrulesUnderestimatingMajority pins the baseline
+// filter on a hand-built vector. Three honest landmarks 100 km from the
+// target have 200 km bestline disks around it. Four underestimating
+// landmarks 100 km around a decoy 9,150 km away have 8,000 km bestline
+// disks, which share the decoy and stay at least 900 km short of the
+// target; their RTTs are physically real, so their baseline disks still
+// reach it. Among bestlines the four outvote the three. Among baselines
+// all seven meet at the target, and the honest baseline disks (about
+// 490 km) keep the baseline region near it, out of every
+// underestimating bestline disk. With the filter CBG++ keeps the three
+// honest disks and covers the target; without it the region sits on the
+// decoy.
+func TestBaselineFilterOverrulesUnderestimatingMajority(t *testing.T) {
+	pp, env := newAlg(t, Options{})
+	noFilter, _ := newAlg(t, Options{DisableBaselineFilter: true})
+	cal := pp.Calibration()
+	target := geo.Point{Lat: 48.5, Lon: 10}   // Bavaria
+	decoy := geo.Point{Lat: 22.3, Lon: 114.2} // Hong Kong, 9,150 km away
+	var ms []geoloc.Measurement
+	add := func(id string, at geo.Point, bestKm float64) {
+		ms = append(ms, geoloc.Measurement{
+			LandmarkID: netsim.HostID(id),
+			Landmark:   at,
+			RTTms:      2 * cal.Pooled().At(bestKm),
+		})
+	}
+	for i, brg := range []float64{0, 120, 240} {
+		add(fmt.Sprintf("honest-%d", i), geo.DestinationPoint(target, brg, 100), 200)
+	}
+	for i, brg := range []float64{45, 135, 225, 315} {
+		add(fmt.Sprintf("under-%d", i), geo.DestinationPoint(decoy, brg, 100), 8000)
+	}
+	// The construction's premises, so a change of the fixture's pooled
+	// bestline cannot quietly void the test.
+	for _, m := range ms[3:] {
+		d := geo.DistanceKm(m.Landmark, target)
+		if best := cal.MaxDistanceKm(m.LandmarkID, m.OneWayMs()); best+900 > d {
+			t.Fatalf("%s: bestline disk %.0f km reaches within 900 km of the target %.0f km away", m.LandmarkID, best, d)
+		}
+		if base := geo.MaxDistanceKm(m.OneWayMs(), geo.BaselineSpeedKmPerMs); base < d+200 {
+			t.Fatalf("%s: baseline disk %.0f km does not clearly cover the target %.0f km away", m.LandmarkID, base, d)
+		}
+	}
+
+	slack := 1.2 * 111.195 * env.Grid.Resolution()
+	region, kept, err := pp.LocateDetailed(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != 3 {
+		t.Errorf("baseline filter kept %d bestline disks, want the 3 honest ones", kept)
+	}
+	if region.Empty() || region.DistanceToPointKm(target) > slack {
+		t.Errorf("CBG++ region misses the target by %.0f km", region.DistanceToPointKm(target))
+	}
+	unfiltered, err := noFilter.Locate(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unfiltered.DistanceToPointKm(target) <= slack || unfiltered.DistanceToPointKm(decoy) > 600 {
+		t.Errorf("without the filter the region should sit on the decoy: %.0f km from the target, %.0f km from the decoy",
+			unfiltered.DistanceToPointKm(target), unfiltered.DistanceToPointKm(decoy))
 	}
 }

@@ -52,3 +52,38 @@ func TestLocateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureAllocs holds the allocation savings of the constellation's
+// precomputed continent grouping (atlas.Constellation.ByContinent): the
+// mean allocations of one honest measure.ProxiedTwoPhase over the quick
+// fleet's first 48 servers, each on its own stream re-seeded in place so
+// that building the streams is not counted. When every run regrouped the
+// landmarks a run made 95; now it makes 53. Resolving each leg once
+// (netsim.Path) saves time, not allocations: the netsim primitives
+// allocate nothing either way (TestHotPathsDoNotAllocate).
+func TestMeasureAllocs(t *testing.T) {
+	l := lab(t)
+	servers := l.Fleet.Servers()[:48]
+	rngs := make([]*rand.Rand, len(servers))
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(1))
+	}
+	measured := 0
+	got := testing.AllocsPerRun(2, func() {
+		measured = 0
+		for i, s := range servers {
+			rngs[i].Seed(measure.StreamSeed(l.Cfg.Seed, s.Host.ID))
+			if _, err := measure.ProxiedTwoPhase(l.Cons, l.Client, s.Host.ID, measure.DefaultEta, rngs[i]); err == nil {
+				measured++
+			}
+		}
+	}) / float64(len(servers))
+	if measured == 0 {
+		t.Fatal("no server measured")
+	}
+	const max = 64
+	t.Logf("%.1f allocs per ProxiedTwoPhase over %d servers (bound %d)", got, len(servers), max)
+	if got > max {
+		t.Errorf("%.1f allocs per ProxiedTwoPhase, bound %d", got, max)
+	}
+}

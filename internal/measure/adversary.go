@@ -57,7 +57,8 @@ func (a liarTool) Measure(_ netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (
 	if err != nil {
 		return Sample{}, err
 	}
-	clientLeg, err := a.inner.Net.BaseRTTMs(a.inner.Client, a.inner.Proxy)
+	client, _ := a.inner.legs()
+	clientLeg, err := client.BaseRTTMs()
 	if err != nil {
 		return Sample{}, err
 	}

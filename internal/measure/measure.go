@@ -83,9 +83,10 @@ func (t *CLITool) attempts() int {
 
 // Measure implements Tool.
 func (t *CLITool) Measure(from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (Sample, error) {
+	leg := t.Net.Path(from, lm.Host.ID)
 	best := -1.0
 	for i := 0; i < t.attempts(); i++ {
-		rtt, err := t.Net.Probe(from, lm.Host.ID, HTTPPort, rng, t.Clock)
+		rtt, err := leg.Probe(HTTPPort, rng, t.Clock)
 		if err != nil {
 			return Sample{}, fmt.Errorf("measure: cli %s→%s: %w", from, lm.Host.ID, err)
 		}
@@ -164,14 +165,15 @@ func (t *WebTool) Measure(from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand
 	if lm.Host.ListensHTTP {
 		trips = 2
 	}
+	leg := t.Net.Path(from, lm.Host.ID)
 	best := -1.0
 	for i := 0; i < t.attempts(); i++ {
-		rtt, err := t.Net.Probe(from, lm.Host.ID, HTTPPort, rng, t.Clock)
+		rtt, err := leg.Probe(HTTPPort, rng, t.Clock)
 		if err != nil {
 			return Sample{}, fmt.Errorf("measure: web %s→%s: %w", from, lm.Host.ID, err)
 		}
 		if trips == 2 {
-			extra, err := t.Net.Probe(from, lm.Host.ID, HTTPPort, rng, t.Clock)
+			extra, err := leg.Probe(HTTPPort, rng, t.Clock)
 			if err != nil {
 				return Sample{}, fmt.Errorf("measure: web %s→%s: %w", from, lm.Host.ID, err)
 			}

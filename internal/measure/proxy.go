@@ -33,6 +33,22 @@ type ProxiedTool struct {
 	// Clock, when set, is advanced by the simulated time each leg
 	// consumes (nil pins the session to time zero).
 	Clock *netsim.Clock
+
+	// out and back are the client→proxy and proxy→client legs,
+	// resolved on first use: Net, Client and Proxy must not change
+	// after the tool has measured.
+	out, back netsim.Path
+	resolved  bool
+}
+
+// legs returns the client→proxy and proxy→client legs.
+func (t *ProxiedTool) legs() (out, back *netsim.Path) {
+	if !t.resolved {
+		t.out = t.Net.Path(t.Client, t.Proxy)
+		t.back = t.Net.Path(t.Proxy, t.Client)
+		t.resolved = true
+	}
+	return &t.out, &t.back
 }
 
 func (t *ProxiedTool) attempts() int {
@@ -46,14 +62,16 @@ func (t *ProxiedTool) attempts() int {
 // configured on the tool originates every measurement, matching the
 // paper's single-client setup in Frankfurt.
 func (t *ProxiedTool) Measure(_ netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (Sample, error) {
+	client, _ := t.legs()
+	landmark := t.Net.Path(t.Proxy, lm.Host.ID)
 	best := -1.0
 	for i := 0; i < t.attempts(); i++ {
-		leg1, err := t.Net.SampleRTTMs(t.Client, t.Proxy, rng)
+		leg1, err := client.SampleRTTMs(rng)
 		if err != nil {
 			return Sample{}, fmt.Errorf("measure: proxied %s→%s: %w", t.Client, t.Proxy, err)
 		}
 		t.Clock.Advance(leg1)
-		leg2, err := t.Net.Probe(t.Proxy, lm.Host.ID, HTTPPort, rng, t.Clock)
+		leg2, err := landmark.Probe(HTTPPort, rng, t.Clock)
 		if err != nil {
 			return Sample{}, fmt.Errorf("measure: proxied %s→%s: %w", t.Proxy, lm.Host.ID, err)
 		}
@@ -69,13 +87,14 @@ func (t *ProxiedTool) Measure(_ netsim.HostID, lm *atlas.Landmark, rng *rand.Ran
 // (Figure 12): the packet crosses the client↔proxy leg twice, so the
 // result is slightly more than twice the direct client↔proxy RTT.
 func (t *ProxiedTool) SelfPing(rng *rand.Rand) (float64, error) {
+	outLeg, backLeg := t.legs()
 	best := -1.0
 	for i := 0; i < t.attempts(); i++ {
-		out, err := t.Net.SampleRTTMs(t.Client, t.Proxy, rng)
+		out, err := outLeg.SampleRTTMs(rng)
 		if err != nil {
 			return 0, err
 		}
-		back, err := t.Net.SampleRTTMs(t.Proxy, t.Client, rng)
+		back, err := backLeg.SampleRTTMs(rng)
 		if err != nil {
 			return 0, err
 		}

@@ -18,7 +18,6 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -250,31 +249,6 @@ func (n *Network) SessionDisconnectMs(rng *rand.Rand) (atMs float64, ok bool) {
 // may be nil (the session is then pinned to campaign time zero and
 // nothing advances).
 func (n *Network) Probe(from, to HostID, port int, rng *rand.Rand, clk *Clock) (float64, error) {
-	// One snapshot of the fault configuration and the hosts judges the
-	// whole probe, even while SetFaults re-arms the network.
-	n.mu.RLock()
-	cfg, src, dst := n.faults, n.hosts[from], n.hosts[to]
-	n.mu.RUnlock()
-	if at := clk.NowMs(); n.down(cfg, to, at) {
-		clk.Advance(LostProbeTimeoutMs)
-		return 0, fmt.Errorf("%s at t=%.0fms: %w", to, at, ErrHostOutage)
-	}
-	if cfg.ProbeLoss > 0 && rng.Float64() < cfg.ProbeLoss {
-		clk.Advance(LostProbeTimeoutMs)
-		return 0, fmt.Errorf("%s→%s: %w", from, to, ErrProbeLost)
-	}
-	rtt, err := n.connect(src, dst, port, rng)
-	if err != nil {
-		if errors.Is(err, ErrTimeout) {
-			// A full SYN-retransmission cycle ran before the give-up:
-			// 1s + 2s + … doubling once per allowed retry.
-			clk.Advance(synRetransmitMs * ((1 << (maxSynRetries + 1)) - 1))
-		}
-		return 0, err
-	}
-	if cfg.SpikeProb > 0 && rng.Float64() < cfg.SpikeProb {
-		rtt += rng.ExpFloat64() * cfg.spikeMean()
-	}
-	clk.Advance(rtt)
-	return rtt, nil
+	p := n.Path(from, to)
+	return p.Probe(port, rng, clk)
 }

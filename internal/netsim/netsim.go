@@ -31,7 +31,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -395,14 +394,6 @@ func (n *Network) pairUniforms(a, b HostID) (float64, float64) {
 // selfRTTMs is the round-trip time from a host to itself.
 const selfRTTMs = 0.1
 
-// pair returns the hosts with the given IDs (nil if unknown) under one
-// read lock.
-func (n *Network) pair(a, b HostID) (*Host, *Host) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.hosts[a], n.hosts[b]
-}
-
 // baseRTT is BaseRTTMs for the profiled pair of distinct hosts.
 func (p *pathProfile) baseRTT() float64 {
 	floor := 2 * p.gcKm / geo.BaselineSpeedKmPerMs
@@ -421,59 +412,32 @@ func (p *pathProfile) baseRTT() float64 {
 	return rtt
 }
 
-// sample is SampleRTTMs for the profiled pair of distinct hosts a, b.
-func (n *Network) sample(a, b *Host, p *pathProfile, rng *rand.Rand) float64 {
-	base := p.baseRTT()
-	extraBase, extraJitter := n.congestionFor(a, b)
-	rtt := base + extraBase + rng.ExpFloat64()*(p.jitterMean+extraJitter)
-	if rng.Float64() < p.spikeProb {
-		rtt += rng.ExpFloat64() * p.spikeMean
-	}
-	return rtt
-}
-
 // BaseRTTMs returns the minimum (uncongested) round-trip time between two
 // hosts in milliseconds: propagation along the inflated path plus access
 // delays, never below the physical floor.
 func (n *Network) BaseRTTMs(a, b HostID) (float64, error) {
-	ha, hb := n.pair(a, b)
-	if ha == nil || hb == nil {
-		return 0, ErrUnknownHost
-	}
-	if ha == hb {
-		return selfRTTMs, nil
-	}
-	p := n.profile(ha, hb)
-	return p.baseRTT(), nil
+	p := n.Path(a, b)
+	return p.BaseRTTMs()
 }
 
 // SampleRTTMs returns one measured round-trip time: the base RTT plus
 // queueing jitter and occasional congestion spikes drawn from rng.
 func (n *Network) SampleRTTMs(a, b HostID, rng *rand.Rand) (float64, error) {
-	ha, hb := n.pair(a, b)
-	if ha == nil || hb == nil {
-		return 0, ErrUnknownHost
-	}
-	if ha == hb {
-		return selfRTTMs, nil
-	}
-	p := n.profile(ha, hb)
-	return n.sample(ha, hb, &p, rng), nil
+	p := n.Path(a, b)
+	return p.SampleRTTMs(rng)
 }
 
 // Ping performs an ICMP echo round trip. It fails if the destination
 // blocks ICMP (≈90% of the VPN servers in the paper do).
 func (n *Network) Ping(from, to HostID, rng *rand.Rand) (float64, error) {
-	n.mu.RLock()
-	dst := n.hosts[to]
-	n.mu.RUnlock()
-	if dst == nil {
+	p := n.Path(from, to)
+	if p.dst == nil {
 		return 0, ErrUnknownHost
 	}
-	if dst.BlocksICMP {
+	if p.dst.BlocksICMP {
 		return 0, ErrICMPBlocked
 	}
-	return n.SampleRTTMs(from, to, rng)
+	return p.SampleRTTMs(rng)
 }
 
 // synRetransmitMs is the initial TCP SYN retransmission timeout; it
@@ -495,31 +459,8 @@ var ErrTimeout = errors.New("netsim: connection timed out")
 // timeout — one source of the "high outlier" observations real tools
 // must cope with.
 func (n *Network) TCPConnect(from, to HostID, port int, rng *rand.Rand) (float64, error) {
-	src, dst := n.pair(from, to)
-	return n.connect(src, dst, port, rng)
-}
-
-// connect is TCPConnect for hosts already looked up (nil if unknown).
-func (n *Network) connect(src, dst *Host, port int, rng *rand.Rand) (float64, error) {
-	if src == nil || dst == nil {
-		return 0, ErrUnknownHost
-	}
-	if dst.FilteredPorts[port] {
-		return 0, ErrPortFiltered
-	}
-	if src == dst {
-		return selfRTTMs, nil
-	}
-	p := n.profile(src, dst)
-	var penalty, timeout float64 = 0, synRetransmitMs
-	for try := 0; try <= maxSynRetries; try++ {
-		if rng.Float64() >= p.lossProb {
-			return n.sample(src, dst, &p, rng) + penalty, nil
-		}
-		penalty += timeout
-		timeout *= 2
-	}
-	return 0, ErrTimeout
+	p := n.Path(from, to)
+	return p.connect(port, rng)
 }
 
 // CanTraceroute reports whether time-exceeded-based route tracing through
@@ -537,20 +478,14 @@ func (n *Network) CanTraceroute(through HostID) (bool, error) {
 // MinOfSamples takes k RTT samples and returns the minimum, the standard
 // way measurement tools suppress queueing noise.
 func (n *Network) MinOfSamples(from, to HostID, k int, rng *rand.Rand) (float64, error) {
-	if k < 1 {
-		k = 1
+	p := n.Path(from, to)
+	best, err := p.SampleRTTMs(rng)
+	if err != nil {
+		return 0, err
 	}
-	ha, hb := n.pair(from, to)
-	if ha == nil || hb == nil {
-		return 0, ErrUnknownHost
-	}
-	if ha == hb {
-		return selfRTTMs, nil
-	}
-	p := n.profile(ha, hb)
-	best := math.Inf(1)
-	for i := 0; i < k; i++ {
-		if v := n.sample(ha, hb, &p, rng); v < best {
+	for i := 1; i < k; i++ {
+		// A path that sampled once samples again: err is always nil.
+		if v, _ := p.SampleRTTMs(rng); v < best {
 			best = v
 		}
 	}

@@ -380,11 +380,13 @@ func TestRTTQuickProperties(t *testing.T) {
 }
 
 // TestHotPathsDoNotAllocate: the primitives every measurement goes
-// through allocate nothing on their success paths.
+// through, by ID and on a resolved Path, allocate nothing on their
+// success paths.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	n := newTestNet(t)
 	rng := rand.New(rand.NewSource(3))
 	clk := &Clock{}
+	path := n.Path("fra", "pek")
 	for _, c := range []struct {
 		name string
 		f    func()
@@ -394,6 +396,10 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		{"SampleRTTMs", func() { benchSink, _ = n.SampleRTTMs("fra", "syd", rng) }},
 		{"TCPConnect", func() { benchSink, _ = n.TCPConnect("fra", "pek", 80, rng) }},
 		{"Probe", func() { benchSink, _ = n.Probe("fra", "pek", 80, rng, clk) }},
+		{"Network.Path", func() { path = n.Path("fra", "pek") }},
+		{"Path.BaseRTTMs", func() { benchSink, _ = path.BaseRTTMs() }},
+		{"Path.SampleRTTMs", func() { benchSink, _ = path.SampleRTTMs(rng) }},
+		{"Path.Probe", func() { benchSink, _ = path.Probe(80, rng, clk) }},
 	} {
 		if a := testing.AllocsPerRun(200, c.f); a != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", c.name, a)
