@@ -2,13 +2,15 @@
 #
 #   make ci            full gate: ci-fast then ci-deep (what a green main means)
 #   make ci-fast       the PR fast lane: vet + lint + build + unit tests + gofmt
-#                      (the unit tests include the quick-fleet golden audit
-#                      and the zero-cell check against internal/refimpl)
+#                      + benchvet (the unit tests include the quick-fleet
+#                      golden audit and the zero-cell check against
+#                      internal/refimpl)
 #   make ci-deep       the deep lane: bench compile + race smoke + soak + cover
 #                      + fuzz smoke
 #   make ci-local      alias for `make ci` — the exact gate .github/workflows/ci.yml runs
 #   make lint          geolint static-analysis suite over the whole tree (DESIGN.md §9)
 #   make lint-json     same suite, machine-readable geolint.json (the CI artifact)
+#   make benchvet      vet the benchmark module under bench/, which ./... does not reach
 #   make vuln          govulncheck, if installed; soft-fails offline
 #   make race          full test suite under the race detector
 #   make race-smoke    quick audit pipeline and measure batch, under the race detector
@@ -20,7 +22,7 @@ GO ?= go
 FUZZTIME ?= 30s
 COVER_FLOOR ?= 85.0
 
-.PHONY: all vet lint lint-json vuln build test race race-smoke soak fuzz-smoke cover ci ci-fast ci-deep ci-local benchcompile fmtcheck clean
+.PHONY: all vet lint lint-json vuln build test race race-smoke soak fuzz-smoke cover ci ci-fast ci-deep ci-local benchvet benchcompile fmtcheck clean
 
 all: ci
 
@@ -116,14 +118,20 @@ cover:
 		fi; \
 	done
 
+# The audit benchmark under bench/ is a module of its own, so neither
+# vet nor build over ./... compiles it. Vetting it in the fast lane
+# catches an internal API change that breaks the benchmark.
+benchvet:
+	$(GO) -C bench vet .
+
 # Every benchmark must at least compile and survive one iteration;
 # without this, bench-only code (reference implementations, metric
 # plumbing) can rot unnoticed between benchmark runs. The audit
 # benchmark under bench/ is a module of its own that ./... does not
 # reach, so it is vetted and its layer micro-benchmarks run separately.
-benchcompile:
+benchcompile: benchvet
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) -C bench vet . && $(GO) -C bench test -run '^$$' -bench . -benchtime 1x
+	$(GO) -C bench test -run '^$$' -bench . -benchtime 1x
 
 fmtcheck:
 	@unformatted=$$(gofmt -l .); \
@@ -134,9 +142,9 @@ fmtcheck:
 # The tiered gate (ci.yml mirrors this split): ci-fast is the PR lane —
 # the checks that finish inside a few minutes, including the
 # robustness, streaming-memory and adversary-floor tests that -short
-# skips; ci-deep is the race/soak/coverage/fuzz battery, which CI runs
+# skips, and the benchmark module's vet; ci-deep is the race/soak/coverage/fuzz battery, which CI runs
 # as a second job gated on the fast lane.
-ci-fast: vet lint build test fmtcheck
+ci-fast: vet lint build test fmtcheck benchvet
 
 ci-deep: benchcompile race-smoke soak cover fuzz-smoke
 

@@ -38,6 +38,7 @@ import (
 
 	"activegeo/internal/assess"
 	"activegeo/internal/experiments"
+	"activegeo/internal/measure"
 	"activegeo/internal/telemetry"
 	"activegeo/internal/vis"
 )
@@ -137,7 +138,7 @@ func main() {
 		meanCov := 0.0
 		for _, r := range run.Results {
 			if c, ok := run.Coverage[r.ServerID]; ok {
-				meanCov += c.Ratio
+				meanCov += c.Coverage()
 			}
 		}
 		meanCov /= float64(len(run.Coverage))
@@ -179,8 +180,8 @@ func main() {
 			if r.Verdict == assess.Uncertain && len(r.Candidates) > 1 {
 				extra = fmt.Sprintf(" (could be: %v)", r.Candidates)
 			}
-			if c, ok := run.Coverage[r.ServerID]; ok && c.Confidence != "full" {
-				extra += fmt.Sprintf(" [coverage %d/%d, confidence %s]", c.Measured, c.Planned, c.Confidence)
+			if c, ok := run.Coverage[r.ServerID]; ok && c.Confidence() != measure.ConfidenceFull {
+				extra += fmt.Sprintf(" [coverage %d/%d, confidence %s]", c.Measured, c.Planned, c.Confidence())
 			}
 			fmt.Printf("  %-14s provider %s  claimed %s  verdict %-9s probable %s%s\n",
 				r.ServerID, r.Provider, r.ClaimedCountry, r.Verdict, r.ProbableCountry, extra)
@@ -193,7 +194,7 @@ func main() {
 }
 
 // runStreaming runs the audit engine without keeping any server's region
-// and prints the tally off the columnar store. The verdicts are the
+// and prints the tally off the verdict store. The verdicts are the
 // default mode's; the figure renderings need the regions and are
 // default-mode only.
 func runStreaming(lab *experiments.Lab, tel *telemetry.Collector, start time.Time, batchSize, queueDepth int, provider string, verbose, telFlag bool) {

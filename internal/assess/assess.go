@@ -8,6 +8,7 @@
 package assess
 
 import (
+	"slices"
 	"sort"
 
 	"activegeo/internal/datacenter"
@@ -16,7 +17,7 @@ import (
 )
 
 // Verdict classifies one country claim.
-type Verdict int
+type Verdict uint8
 
 // Verdicts, in the paper's vocabulary: a claim is false if the predicted
 // region does not cover any part of the claimed country, credible if the
@@ -190,59 +191,64 @@ func probableCountry(mask *worldmap.Mask, region *grid.Region) string {
 
 // DisambiguateGroup applies the Figure 16 metadata refinement to a group
 // of servers known (by shared provider, AS and /24) to be in one
-// physical location: if some single country is covered by every region
-// in the group, all group members are ascribed to the intersection —
-// each member's verdict is re-evaluated against the countries common to
-// all regions.
+// physical location: every uncertain member with a region is
+// re-evaluated against the countries all the group's regions share.
 func DisambiguateGroup(group []*Result) {
-	if len(group) < 2 {
-		return
-	}
-	// Countries covered by every region in the group.
-	common := map[string]int{}
-	usable := 0
+	var sets [][]string
 	for _, r := range group {
-		if r.Region == nil || r.Region.Empty() {
-			continue
-		}
-		usable++
-		for _, c := range r.Candidates {
-			common[c]++
+		if located(r) {
+			sets = append(sets, r.Candidates)
 		}
 	}
-	if usable < 2 {
-		return
-	}
-	var shared []string
-	for c, n := range common {
-		if n == usable {
-			shared = append(shared, c)
-		}
-	}
+	shared := GroupShared(sets)
 	if len(shared) == 0 {
 		return
 	}
-	sort.Strings(shared)
 	for _, r := range group {
-		if r.Region == nil || r.Region.Empty() || r.Verdict != Uncertain {
-			continue
+		if located(r) && r.Verdict == Uncertain {
+			r.Verdict, r.ProbableCountry = Regroup(r.ClaimedCountry, shared)
 		}
-		claimedShared := false
-		for _, c := range shared {
-			if c == r.ClaimedCountry {
-				claimedShared = true
+	}
+}
+
+// located reports whether the server has a non-empty region. A located
+// server whose region overlaps no country (open sea) still counts, so
+// it leaves its group nothing to share.
+func located(r *Result) bool { return r.Region != nil && !r.Region.Empty() }
+
+// GroupShared returns, sorted, the countries in every candidate set of a
+// group's located members, or nil when fewer than two are located.
+func GroupShared(sets [][]string) []string {
+	if len(sets) < 2 {
+		return nil
+	}
+	var shared []string
+	for _, c := range sets[0] {
+		inAll := true
+		for _, set := range sets[1:] {
+			if !slices.Contains(set, c) {
+				inAll = false
 				break
 			}
 		}
-		switch {
-		case !claimedShared:
-			// The group's common ground excludes the claim.
-			r.Verdict = False
-		case len(shared) == 1:
-			r.Verdict = Credible
-		}
-		if len(shared) >= 1 {
-			r.ProbableCountry = shared[0]
+		if inAll {
+			shared = append(shared, c)
 		}
 	}
+	sort.Strings(shared)
+	return shared
+}
+
+// Regroup re-evaluates one uncertain located member's claim against its
+// group's non-empty shared countries: false if the claim is outside
+// them, credible if it is the only one, uncertain otherwise. The
+// probable country becomes the first shared country.
+func Regroup(claimed string, shared []string) (Verdict, string) {
+	switch {
+	case !slices.Contains(shared, claimed):
+		return False, shared[0]
+	case len(shared) == 1:
+		return Credible, shared[0]
+	}
+	return Uncertain, shared[0]
 }

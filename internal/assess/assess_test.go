@@ -233,6 +233,86 @@ func TestDisambiguateGroupDirect(t *testing.T) {
 	}
 }
 
+// TestDisambiguateGroupShapes: the Figure 16 group rule on each shape it
+// distinguishes. Every member starts with the last of its candidates as
+// its probable country.
+func TestDisambiguateGroupShapes(t *testing.T) {
+	u, c, f := Uncertain, Credible, False
+	sea := []string{} // located, but the region overlaps no country
+	type member struct {
+		claimed    string
+		candidates []string // nil: no region
+		verdict    Verdict
+		want       Verdict
+		probable   string // after the rule
+	}
+	cases := []struct {
+		name    string
+		members []member
+	}{
+		{"single member", []member{
+			{"DE", []string{"DE", "FR"}, u, u, "FR"},
+		}},
+		{"member with empty region", []member{
+			{"DE", nil, u, u, ""},
+			{"DE", []string{"DE", "NL"}, u, u, "DE"},
+			{"NL", []string{"DE", "NL"}, u, u, "DE"},
+		}},
+		{"fewer than 2 usable", []member{
+			{"DE", nil, u, u, ""},
+			{"FR", []string{"DE", "FR"}, u, u, "FR"},
+		}},
+		{"no shared country", []member{
+			{"DE", []string{"DE"}, u, u, "DE"},
+			{"FR", []string{"FR", "NL"}, u, u, "NL"},
+		}},
+		{"one shared country", []member{
+			{"FR", []string{"DE", "FR"}, u, f, "DE"},
+			{"DE", []string{"DE", "NL"}, u, c, "DE"},
+			{"DE", []string{"DE"}, c, c, "DE"},
+			{"NL", []string{"DE", "NL"}, f, f, "NL"},
+		}},
+		{"several shared, claim inside", []member{
+			{"FR", []string{"DE", "FR", "NL"}, u, u, "DE"},
+			{"DE", []string{"DE", "FR"}, u, u, "DE"},
+		}},
+		{"several shared, claim outside", []member{
+			{"NL", []string{"DE", "FR", "NL"}, u, f, "DE"},
+			{"DE", []string{"BE", "DE", "FR"}, u, u, "DE"},
+			{"IT", []string{"DE", "FR", "IT"}, u, f, "DE"},
+		}},
+		// Counting only members with candidates as located would share
+		// DE here, making the first member credible and the second false.
+		{"located member overlapping no country", []member{
+			{"DE", []string{"DE", "FR"}, u, u, "FR"},
+			{"FR", []string{"DE"}, u, u, "DE"},
+			{"DE", sea, u, u, ""},
+		}},
+	}
+	g := grid.New(10)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			group := make([]*Result, len(tc.members))
+			for i, m := range tc.members {
+				r := &Result{ClaimedCountry: m.claimed, Region: g.NewRegion(), Verdict: m.verdict, Candidates: m.candidates}
+				if m.candidates != nil {
+					r.Region.Add(i)
+				}
+				if n := len(m.candidates); n > 0 {
+					r.ProbableCountry = m.candidates[n-1]
+				}
+				group[i] = r
+			}
+			DisambiguateGroup(group)
+			for i, m := range tc.members {
+				if r := group[i]; r.Verdict != m.want || r.ProbableCountry != m.probable {
+					t.Errorf("member %d: %s/%q, want %s/%q", i, r.Verdict, r.ProbableCountry, m.want, m.probable)
+				}
+			}
+		})
+	}
+}
+
 func TestTabulate(t *testing.T) {
 	results := []*Result{
 		{Verdict: Credible},

@@ -24,22 +24,27 @@ func (t Tally) Total() int { return t.Credible + t.Uncertain + t.False }
 func Tabulate(results []*Result) Tally {
 	var t Tally
 	for _, r := range results {
-		switch r.Verdict {
-		case Credible:
-			t.Credible++
-		case Uncertain:
-			t.Uncertain++
-			if r.ContVerdict != False {
-				t.UncertainSameCont++
-			}
-		case False:
-			t.False++
-			if r.ContVerdict == False {
-				t.FalseOffContinent++
-			}
-		}
+		t.Add(r.Verdict, r.ContVerdict)
 	}
 	return t
+}
+
+// Add tallies one final verdict with its continent-level verdict.
+func (t *Tally) Add(v, cont Verdict) {
+	switch v {
+	case Credible:
+		t.Credible++
+	case Uncertain:
+		t.Uncertain++
+		if cont != False {
+			t.UncertainSameCont++
+		}
+	case False:
+		t.False++
+		if cont == False {
+			t.FalseOffContinent++
+		}
+	}
 }
 
 // CountryBar is one row of the Figure 17 country breakdown.

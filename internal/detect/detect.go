@@ -319,8 +319,7 @@ func CrossValidate(edges []MeshEdge, cfg CrossValidateConfig) *LandmarkReport {
 	return rep
 }
 
-// Detector reason bits, in canonical order. Interned as a single byte
-// so the streaming store can hold verdict reasons columnar.
+// Detector reason bits, in canonical order, packed into one byte.
 const (
 	// ReasonSmooth: residuals are too clean — forged delays carry only
 	// the attacker's small synthetic noise, not the network's spread.

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"activegeo/internal/assess"
-	"activegeo/internal/datacenter"
 	"activegeo/internal/detect"
 	"activegeo/internal/geo"
 	"activegeo/internal/iclab"
@@ -112,31 +111,21 @@ type AuditRun struct {
 	// store is the engine's verdict store the run was read from; it
 	// serializes the run's fingerprint.
 	store *stream.Store
-	// ReclassifiedByDC counts uncertain→(credible|false) flips from the
-	// data-center check; ReclassifiedByGroup from the AS//24 check.
-	ReclassifiedByDC    int
-	ReclassifiedByGroup int
+	// Stats are the store's aggregates: reclassifications by data
+	// centers and by AS//24 groups, failures by stage, the fault ledger
+	// totals and the adversary counts.
+	stream.Stats
 
 	// Errors maps server IDs to the reason the pipeline produced no
 	// region for them. Such servers are assessed against an empty
 	// region (verdict uncertain), but the Figure 17 tallies can now
 	// distinguish "measured and uncertain" from "never measured".
 	Errors map[string]ServerError
-	// MeasureFailures and LocateFailures are the per-stage aggregate
-	// counts behind Errors.
-	MeasureFailures int
-	LocateFailures  int
 
-	// Coverage maps server IDs to their degradation annotations. Only
-	// populated when fault injection is armed: on the fault-free path
-	// the map is empty and the audit output is unchanged.
-	Coverage map[string]stream.Coverage
-	// Fault-resilience aggregates over all servers.
-	Retries         int
-	ProbeFailures   int
-	LostLandmarks   int
-	Disconnects     int
-	DegradedServers int // servers whose confidence is not "full"
+	// Coverage maps server IDs to their fault ledgers. Only populated
+	// when fault injection is armed: on the fault-free path the map is
+	// empty and the audit output is unchanged.
+	Coverage map[string]*measure.Degradation
 
 	// Adversary-detection outputs. Only populated when the lab's
 	// adversary plan is armed: on the honest path every field below is
@@ -145,17 +134,14 @@ type AuditRun struct {
 	AdversaryArmed bool
 	// Landmarks is the inter-anchor cross-validation report; its
 	// Flagged IDs (copied here, sorted) were excluded from every
-	// server's localization inputs — ExcludedMeasurements counts the
-	// samples dropped that way.
-	Landmarks            *detect.LandmarkReport
-	FlaggedLandmarks     []netsim.HostID
-	ExcludedMeasurements int
+	// server's localization inputs — Stats.ExcludedMeasurements counts
+	// the samples dropped that way.
+	Landmarks        *detect.LandmarkReport
+	FlaggedLandmarks []netsim.HostID
 	// Inspections maps server IDs to their full manipulation
 	// inspection (the verdict fields on assess.Result are a summary of
 	// these).
 	Inspections map[string]detect.Inspection
-	// SuspectedServers counts manipulation-suspected verdicts.
-	SuspectedServers int
 }
 
 // Audit runs (once) the full pipeline: for every server, self-ping,
@@ -179,7 +165,7 @@ func (l *Lab) Audit() (*AuditRun, error) {
 		Results:  make([]*assess.Result, 0, len(servers)),
 		byServer: make(map[string]*assess.Result, len(servers)),
 		Errors:   map[string]ServerError{},
-		Coverage: map[string]stream.Coverage{},
+		Coverage: map[string]*measure.Degradation{},
 	}
 	cfg := l.streamConfig(0, 0)
 	// Batches arrive in fleet order: a fresh store makes every server
@@ -209,8 +195,8 @@ func (l *Lab) Audit() (*AuditRun, error) {
 	for _, r := range run.Results {
 		id := netsim.HostID(r.ServerID)
 		r.Verdict, r.ProbableCountry, _ = store.VerdictOf(id)
-		if c, ok := store.CoverageOf(id); ok {
-			run.Coverage[r.ServerID] = c
+		if d := store.CoverageOf(id); d != nil {
+			run.Coverage[r.ServerID] = d
 		}
 		if run.AdversaryArmed {
 			insp, _ := store.InspectionOf(id)
@@ -220,18 +206,7 @@ func (l *Lab) Audit() (*AuditRun, error) {
 			r.ManipulationReasons = insp.Reasons
 		}
 	}
-	st := store.Stats()
-	run.ReclassifiedByDC = st.ReclassifiedByDC
-	run.ReclassifiedByGroup = st.ReclassifiedByGroup
-	run.MeasureFailures = st.MeasureFailures
-	run.LocateFailures = st.LocateFailures
-	run.Retries = st.Retries
-	run.ProbeFailures = st.ProbeFailures
-	run.LostLandmarks = st.LostLandmarks
-	run.Disconnects = st.Disconnects
-	run.DegradedServers = st.DegradedServers
-	run.ExcludedMeasurements = st.ExcludedMeasurements
-	run.SuspectedServers = st.SuspectedServers
+	run.Stats = store.Stats()
 	l.audit = run
 	return run, nil
 }
@@ -621,16 +596,4 @@ func (r *DisambiguationResult) Render() string {
 	return fmt.Sprintf(
 		"Fig 15/16 | of %d uncertain predictions, %d resolved by data-center locations and %d by AS//24 metadata (paper: 353 total)",
 		r.UncertainBefore, r.ByDataCenters, r.ByGroups)
-}
-
-// DCCheck exposes the datacenter package's region query for the
-// quickstart example and the cmd layer.
-func DCCheck(run *AuditRun) int {
-	n := 0
-	for _, r := range run.Results {
-		if r.Region != nil && !r.Region.Empty() && len(datacenter.InRegion(r.Region)) > 0 {
-			n++
-		}
-	}
-	return n
 }

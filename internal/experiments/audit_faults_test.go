@@ -71,13 +71,13 @@ func TestAuditWithFaultsAnnotates(t *testing.T) {
 		if c.Planned < c.Measured || c.Planned != c.Measured+len(c.LostLandmarks) {
 			t.Errorf("server %s: inconsistent note %+v", id, c)
 		}
-		if c.Ratio < 0 || c.Ratio > 1 {
-			t.Errorf("server %s: coverage %v out of range", id, c.Ratio)
+		if cov := c.Coverage(); cov < 0 || cov > 1 {
+			t.Errorf("server %s: coverage %v out of range", id, cov)
 		}
-		switch c.Confidence {
+		switch conf := c.Confidence(); conf {
 		case measure.ConfidenceFull, measure.ConfidenceDegraded, measure.ConfidenceLow:
 		default:
-			t.Errorf("server %s: unknown confidence %q", id, c.Confidence)
+			t.Errorf("server %s: unknown confidence %q", id, conf)
 		}
 		if len(c.LostLandmarks) > 0 {
 			sawPartial = true

@@ -141,7 +141,7 @@ func (l *Lab) Robustness(lossRates []float64, maxHosts int) (*RobustnessResult, 
 			sum := 0.0
 			for _, r := range run.Results {
 				if c, ok := run.Coverage[r.ServerID]; ok {
-					sum += c.Ratio
+					sum += c.Coverage()
 				}
 			}
 			pt.MeanCoverage = sum / float64(len(run.Coverage))

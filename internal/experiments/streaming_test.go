@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"activegeo/internal/assess"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 	"activegeo/internal/stream"
@@ -234,5 +235,121 @@ func TestStreamingGoldenSHA(t *testing.T) {
 	if hex.EncodeToString(sum[:]) != auditGoldenSHA256 {
 		t.Fatalf("streaming fingerprint sha256 = %s, want golden %s\nfingerprint:\n%s",
 			hex.EncodeToString(sum[:]), auditGoldenSHA256, got)
+	}
+}
+
+// regroupedSource overrides some servers' group keys in a source.
+type regroupedSource struct {
+	stream.Source
+	keys map[netsim.HostID]string
+}
+
+func (s regroupedSource) Spec(i int) stream.ServerSpec {
+	spec := s.Source.Spec(i)
+	if k, ok := s.keys[spec.ID]; ok {
+		spec.GroupKey = k
+	}
+	return spec
+}
+
+// TestStreamingGroupMove: between two passes over the quick fleet, one
+// server that the AS//24 rule reclassified leaves every group and
+// another server joins the group it left. The second pass re-audits
+// exactly those two, the store's group count changes to what
+// assess.DisambiguateGroup gives over the moved groups, and the store
+// equals a fresh auditor's full pass over the moved source.
+func TestStreamingGroupMove(t *testing.T) {
+	lab := lab(t)
+	src := lab.StreamSource()
+	pre := map[netsim.HostID]*assess.Result{} // pre-group verdicts
+	cfg := lab.streamConfig(0, 0)
+	cfg.OnBatchDone = func(bs stream.BatchStats) {
+		for _, r := range bs.Results {
+			pre[netsim.HostID(r.ServerID)] = r
+		}
+	}
+	a := stream.New(cfg)
+	if _, err := a.Sync(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Store().Stats().ReclassifiedByGroup
+
+	// reclassified applies the group rule to copies of the pre-group
+	// results under src's keys with moves applied.
+	reclassified := func(moves map[netsim.HostID]string) int {
+		groups := map[string][]*assess.Result{}
+		for i := 0; i < src.Len(); i++ {
+			spec := regroupedSource{src, moves}.Spec(i)
+			if spec.GroupKey != "" {
+				c := *pre[spec.ID]
+				groups[spec.GroupKey] = append(groups[spec.GroupKey], &c)
+			}
+		}
+		n := 0
+		for _, members := range groups {
+			assess.DisambiguateGroup(members)
+			for _, r := range members {
+				if r.Verdict != pre[netsim.HostID(r.ServerID)].Verdict {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if got := reclassified(nil); got != before {
+		t.Fatalf("store reclassified %d servers by group, DisambiguateGroup %d", before, got)
+	}
+
+	// The leaver is the first server the group rule reclassified; the
+	// joiner is the first other server whose move into the leaver's
+	// group still leaves the group count changed.
+	var leaver stream.ServerSpec
+	for i := 0; i < src.Len() && leaver.ID == ""; i++ {
+		spec := src.Spec(i)
+		if v, _, _ := a.Store().VerdictOf(spec.ID); spec.GroupKey != "" && v != pre[spec.ID].Verdict {
+			leaver = spec
+		}
+	}
+	if leaver.ID == "" {
+		t.Fatal("the group rule reclassified no quick-fleet server")
+	}
+	var moves map[netsim.HostID]string
+	want := before
+	for i := 0; i < src.Len() && want == before; i++ {
+		spec := src.Spec(i)
+		if spec.ID == leaver.ID || spec.GroupKey == leaver.GroupKey {
+			continue
+		}
+		moves = map[netsim.HostID]string{leaver.ID: "", spec.ID: leaver.GroupKey}
+		want = reclassified(moves)
+	}
+	if want == before {
+		t.Fatal("no move into the leaver's group changes the group count")
+	}
+
+	moved := regroupedSource{src, moves}
+	stats, err := a.Sync(context.Background(), moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Audited != len(moves) {
+		t.Fatalf("pass 2 audited %d servers, want the %d moved ones (%+v)", stats.Audited, len(moves), stats)
+	}
+	for id := range moves {
+		if p := a.Store().LastPass(id); p != 2 {
+			t.Errorf("moved server %s last measured in pass %d, want 2", id, p)
+		}
+	}
+	if got := a.Store().Stats().ReclassifiedByGroup; got != want {
+		t.Errorf("after the moves the store reclassified %d servers by group (%d before), DisambiguateGroup %d",
+			got, before, want)
+	}
+
+	fresh := stream.New(lab.streamConfig(0, 0))
+	if _, err := fresh.Sync(context.Background(), moved); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.Store().Fingerprint(), fresh.Store().Fingerprint(); got != want {
+		t.Fatalf("incremental store diverged from a fresh pass over the moved source:\n--- incremental ---\n%s--- fresh ---\n%s", got, want)
 	}
 }

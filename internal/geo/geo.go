@@ -108,22 +108,6 @@ func DistanceKm(a, b Point) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
 
-// InitialBearingDeg returns the initial great-circle bearing from a to b,
-// in degrees clockwise from north, in [0, 360).
-func InitialBearingDeg(a, b Point) float64 {
-	lat1 := a.Lat * degToRad
-	lat2 := b.Lat * degToRad
-	dLon := (b.Lon - a.Lon) * degToRad
-
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	brg := math.Atan2(y, x) * radToDeg
-	if brg < 0 {
-		brg += 360
-	}
-	return brg
-}
-
 // DestinationPoint returns the point reached by traveling distKm from p
 // along the given initial bearing (degrees clockwise from north).
 func DestinationPoint(p Point, bearingDeg, distKm float64) Point {
@@ -139,11 +123,6 @@ func DestinationPoint(p Point, bearingDeg, distKm float64) Point {
 	lon2 := lon1 + math.Atan2(y, x)
 
 	return Point{Lat: lat2 * radToDeg, Lon: lon2 * radToDeg}.Normalize()
-}
-
-// Antipode returns the point diametrically opposite p.
-func Antipode(p Point) Point {
-	return Point{Lat: -p.Lat, Lon: p.Lon + 180}.Normalize()
 }
 
 // Cap is a spherical cap: all points within RadiusKm of Center along the

@@ -105,30 +105,6 @@ func TestDestinationDue(t *testing.T) {
 	}
 }
 
-func TestAntipode(t *testing.T) {
-	f := func(lat, lon float64) bool {
-		p := Point{Lat: clampLat(lat), Lon: clampLon(lon)}
-		d := DistanceKm(p, Antipode(p))
-		return math.Abs(d-math.Pi*EarthRadiusKm) < 1.0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestInitialBearing(t *testing.T) {
-	// From the equator straight toward the pole.
-	if b := InitialBearingDeg(Point{0, 0}, Point{10, 0}); math.Abs(b) > 1e-6 {
-		t.Errorf("northward bearing = %f, want 0", b)
-	}
-	if b := InitialBearingDeg(Point{0, 0}, Point{0, 10}); math.Abs(b-90) > 1e-6 {
-		t.Errorf("eastward bearing = %f, want 90", b)
-	}
-	if b := InitialBearingDeg(Point{0, 0}, Point{-10, 0}); math.Abs(b-180) > 1e-6 {
-		t.Errorf("southward bearing = %f, want 180", b)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	cases := []struct{ in, want Point }{
 		{Point{0, 190}, Point{0, -170}},

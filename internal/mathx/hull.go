@@ -71,11 +71,6 @@ type PiecewiseLinear struct {
 	Knots []XY // sorted by X, at least one
 }
 
-// NewPiecewiseLinear builds a curve from knots, which must be sorted by X.
-func NewPiecewiseLinear(knots []XY) *PiecewiseLinear {
-	return &PiecewiseLinear{Knots: append([]XY(nil), knots...)}
-}
-
 // At evaluates the curve at x.
 func (pl *PiecewiseLinear) At(x float64) float64 {
 	k := pl.Knots

@@ -46,7 +46,7 @@ func TestLowerHullBelowAllPoints(t *testing.T) {
 		if len(h) == 0 {
 			return false
 		}
-		pl := NewPiecewiseLinear(h)
+		pl := &PiecewiseLinear{Knots: h}
 		for _, p := range pts {
 			if p.X >= h[0].X && p.X <= h[len(h)-1].X && pl.At(p.X) > p.Y+1e-9 {
 				return false
@@ -108,7 +108,7 @@ func TestLowerHullDegenerate(t *testing.T) {
 }
 
 func TestPiecewiseLinearInterpolation(t *testing.T) {
-	pl := NewPiecewiseLinear([]XY{{0, 0}, {10, 100}, {20, 100}})
+	pl := &PiecewiseLinear{Knots: []XY{{0, 0}, {10, 100}, {20, 100}}}
 	cases := []struct{ x, want float64 }{
 		{0, 0}, {5, 50}, {10, 100}, {15, 100}, {20, 100},
 		{-5, -50}, // extrapolates with the first segment
@@ -122,13 +122,13 @@ func TestPiecewiseLinearInterpolation(t *testing.T) {
 }
 
 func TestPiecewiseLinearDegenerate(t *testing.T) {
-	if got := NewPiecewiseLinear(nil).At(5); got != 0 {
+	if got := (&PiecewiseLinear{}).At(5); got != 0 {
 		t.Errorf("empty curve At = %f", got)
 	}
-	if got := NewPiecewiseLinear([]XY{{3, 7}}).At(100); got != 7 {
+	if got := (&PiecewiseLinear{Knots: []XY{{3, 7}}}).At(100); got != 7 {
 		t.Errorf("single-knot curve At = %f", got)
 	}
-	same := NewPiecewiseLinear([]XY{{3, 7}, {3, 9}})
+	same := &PiecewiseLinear{Knots: []XY{{3, 7}, {3, 9}}}
 	if got := same.At(3); got != 7 {
 		t.Errorf("vertical segment At = %f", got)
 	}

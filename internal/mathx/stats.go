@@ -88,89 +88,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from samples (copied and sorted).
-func NewECDF(samples []float64) *ECDF {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns P(X ≤ x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	// Number of samples ≤ x.
-	n := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile of the underlying samples.
-func (e *ECDF) Quantile(q float64) float64 {
-	return Quantile(e.sorted, q)
-}
-
-// Len returns the number of samples.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// NormalPDF evaluates the Gaussian density with mean mu and standard
-// deviation sigma at x. A non-positive sigma yields a point mass
-// approximation (huge density at mu, zero elsewhere).
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if x == mu {
-			return math.MaxFloat64
-		}
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// GroupedRegression summarizes a one-slope-per-group linear model, used to
-// reproduce the paper's §4.3 tool-validation analysis (Figures 4–6).
-type GroupedRegression struct {
-	Groups map[string]Line
-	// R2 is the coefficient of determination of the combined model.
-	R2 float64
-}
-
-// FitGrouped fits an independent OLS line per group and reports the pooled
-// R² of the combined model.
-func FitGrouped(x, y []float64, group []string) (*GroupedRegression, error) {
-	if len(x) != len(y) || len(x) != len(group) {
-		return nil, ErrInsufficientData
-	}
-	idx := map[string][]int{}
-	for i, g := range group {
-		idx[g] = append(idx[g], i)
-	}
-	out := &GroupedRegression{Groups: make(map[string]Line, len(idx))}
-	pred := make([]float64, len(x))
-	for g, ids := range idx {
-		gx := make([]float64, len(ids))
-		gy := make([]float64, len(ids))
-		for k, i := range ids {
-			gx[k], gy[k] = x[i], y[i]
-		}
-		ln, err := FitLine(gx, gy)
-		if err != nil {
-			return nil, err
-		}
-		out.Groups[g] = ln
-		for _, i := range ids {
-			pred[i] = ln.At(x[i])
-		}
-	}
-	out.R2 = RSquared(y, pred)
-	return out, nil
-}
-
 // FTestNested compares two nested linear models by their residual sums of
 // squares: rssFull with dfFull residual degrees of freedom against
 // rssReduced with dfReduced. It returns the F statistic; large values mean

@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -64,92 +63,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("ECDF.At(%f) = %f, want %f", c.x, got, c.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d", e.Len())
-	}
-	if q := e.Quantile(0.5); math.Abs(q-2) > 1e-12 {
-		t.Errorf("ECDF median = %f, want 2", q)
-	}
-}
-
-func TestECDFIsProperCDF(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 50)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 10
-		}
-		e := NewECDF(xs)
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		prev := 0.0
-		for _, x := range sorted {
-			v := e.At(x)
-			if v < prev || v < 0 || v > 1 {
-				return false
-			}
-			prev = v
-		}
-		return e.At(sorted[len(sorted)-1]) == 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalPDF(t *testing.T) {
-	// Peak of a standard normal.
-	if got := NormalPDF(0, 0, 1); math.Abs(got-0.39894) > 1e-4 {
-		t.Errorf("N(0;0,1) = %f", got)
-	}
-	// Symmetry.
-	if NormalPDF(1, 0, 1) != NormalPDF(-1, 0, 1) {
-		t.Error("normal pdf should be symmetric")
-	}
-	// Degenerate sigma.
-	if NormalPDF(1, 0, 0) != 0 {
-		t.Error("point mass away from mean should be 0")
-	}
-	if NormalPDF(0, 0, 0) != math.MaxFloat64 {
-		t.Error("point mass at mean should be huge")
-	}
-}
-
-func TestFitGrouped(t *testing.T) {
-	// Two groups with different slopes, the scenario of Figure 4:
-	// one-round-trip and two-round-trip measurements.
-	var x, y []float64
-	var g []string
-	for i := 0; i < 50; i++ {
-		fx := float64(i) * 100
-		x = append(x, fx, fx)
-		y = append(y, 10+0.034*fx, 20+0.067*fx)
-		g = append(g, "one", "two")
-	}
-	gr, err := FitGrouped(x, y, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, two := gr.Groups["one"], gr.Groups["two"]
-	ratio := two.Slope / one.Slope
-	if math.Abs(ratio-1.97) > 0.02 {
-		t.Errorf("slope ratio = %f, want ≈1.97", ratio)
-	}
-	if gr.R2 < 0.999 {
-		t.Errorf("noiseless grouped fit R² = %f", gr.R2)
 	}
 }
 

@@ -3,7 +3,6 @@ package measure
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -117,21 +116,4 @@ func (b *Batch) Run(ctx context.Context, proxies []netsim.HostID) []BatchResult 
 	}
 	wg.Wait()
 	return out
-}
-
-// Succeeded filters a batch down to the successful results, preserving
-// order.
-func Succeeded(results []BatchResult) []BatchResult {
-	out := make([]BatchResult, 0, len(results))
-	for _, r := range results {
-		if r.Err == nil && r.Result != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SortByProxy orders batch results by proxy ID.
-func SortByProxy(results []BatchResult) {
-	sort.Slice(results, func(i, j int) bool { return results[i].Proxy < results[j].Proxy })
 }

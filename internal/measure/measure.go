@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"activegeo/internal/atlas"
 	"activegeo/internal/geo"
@@ -316,15 +315,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// SortSamplesByRTT orders samples ascending by RTT (stable on landmark
-// ID), a convenience for reporting.
-func SortSamplesByRTT(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].RTTms != samples[j].RTTms {
-			return samples[i].RTTms < samples[j].RTTms
-		}
-		return samples[i].LandmarkID < samples[j].LandmarkID
-	})
 }

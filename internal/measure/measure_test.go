@@ -189,11 +189,3 @@ func TestTwoPhaseRespectsSecondPhaseCount(t *testing.T) {
 		t.Errorf("phase 2 used %d landmarks, cap was 7", len(res.Phase2))
 	}
 }
-
-func TestSortSamplesByRTT(t *testing.T) {
-	s := []Sample{{LandmarkID: "b", RTTms: 5}, {LandmarkID: "a", RTTms: 5}, {LandmarkID: "c", RTTms: 1}}
-	SortSamplesByRTT(s)
-	if s[0].LandmarkID != "c" || s[1].LandmarkID != "a" || s[2].LandmarkID != "b" {
-		t.Errorf("order: %v", s)
-	}
-}

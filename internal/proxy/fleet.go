@@ -42,12 +42,6 @@ type Provider struct {
 	Honesty float64
 }
 
-// ClaimedCountries returns the provider's distinct claimed countries,
-// sorted.
-func (p *Provider) ClaimedCountries() []string {
-	return append([]string(nil), p.Claims...)
-}
-
 // Fleet is the full simulated proxy ecosystem.
 type Fleet struct {
 	Providers []*Provider

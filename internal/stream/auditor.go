@@ -99,7 +99,7 @@ type PassStats struct {
 	Batches int
 }
 
-// Auditor runs streaming audit passes against a columnar Store.
+// Auditor runs streaming audit passes against a Store.
 type Auditor struct {
 	cfg   Config
 	store *Store
@@ -377,11 +377,11 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem, done, total i
 		Results: make([]*assess.Result, len(batch)),
 		Errors:  make([]*ServerError, len(batch)),
 	}
-	outs := make([]outcome, len(batch))
+	rows := make([]row, len(batch))
 	var located atomic.Int64
 	parallelFor(len(batch), a.concurrency(), func(i int) {
 		it := batch[i]
-		o := outcome{spec: it.spec, sig: it.sig, pass: a.pass}
+		r := row{id: it.spec.ID, claimed: it.spec.Claimed, sig: it.sig, pass: a.pass}
 		region := a.cfg.Env.Grid.NewRegion()
 		var ms []geoloc.Measurement
 		var serr *ServerError
@@ -399,10 +399,9 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem, done, total i
 						kept = append(kept, m)
 					}
 				}
-				o.excluded = len(ms) - len(kept)
+				r.excluded = int32(len(ms) - len(kept))
 				ms = kept
 			}
-			o.nMeas = len(ms)
 			if len(ms) < 4 {
 				// The "experiments:" prefix predates this package and is
 				// part of the pinned golden audit fingerprint.
@@ -415,65 +414,43 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem, done, total i
 			}
 		}
 		if serr != nil {
-			o.errStage, o.errMsg = serr.Stage, serr.Err.Error()
+			r.errStage, r.errMsg = serr.Stage, serr.Err.Error()
 		}
 		if armed {
+			r.insp = &detect.Inspection{}
 			if c, ok := region.Centroid(); ok {
-				o.insp = detect.InspectServer(ms, c, inspectCfg)
+				*r.insp = detect.InspectServer(ms, c, inspectCfg)
 			}
 		}
 		res := assess.Assess(a.cfg.Env.Mask, region, string(it.spec.ID), it.spec.Provider, it.spec.Claimed)
-		o.raw = res.VerdictRaw
-		o.dc = res.Verdict
-		o.cont = res.ContVerdict
-		o.probable = res.ProbableCountry
-		o.candidates = res.Candidates
-		o.cells = region.Count()
-		if r := measured[i].Result; r != nil && r.Deg != nil {
-			o.coverage = &Coverage{
-				Planned:         r.Deg.Planned,
-				Measured:        r.Deg.Measured,
-				Retries:         r.Deg.Retries,
-				ProbeFailures:   r.Deg.ProbeFailures,
-				LostLandmarks:   append([]netsim.HostID(nil), r.Deg.LostLandmarks...),
-				Disconnected:    r.Deg.Disconnected,
-				BudgetExhausted: r.Deg.BudgetExhausted,
-				Ratio:           r.Deg.Coverage(),
-				Confidence:      r.Deg.Confidence(),
-			}
+		r.raw, r.dc, r.cont = res.VerdictRaw, res.Verdict, res.ContVerdict
+		r.probableDC, r.candidates = res.ProbableCountry, res.Candidates
+		r.cells = int32(region.Count())
+		if m := measured[i].Result; m != nil && m.Deg != nil {
+			// A copy, so the row does not keep the measurement session alive.
+			deg := *m.Deg
+			r.deg = &deg
 		}
-		a.store.setResult(it.row, o)
-		outs[i] = o
+		a.store.setResult(it.row, r)
+		rows[i] = r
 		bs.Results[i], bs.Errors[i] = res, serr
 		tel.Progress("audit.locate", done+int(located.Add(1)), total)
 	})
 	span.End()
-	a.recordBatch(outs)
+	a.recordBatch(rows)
 	return bs, true
 }
 
 // recordBatch adds one written batch's servers to the audit.* counters:
 // failures by stage, data-center reclassifications, and, when armed,
 // the fault ledger and the excluded measurements.
-func (a *Auditor) recordBatch(outs []outcome) {
+func (a *Auditor) recordBatch(rows []row) {
 	var st Stats
-	for _, o := range outs {
-		switch o.errStage {
-		case StageMeasure:
-			st.MeasureFailures++
-		case StageLocate:
-			st.LocateFailures++
-		}
-		if o.raw == assess.Uncertain && o.dc != assess.Uncertain {
-			st.ReclassifiedByDC++
-		}
-		st.ExcludedMeasurements += o.excluded
-		if o.coverage != nil {
-			st.addCoverage(*o.coverage)
-		}
+	for i := range rows {
+		st.add(&rows[i])
 	}
 	tel := a.cfg.Telemetry
-	tel.Add("audit.servers", int64(len(outs)))
+	tel.Add("audit.servers", int64(st.Servers))
 	tel.Add("audit.failures.measure", int64(st.MeasureFailures))
 	tel.Add("audit.failures.locate", int64(st.LocateFailures))
 	tel.Add("audit.reclassified.dc", int64(st.ReclassifiedByDC))

@@ -4,7 +4,7 @@
 // so memory stays bounded at any fleet size. The fleet flows through a
 // bounded-queue batch scheduler: per-server RTT vectors and regions live
 // only for the batch that carries them, and the only O(fleet) state is
-// the columnar verdict store (a few dozen bytes per server).
+// the verdict store (one row of a few hundred bytes per server).
 // experiments.Lab.Audit is one full-fleet pass of this engine that keeps
 // each batch's regions for the figures.
 //

@@ -2,12 +2,13 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
 	"activegeo/internal/assess"
 	"activegeo/internal/detect"
+	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 )
 
@@ -18,36 +19,10 @@ const (
 	StageLocate  = "locate"
 )
 
-// Coverage annotates one server's verdict with what its measurement
-// campaign lost under fault injection: the audit's answer to "how much
-// should this verdict be trusted?". Only servers measured with fault
-// injection armed carry one.
-type Coverage struct {
-	// Planned/Measured count landmarks attempted and landmarks that
-	// produced a usable sample.
-	Planned  int
-	Measured int
-	// Retries and ProbeFailures are the resilience layer's work:
-	// backoff-retry rounds and failed measurement attempts.
-	Retries       int
-	ProbeFailures int
-	// LostLandmarks are the landmarks that never answered (sorted).
-	LostLandmarks []netsim.HostID
-	// Disconnected marks a proxy that hung up mid-campaign;
-	// BudgetExhausted a campaign cut off by its deadline budget.
-	Disconnected    bool
-	BudgetExhausted bool
-	// Ratio is Measured/Planned; Confidence the derived grade
-	// (measure.ConfidenceFull/Degraded/Low).
-	Ratio      float64
-	Confidence string
-}
-
-// Store is the columnar (struct-of-arrays) verdict store: the only
-// O(fleet) state the streaming audit keeps. Verdicts, claims and
-// candidate sets are interned into small integer columns; the heavy
-// per-server artifacts (RTT vectors, prediction regions) never enter the
-// store — they live only inside the batch that produced them.
+// Store is the verdict store: one row per server, the only O(fleet)
+// state the streaming audit keeps. The heavy per-server artifacts (RTT
+// vectors, prediction regions) never enter the store — they live only
+// inside the batch that produced them.
 //
 // Rows are append-only in first-seen order; re-auditing a server updates
 // its row in place, so a pass over an unchanged fleet keeps rows in
@@ -55,103 +30,53 @@ type Coverage struct {
 type Store struct {
 	mu sync.RWMutex
 
-	ids   []netsim.HostID
+	rows  []row
 	index map[netsim.HostID]int
+	// groups maps each non-empty group key to its members' rows.
+	groups map[string][]int
 
-	// Interning tables. Index 0 of countries is "", so zero-valued
-	// columns read back as "no country".
-	countries    []string
-	countryIdx   map[string]uint16
-	providers    []string
-	providerIdx  map[string]uint16
-	groupKeys    []string
-	groupIdx     map[string]uint32
-	groupMembers map[uint32][]int // group → rows, insertion order
-
-	// Per-row columns.
-	provider []uint16
-	claimed  []uint16
-	group    []uint32
-	sig      []uint64
-	assessed []bool
-	lastPass []uint32
-
-	raw, dc, final, cont []uint8 // assess.Verdict values
-	probableDC           []uint16
-	probableFinal        []uint16
-	cells                []int32
-	nMeas                []uint16
-	candidates           [][]uint16 // sorted interned country codes
-
-	errStage []uint8 // 0 none, 1 measure, 2 locate
-	errMsg   []string
-
-	coverage map[int]Coverage
-
-	// Adversary-detection columns, populated only while the auditor's
-	// plan is armed. advInsp holds each row's manipulation inspection —
-	// the raw per-server fit is written by setResult, the judged fields
-	// (Suspected/Score/Reasons) by resolveAdversary over the whole
-	// population. advExcluded counts the row's measurements dropped for
-	// coming from flagged landmarks.
-	advArmed    bool
-	advFlagged  []netsim.HostID
-	advInsp     []detect.Inspection
-	advExcluded []int32
+	// advArmed switches the fingerprint's adversary annotations on;
+	// advFlagged is the pass's sorted flagged-landmark set.
+	advArmed   bool
+	advFlagged []netsim.HostID
 
 	reclassifiedByGroup int
 }
 
+// row is one server's assessment. runBatch builds it and setResult
+// writes it; resolveGroups refines final and probableFinal from the
+// post-data-center dc and probableDC, and resolveAdversary judges insp.
+type row struct {
+	id      netsim.HostID
+	claimed string
+	group   string
+	sig     uint64
+	pass    uint32 // the Sync pass that wrote the row, 0 if never
+
+	raw, dc, final, cont assess.Verdict
+
+	probableDC, probableFinal string
+	// candidates is every country the region overlaps, sorted, as
+	// assess.Assess returned it; cells is the region's size.
+	candidates []string
+	cells      int32
+	// excluded counts the measurements dropped for coming from flagged
+	// landmarks.
+	excluded int32
+
+	errStage, errMsg string
+
+	// deg is a copy of the measurement's fault ledger (nil when it ran
+	// fault-free or failed before producing one).
+	deg *measure.Degradation
+	// insp is the manipulation inspection, set only while the adversary
+	// layer is armed.
+	insp *detect.Inspection
+}
+
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		index:        map[netsim.HostID]int{},
-		countries:    []string{""},
-		countryIdx:   map[string]uint16{"": 0},
-		providers:    []string{""},
-		providerIdx:  map[string]uint16{"": 0},
-		groupKeys:    []string{""},
-		groupIdx:     map[string]uint32{"": 0},
-		groupMembers: map[uint32][]int{},
-		coverage:     map[int]Coverage{},
-	}
-}
-
-func (s *Store) internCountry(c string) uint16 {
-	if i, ok := s.countryIdx[c]; ok {
-		return i
-	}
-	i := uint16(len(s.countries))
-	s.countries = append(s.countries, c)
-	s.countryIdx[c] = i
-	return i
-}
-
-func (s *Store) internProvider(p string) uint16 {
-	if i, ok := s.providerIdx[p]; ok {
-		return i
-	}
-	i := uint16(len(s.providers))
-	s.providers = append(s.providers, p)
-	s.providerIdx[p] = i
-	return i
-}
-
-func (s *Store) internGroup(g string) uint32 {
-	if i, ok := s.groupIdx[g]; ok {
-		return i
-	}
-	i := uint32(len(s.groupKeys))
-	s.groupKeys = append(s.groupKeys, g)
-	s.groupIdx[g] = i
-	return i
-}
-
-// Len returns the number of rows.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ids)
+	return &Store{index: map[netsim.HostID]int{}, groups: map[string][]int{}}
 }
 
 // ensure returns the row for spec's server, creating it on first sight
@@ -159,118 +84,45 @@ func (s *Store) Len() int {
 func (s *Store) ensure(spec ServerSpec) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	row, ok := s.index[spec.ID]
+	i, ok := s.index[spec.ID]
 	if !ok {
-		row = len(s.ids)
-		s.ids = append(s.ids, spec.ID)
-		s.index[spec.ID] = row
-		s.provider = append(s.provider, s.internProvider(spec.Provider))
-		s.claimed = append(s.claimed, s.internCountry(spec.Claimed))
-		s.group = append(s.group, 0)
-		s.sig = append(s.sig, 0)
-		s.assessed = append(s.assessed, false)
-		s.lastPass = append(s.lastPass, 0)
-		s.raw = append(s.raw, uint8(assess.Uncertain))
-		s.dc = append(s.dc, uint8(assess.Uncertain))
-		s.final = append(s.final, uint8(assess.Uncertain))
-		s.cont = append(s.cont, uint8(assess.Uncertain))
-		s.probableDC = append(s.probableDC, 0)
-		s.probableFinal = append(s.probableFinal, 0)
-		s.cells = append(s.cells, 0)
-		s.nMeas = append(s.nMeas, 0)
-		s.candidates = append(s.candidates, nil)
-		s.errStage = append(s.errStage, 0)
-		s.errMsg = append(s.errMsg, "")
-		s.advInsp = append(s.advInsp, detect.Inspection{})
-		s.advExcluded = append(s.advExcluded, 0)
+		i = len(s.rows)
+		u := assess.Uncertain
+		s.rows = append(s.rows, row{id: spec.ID, claimed: spec.Claimed, raw: u, dc: u, final: u, cont: u})
+		s.index[spec.ID] = i
 	}
-	g := s.internGroup(spec.GroupKey)
-	if old := s.group[row]; old != g {
-		if old != 0 || ok {
-			members := s.groupMembers[old]
-			for i, r := range members {
-				if r == row {
-					s.groupMembers[old] = append(members[:i], members[i+1:]...)
-					break
-				}
-			}
+	r := &s.rows[i]
+	if r.group != spec.GroupKey {
+		if members := slices.DeleteFunc(s.groups[r.group], func(m int) bool { return m == i }); len(members) > 0 {
+			s.groups[r.group] = members
+		} else {
+			delete(s.groups, r.group)
 		}
-		s.group[row] = g
-		s.groupMembers[g] = append(s.groupMembers[g], row)
+		r.group = spec.GroupKey
+		if r.group != "" {
+			s.groups[r.group] = append(s.groups[r.group], i)
+		}
 	}
-	return row
+	return i
 }
 
 // sigOf returns the row's stored dependency signature and whether the
 // row has ever been assessed.
-func (s *Store) sigOf(row int) (uint64, bool) {
+func (s *Store) sigOf(i int) (uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.sig[row], s.assessed[row]
+	return s.rows[i].sig, s.rows[i].pass > 0
 }
 
-// outcome is one server's freshly computed assessment, written into the
-// row's columns by setResult.
-type outcome struct {
-	spec       ServerSpec
-	sig        uint64
-	pass       uint32
-	raw        assess.Verdict
-	dc         assess.Verdict
-	cont       assess.Verdict
-	probable   string
-	candidates []string
-	cells      int
-	nMeas      int
-	errStage   string
-	errMsg     string
-	coverage   *Coverage
-	insp       detect.Inspection
-	excluded   int
-}
-
-func (s *Store) setResult(row int, o outcome) {
+// setResult writes a freshly assessed row. Its group stays the one
+// ensure recorded, which the membership map is keyed by, and its final
+// verdict starts as the post-data-center one.
+func (s *Store) setResult(i int, r row) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.provider[row] = s.internProvider(o.spec.Provider)
-	s.claimed[row] = s.internCountry(o.spec.Claimed)
-	s.sig[row] = o.sig
-	s.assessed[row] = true
-	s.lastPass[row] = o.pass
-	s.raw[row] = uint8(o.raw)
-	s.dc[row] = uint8(o.dc)
-	s.final[row] = uint8(o.dc) // group disambiguation refines this in resolveGroups
-	s.cont[row] = uint8(o.cont)
-	p := s.internCountry(o.probable)
-	s.probableDC[row] = p
-	s.probableFinal[row] = p
-	s.cells[row] = int32(o.cells)
-	s.nMeas[row] = uint16(o.nMeas)
-	if len(o.candidates) == 0 {
-		s.candidates[row] = nil
-	} else {
-		cand := make([]uint16, len(o.candidates))
-		for i, c := range o.candidates {
-			cand[i] = s.internCountry(c)
-		}
-		s.candidates[row] = cand
-	}
-	switch o.errStage {
-	case StageMeasure:
-		s.errStage[row] = 1
-	case StageLocate:
-		s.errStage[row] = 2
-	default:
-		s.errStage[row] = 0
-	}
-	s.errMsg[row] = o.errMsg
-	if o.coverage != nil {
-		s.coverage[row] = *o.coverage
-	} else {
-		delete(s.coverage, row)
-	}
-	s.advInsp[row] = o.insp
-	s.advExcluded[row] = int32(o.excluded)
+	r.group = s.rows[i].group
+	r.final, r.probableFinal = r.dc, r.probableDC // resolveGroups refines these
+	s.rows[i] = r
 }
 
 // setAdversary records the current pass's adversary state: whether the
@@ -296,102 +148,65 @@ func (s *Store) resolveAdversary(cfg detect.InspectConfig) {
 	if !s.advArmed {
 		return
 	}
-	byID := make(map[string]detect.Inspection, len(s.ids))
-	for row, id := range s.ids {
-		byID[string(id)] = s.advInsp[row]
+	byID := make(map[string]detect.Inspection, len(s.rows))
+	for i := range s.rows {
+		byID[string(s.rows[i].id)] = s.rows[i].inspection()
 	}
 	judged := detect.JudgeServers(byID, cfg)
-	for row, id := range s.ids {
-		s.advInsp[row] = judged[string(id)]
+	for i := range s.rows {
+		insp := judged[string(s.rows[i].id)]
+		s.rows[i].insp = &insp
 	}
 }
 
-// resolveGroups reruns the Figure 16 metadata disambiguation over every
-// group, recomputing the final verdicts from the post-data-center
-// columns. It is idempotent — deltas from a partial re-audit compose
-// with unchanged rows exactly as a full pass would, because the group
-// refinement is a pure function of the group's candidate sets. The rule
-// is assess.DisambiguateGroup's, over interned columns; a table test
-// holds the two equal.
+// inspection returns the row's inspection, zero when it has none.
+func (r *row) inspection() detect.Inspection {
+	if r.insp == nil {
+		return detect.Inspection{}
+	}
+	return *r.insp
+}
+
+// resolveGroups reruns the Figure 16 metadata disambiguation
+// (assess.GroupShared and assess.Regroup) over every group, recomputing
+// the final verdicts from the post-data-center ones. It is idempotent —
+// deltas from a partial re-audit compose with unchanged rows exactly as
+// a full pass would, because the group refinement is a pure function of
+// the group's candidate sets. Groups are disjoint, so their order does
+// not matter.
 func (s *Store) resolveGroups() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Reset finals to the pre-group verdicts.
-	for row := range s.final {
-		s.final[row] = s.dc[row]
-		s.probableFinal[row] = s.probableDC[row]
+	for i := range s.rows {
+		r := &s.rows[i]
+		r.final, r.probableFinal = r.dc, r.probableDC
 	}
 	s.reclassifiedByGroup = 0
-	gids := make([]int, 0, len(s.groupMembers))
-	for g := range s.groupMembers {
-		if g != 0 {
-			gids = append(gids, int(g))
-		}
-	}
-	sort.Ints(gids)
-	common := map[uint16]int{}
-	for _, gi := range gids {
-		rows := s.groupMembers[uint32(gi)]
-		if len(rows) < 2 {
-			continue
-		}
-		for k := range common {
-			delete(common, k)
-		}
-		usable := 0
-		for _, row := range rows {
-			if s.cells[row] == 0 {
-				continue
-			}
-			usable++
-			for _, c := range s.candidates[row] {
-				common[c]++
+	for _, members := range s.groups {
+		sets := make([][]string, 0, len(members))
+		for _, i := range members {
+			if s.rows[i].cells > 0 {
+				sets = append(sets, s.rows[i].candidates)
 			}
 		}
-		if usable < 2 {
-			continue
-		}
-		var shared []uint16
-		for c, n := range common {
-			if n == usable {
-				shared = append(shared, c)
-			}
-		}
+		shared := assess.GroupShared(sets)
 		if len(shared) == 0 {
 			continue
 		}
-		// Sort by country code: shared[0] is the ascribed probable
-		// country.
-		sort.Slice(shared, func(i, j int) bool {
-			return s.countries[shared[i]] < s.countries[shared[j]]
-		})
-		for _, row := range rows {
-			if s.cells[row] == 0 || assess.Verdict(s.dc[row]) != assess.Uncertain {
+		for _, i := range members {
+			r := &s.rows[i]
+			if r.cells == 0 || r.dc != assess.Uncertain {
 				continue
 			}
-			claimedShared := false
-			for _, c := range shared {
-				if c == s.claimed[row] {
-					claimedShared = true
-					break
-				}
-			}
-			switch {
-			case !claimedShared:
-				s.final[row] = uint8(assess.False)
-			case len(shared) == 1:
-				s.final[row] = uint8(assess.Credible)
-			}
-			s.probableFinal[row] = shared[0]
-			if assess.Verdict(s.final[row]) != assess.Uncertain {
+			r.final, r.probableFinal = assess.Regroup(r.claimed, shared)
+			if r.final != assess.Uncertain {
 				s.reclassifiedByGroup++
 			}
 		}
 	}
 }
 
-// Tally aggregates the final verdicts the way assess.Tabulate does,
-// straight off the columns — no result materialization.
+// Tally aggregates the final verdicts the way assess.Tabulate does.
 func (s *Store) Tally() assess.Tally {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -400,21 +215,8 @@ func (s *Store) Tally() assess.Tally {
 
 func (s *Store) tallyLocked() assess.Tally {
 	var t assess.Tally
-	for row := range s.final {
-		switch assess.Verdict(s.final[row]) {
-		case assess.Credible:
-			t.Credible++
-		case assess.Uncertain:
-			t.Uncertain++
-			if assess.Verdict(s.cont[row]) != assess.False {
-				t.UncertainSameCont++
-			}
-		case assess.False:
-			t.False++
-			if assess.Verdict(s.cont[row]) == assess.False {
-				t.FalseOffContinent++
-			}
-		}
+	for i := range s.rows {
+		t.Add(s.rows[i].final, s.rows[i].cont)
 	}
 	return t
 }
@@ -427,6 +229,9 @@ type Stats struct {
 	MeasureFailures     int
 	LocateFailures      int
 
+	// Fault-resilience aggregates over the servers measured with fault
+	// injection armed (FaultyServers); DegradedServers counts those
+	// whose confidence is not "full".
 	Retries         int
 	ProbeFailures   int
 	LostLandmarks   int
@@ -441,9 +246,35 @@ type Stats struct {
 	ExcludedMeasurements int
 }
 
-// confidenceFull mirrors measure.ConfidenceFull without importing it
-// into the hot columnar path's dependencies.
-const confidenceFull = "full"
+// add folds one row into the per-server aggregates.
+func (st *Stats) add(r *row) {
+	st.Servers++
+	if r.raw == assess.Uncertain && r.dc != assess.Uncertain {
+		st.ReclassifiedByDC++
+	}
+	switch r.errStage {
+	case StageMeasure:
+		st.MeasureFailures++
+	case StageLocate:
+		st.LocateFailures++
+	}
+	if r.insp != nil && r.insp.Suspected {
+		st.SuspectedServers++
+	}
+	st.ExcludedMeasurements += int(r.excluded)
+	if d := r.deg; d != nil {
+		st.FaultyServers++
+		st.Retries += d.Retries
+		st.ProbeFailures += d.ProbeFailures
+		st.LostLandmarks += len(d.LostLandmarks)
+		if d.Disconnected {
+			st.Disconnects++
+		}
+		if d.Confidence() != measure.ConfidenceFull {
+			st.DegradedServers++
+		}
+	}
+}
 
 // Stats computes the aggregates.
 func (s *Store) Stats() Stats {
@@ -453,94 +284,52 @@ func (s *Store) Stats() Stats {
 }
 
 func (s *Store) statsLocked() Stats {
-	st := Stats{Servers: len(s.ids), ReclassifiedByGroup: s.reclassifiedByGroup}
-	for row := range s.ids {
-		if assess.Verdict(s.raw[row]) == assess.Uncertain && assess.Verdict(s.dc[row]) != assess.Uncertain {
-			st.ReclassifiedByDC++
-		}
-		switch s.errStage[row] {
-		case 1:
-			st.MeasureFailures++
-		case 2:
-			st.LocateFailures++
-		}
-		if s.advArmed {
-			if s.advInsp[row].Suspected {
-				st.SuspectedServers++
-			}
-			st.ExcludedMeasurements += int(s.advExcluded[row])
-		}
-	}
-	for _, c := range s.coverage {
-		st.addCoverage(c)
+	st := Stats{ReclassifiedByGroup: s.reclassifiedByGroup}
+	for i := range s.rows {
+		st.add(&s.rows[i])
 	}
 	return st
 }
 
-// addCoverage folds one server's coverage annotation into the fault
-// aggregates.
-func (st *Stats) addCoverage(c Coverage) {
-	st.FaultyServers++
-	st.Retries += c.Retries
-	st.ProbeFailures += c.ProbeFailures
-	st.LostLandmarks += len(c.LostLandmarks)
-	if c.Disconnected {
-		st.Disconnects++
+// lookup returns a copy of the server's row (ok=false if the server was
+// never seen).
+func (s *Store) lookup(id netsim.HostID) (row, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	i, ok := s.index[id]
+	if !ok {
+		return row{}, false
 	}
-	if c.Confidence != confidenceFull {
-		st.DegradedServers++
-	}
+	return s.rows[i], true
 }
 
 // VerdictOf returns the final verdict and probable country for one
 // server (ok=false if the server was never seen).
 func (s *Store) VerdictOf(id netsim.HostID) (v assess.Verdict, probable string, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	row, found := s.index[id]
-	if !found {
-		return 0, "", false
-	}
-	return assess.Verdict(s.final[row]), s.countries[s.probableFinal[row]], true
+	r, ok := s.lookup(id)
+	return r.final, r.probableFinal, ok
 }
 
 // InspectionOf returns one server's judged manipulation inspection
 // (ok=false if the server was never seen). Meaningful only while the
 // auditor's adversary plan is armed; on the honest path it is zero.
 func (s *Store) InspectionOf(id netsim.HostID) (detect.Inspection, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	row, found := s.index[id]
-	if !found {
-		return detect.Inspection{}, false
-	}
-	return s.advInsp[row], true
+	r, ok := s.lookup(id)
+	return r.inspection(), ok
 }
 
-// CoverageOf returns one server's fault-injection coverage annotation
-// (ok=false if the server has none: never seen, measured fault-free, or
-// failed before its campaign produced a ledger).
-func (s *Store) CoverageOf(id netsim.HostID) (Coverage, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	row, found := s.index[id]
-	if !found {
-		return Coverage{}, false
-	}
-	c, ok := s.coverage[row]
-	return c, ok
+// CoverageOf returns one server's fault ledger: nil if it was never
+// seen, measured fault-free, or failed before its campaign produced one.
+func (s *Store) CoverageOf(id netsim.HostID) *measure.Degradation {
+	r, _ := s.lookup(id)
+	return r.deg
 }
 
 // LastPass returns the Sync pass (1-based) in which the server was last
 // measured, 0 if never.
 func (s *Store) LastPass(id netsim.HostID) uint32 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	row, found := s.index[id]
-	if !found {
-		return 0
-	}
-	return s.lastPass[row]
+	r, _ := s.lookup(id)
+	return r.pass
 }
 
 // Fingerprint serializes everything observable about the store's audit:
@@ -553,33 +342,22 @@ func (s *Store) Fingerprint() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var b strings.Builder
-	for row, id := range s.ids {
-		var cand []string
-		if cs := s.candidates[row]; len(cs) > 0 {
-			cand = make([]string, len(cs))
-			for i, c := range cs {
-				cand[i] = s.countries[c]
-			}
+	for i := range s.rows {
+		r := &s.rows[i]
+		fmt.Fprintf(&b, "%s|%s|%s|%s|%s|%v|%d", r.id, r.raw, r.final, r.cont,
+			r.probableFinal, r.candidates, r.cells)
+		if r.errStage != "" {
+			fmt.Fprintf(&b, "|err:%s:%s", r.errStage, r.errMsg)
 		}
-		fmt.Fprintf(&b, "%s|%s|%s|%s|%s|%v|%d", id,
-			assess.Verdict(s.raw[row]), assess.Verdict(s.final[row]),
-			assess.Verdict(s.cont[row]), s.countries[s.probableFinal[row]],
-			cand, s.cells[row])
-		switch s.errStage[row] {
-		case 1:
-			fmt.Fprintf(&b, "|err:%s:%s", StageMeasure, s.errMsg[row])
-		case 2:
-			fmt.Fprintf(&b, "|err:%s:%s", StageLocate, s.errMsg[row])
-		}
-		if c, ok := s.coverage[row]; ok {
+		if d := r.deg; d != nil {
 			fmt.Fprintf(&b, "|cov:%d/%d:r%d:f%d:lost%v:disc%v:budget%v:%.4f:%s",
-				c.Measured, c.Planned, c.Retries, c.ProbeFailures, c.LostLandmarks,
-				c.Disconnected, c.BudgetExhausted, c.Ratio, c.Confidence)
+				d.Measured, d.Planned, d.Retries, d.ProbeFailures, d.LostLandmarks,
+				d.Disconnected, d.BudgetExhausted, d.Coverage(), d.Confidence())
 		}
 		// Adversary annotations only exist when the plan is armed, so the
 		// honest fingerprint is byte-identical to the pre-adversary one.
 		if s.advArmed {
-			insp := s.advInsp[row]
+			insp := r.inspection()
 			fmt.Fprintf(&b, "|adv:%v:%.4f:%v", insp.Suspected, insp.Score, insp.Reasons)
 		}
 		b.WriteByte('\n')
