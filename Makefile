@@ -125,7 +125,7 @@ benchvet:
 	$(GO) -C bench vet .
 
 # Every benchmark must at least compile and survive one iteration;
-# without this, bench-only code (reference implementations, metric
+# without this, benchmark-only code (BenchmarkAudit's setup, metric
 # plumbing) can rot unnoticed between benchmark runs. The audit
 # benchmark under bench/ is a module of its own that ./... does not
 # reach, so it is vetted and its layer micro-benchmarks run separately.

@@ -9,6 +9,7 @@ import (
 	"activegeo/internal/cbg"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/grid"
 	"activegeo/internal/netsim"
 )
 
@@ -197,7 +198,7 @@ func TestBaselineFilterOverrulesUnderestimatingMajority(t *testing.T) {
 		}
 	}
 
-	slack := 1.2 * 111.195 * env.Grid.Resolution()
+	slack := 1.2 * grid.KmPerDeg * env.Grid.Resolution()
 	region, kept, err := pp.LocateDetailed(ms)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"activegeo/internal/cbg"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/grid"
 	"activegeo/internal/netsim"
 )
 
@@ -89,7 +90,7 @@ func TestCongestedCalibrationFailureInjection(t *testing.T) {
 	}
 	t.Logf("victim disk: estimated %.0f km, true %.0f km", est, truth)
 
-	slack := 1.2 * 111.195 * env.Grid.Resolution()
+	slack := 1.2 * grid.KmPerDeg * env.Grid.Resolution()
 	plainRegion, err := plain.Locate(ms)
 	if err != nil {
 		t.Fatal(err)

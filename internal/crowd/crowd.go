@@ -129,11 +129,3 @@ func (h *Host) MeasureAllAnchors(cons *atlas.Constellation, rng *rand.Rand) []me
 	}
 	return out
 }
-
-// MeasureTwoPhase runs the standard two-phase procedure with the host's
-// web tool.
-func (h *Host) MeasureTwoPhase(cons *atlas.Constellation, rng *rand.Rand) (*measure.Result, error) {
-	tool := &measure.WebTool{Net: cons.Net(), OS: h.OS, Browser: h.Browser}
-	tp := &measure.TwoPhase{Cons: cons, Tool: tool}
-	return tp.Run(h.ID, rng)
-}

@@ -103,18 +103,6 @@ func TestMeasureAllAnchors(t *testing.T) {
 	}
 }
 
-func TestMeasureTwoPhase(t *testing.T) {
-	cons, hosts := fixture(t)
-	rng := rand.New(rand.NewSource(8))
-	res, err := hosts[1].MeasureTwoPhase(cons, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Phase1) == 0 {
-		t.Error("no phase-1 samples")
-	}
-}
-
 func TestDefaultConfigUsedWhenEmpty(t *testing.T) {
 	net := netsim.New(123)
 	cons, err := atlas.Build(net, atlas.Config{Anchors: 10, Probes: 0, SamplesPerPair: 1}, rand.New(rand.NewSource(1)))

@@ -187,7 +187,7 @@ func TestRingRegion(t *testing.T) {
 		if d > 2500+1 {
 			t.Fatalf("cell at %.0f km beyond ring max", d)
 		}
-		if d < 1000-2*111.195*g.Resolution() {
+		if d < 1000-2*grid.KmPerDeg*g.Resolution() {
 			t.Fatalf("cell at %.0f km deep inside ring min", d)
 		}
 	})

@@ -54,7 +54,7 @@ func TestCellAtRoundTrip(t *testing.T) {
 		}
 		// The cell's center should be within one cell diagonal of p.
 		d := geo.DistanceKm(g.Center(i), p)
-		return d < 2*111.195*g.Resolution()
+		return d < 2*KmPerDeg*g.Resolution()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -3,22 +3,18 @@
 // distance-field cache, exactly as the algorithms computed before the
 // geometry kernel (internal/geo.Vec3 + grid.DistanceField) landed.
 //
-// It exists for two reasons:
-//
-//  1. Equivalence testing. The kernel's dot-product membership test is
-//     monotone-equivalent to the haversine test, so every algorithm must
-//     produce the same region through either path (up to documented
-//     ulp-level boundary ties; see the package tests). Each reference
-//     Locate is composed from grid.Region.AddCapReference, the
-//     haversine helpers below, a per-cell copy of the coverage argmax
-//     (coverageArgmaxReference, against grid.Grid.CoverageArgmax's
-//     bit-sliced counts), and the algorithms' exported calibration
-//     APIs, so it shares no fast-path geometry code with the kernel.
-//     On the quick lab's own vectors the regions must match exactly
-//     (experiments.TestQuickLocateMatchesReference).
-//  2. Honest "before" benchmarks. The root BenchmarkLocateReference and
-//     BenchmarkSpotterLocateReference time these against the kernel
-//     implementations (BenchmarkLocateKernel, BenchmarkSpotterLocate).
+// It is a test oracle. The kernel's dot-product membership test is
+// monotone-equivalent to the haversine test, so every algorithm must
+// produce the same region through either path (up to documented
+// ulp-level boundary ties; see the package tests). Each reference
+// Locate is composed from grid.Region.AddCapReference, the haversine
+// helpers below, a per-cell copy of the coverage argmax
+// (coverageArgmaxReference, against grid.Grid.CoverageArgmax's
+// bit-sliced counts), and the algorithms' exported calibration APIs,
+// so it shares no fast-path geometry code with the kernel. On the quick
+// lab's own vectors the regions must match exactly
+// (experiments.TestQuickLocateMatchesReference). The references are no
+// longer timed; the README keeps their last measured times as history.
 //
 // One deliberate divergence: the pre-kernel Spotter sorted scored cells
 // with an unstable comparator on the score alone, so equal-score cells

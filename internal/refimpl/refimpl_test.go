@@ -177,8 +177,7 @@ func TestKernelEquivalence(t *testing.T) {
 }
 
 // TestReferenceNames pins the non-empty Name() strings that label the
-// root BenchmarkLocateReference sub-benchmarks and the failures of
-// experiments.TestQuickLocateMatchesReference.
+// failures of experiments.TestQuickLocateMatchesReference.
 func TestReferenceNames(t *testing.T) {
 	_, env := fixtures(t)
 	for _, a := range []geoloc.Algorithm{
