@@ -15,7 +15,7 @@
 #   make race          full test suite under the race detector
 #   make race-smoke    quick audit pipeline and measure batch, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel, Theil–Sen and netsim.Path
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel, Theil–Sen, rank selection and netsim.Path
 #   make cover         per-package coverage with an 85% floor on the service packages
 
 GO ?= go
@@ -88,7 +88,8 @@ soak:
 # quantized-mask op, the ring constraint, the pruned coverage argmax and
 # geoloc.IntersectOrArgmax, against their per-cell oracles), over
 # Theil–Sen's median-slope selection (against the all-pairs
-# enumeration) and over netsim.Path (a reused leg against fresh by-ID
+# enumeration) and the rank selection behind it and Quantile (against
+# sorting), and over netsim.Path (a reused leg against fresh by-ID
 # calls), FUZZTIME per target.
 # The seed corpora also run (for free) in every plain `go test`.
 fuzz-smoke:
@@ -97,7 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	for f in FuzzFillWithinKm FuzzIntersectWithinKm FuzzFillRingKm FuzzCoverageArgmax; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/grid || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectOrArgmax$$' -fuzztime $(FUZZTIME) ./internal/refimpl
-	$(GO) test -run '^$$' -fuzz '^FuzzTheilSen$$' -fuzztime $(FUZZTIME) ./internal/mathx
+	for f in FuzzTheilSen FuzzSelectRank; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/mathx || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzPathMatchesNetwork$$' -fuzztime $(FUZZTIME) ./internal/netsim
 
 # Coverage floor on the service packages: the coordination server and

@@ -17,6 +17,8 @@
 package detect
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -166,6 +168,12 @@ func (r *LandmarkReport) IsFlagged(id netsim.HostID) bool {
 	return i < len(r.Flagged) && r.Flagged[i] == id
 }
 
+// ErrDegenerateMesh is returned by CrossValidate when the mesh admits no
+// global fit: fewer than two edges, or no robust line through them (the
+// fit's own error is wrapped). Without that baseline no anchor can be
+// judged, so an armed audit must not proceed as if all were honest.
+var ErrDegenerateMesh = errors.New("detect: degenerate calibration mesh")
+
 // CrossValidate fits the global distance→RTT line robustly (Byzantine
 // edges are the contamination the trimmed fit shrugs off), then judges
 // each anchor by comparing two views of it: the fit over edges the
@@ -175,11 +183,11 @@ func (r *LandmarkReport) IsFlagged(id netsim.HostID) bool {
 // padding; a misreported position corrupts the claimed distances in
 // both views, surfacing as physically impossible edges or a pinned
 // intercept no real path explains. Thresholds adapt to the population
-// via median/MAD, so the honest majority defines "normal".
-func CrossValidate(edges []MeshEdge, cfg CrossValidateConfig) *LandmarkReport {
-	rep := &LandmarkReport{}
+// via median/MAD, so the honest majority defines "normal". A mesh with
+// no global fit is an ErrDegenerateMesh.
+func CrossValidate(edges []MeshEdge, cfg CrossValidateConfig) (*LandmarkReport, error) {
 	if len(edges) < 2 {
-		return rep
+		return nil, fmt.Errorf("%w: %d edges", ErrDegenerateMesh, len(edges))
 	}
 	dist := make([]float64, len(edges))
 	rtt := make([]float64, len(edges))
@@ -189,9 +197,9 @@ func CrossValidate(edges []MeshEdge, cfg CrossValidateConfig) *LandmarkReport {
 	}
 	fit, err := mathx.TrimmedLine(dist, rtt, cfg.Trim)
 	if err != nil {
-		return rep
+		return nil, fmt.Errorf("%w: %w", ErrDegenerateMesh, err)
 	}
-	rep.Fit = fit
+	rep := &LandmarkReport{Fit: fit}
 	resid := make([]float64, len(edges))
 	for i, e := range edges {
 		resid[i] = e.MinRTTms - fit.At(e.ClaimedDistKm)
@@ -316,7 +324,7 @@ func CrossValidate(edges []MeshEdge, cfg CrossValidateConfig) *LandmarkReport {
 	}
 	rep.Verdicts = verdicts
 	sort.Slice(rep.Flagged, func(i, j int) bool { return rep.Flagged[i] < rep.Flagged[j] })
-	return rep
+	return rep, nil
 }
 
 // Detector reason bits, in canonical order, packed into one byte.
@@ -483,8 +491,9 @@ func lowerMAD(xs []float64) float64 {
 // "normal" — while the slope and smoothness gates are absolute. The
 // returned map carries the same inspections with Suspected, Score and
 // the reason fields filled in. Population statistics are order-free
-// (medians over sorted copies), so the result is deterministic
-// whatever order the inspections were produced in.
+// (each population is sorted before its medians are selected), so the
+// result is deterministic whatever order the inspections were produced
+// in.
 func JudgeServers(insps map[string]Inspection, cfg InspectConfig) map[string]Inspection {
 	var mads, iceps, slopes []float64
 	for _, insp := range insps {

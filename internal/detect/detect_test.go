@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/mathx"
 	"activegeo/internal/netsim"
 )
 
@@ -46,9 +48,45 @@ func synthMesh(n int, ownBias map[int]float64, displaceKm map[int]float64) []Mes
 	return edges
 }
 
+// mustCrossValidate cross-validates edges at the default thresholds and
+// fails t on an error.
+func mustCrossValidate(t *testing.T, edges []MeshEdge) *LandmarkReport {
+	t.Helper()
+	rep, err := CrossValidate(edges, DefaultCrossValidateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestCrossValidateDegenerateMesh: a mesh with no global fit is an
+// error, never an empty report that judges every anchor honest. Both
+// exits are covered: too few edges, and a robust fit that fails (here
+// on a non-finite distance, whose cause the error keeps).
+func TestCrossValidateDegenerateMesh(t *testing.T) {
+	edges := synthMesh(4, nil, nil)
+	for _, tc := range []struct {
+		name  string
+		edges []MeshEdge
+		cause error
+	}{
+		{"no edges", nil, nil},
+		{"one edge", edges[:1], nil},
+		{"non-finite distance", append([]MeshEdge{{From: "x", To: "y", ClaimedDistKm: math.Inf(1), MinRTTms: 5}}, edges...), mathx.ErrNonFinite},
+	} {
+		rep, err := CrossValidate(tc.edges, DefaultCrossValidateConfig())
+		if !errors.Is(err, ErrDegenerateMesh) || rep != nil {
+			t.Errorf("%s: report %v, err %v; want ErrDegenerateMesh", tc.name, rep, err)
+		}
+		if tc.cause != nil && !errors.Is(err, tc.cause) {
+			t.Errorf("%s: err %v does not wrap %v", tc.name, err, tc.cause)
+		}
+	}
+}
+
 // TestCrossValidateHonestMesh: an all-honest mesh must flag nobody.
 func TestCrossValidateHonestMesh(t *testing.T) {
-	rep := CrossValidate(synthMesh(12, nil, nil), DefaultCrossValidateConfig())
+	rep := mustCrossValidate(t, synthMesh(12, nil, nil))
 	if len(rep.Flagged) != 0 {
 		t.Fatalf("honest mesh flagged %v", rep.Flagged)
 	}
@@ -62,7 +100,7 @@ func TestCrossValidateHonestMesh(t *testing.T) {
 // elevated, the honest peer view toward it is not.
 func TestCrossValidateBiasLiar(t *testing.T) {
 	edges := synthMesh(12, map[int]float64{3: 40}, nil)
-	rep := CrossValidate(edges, DefaultCrossValidateConfig())
+	rep := mustCrossValidate(t, edges)
 	want := netsim.HostID("anchor-003")
 	if !rep.IsFlagged(want) {
 		t.Fatalf("bias liar %s not flagged; flagged=%v", want, rep.Flagged)
@@ -93,7 +131,7 @@ func TestCrossValidatePositionLiarGreedyPeel(t *testing.T) {
 	// 2500 km displacement on short (600–1200 km) hops breaks the
 	// 100 km/ms one-way floor on many of anchor 5's edges.
 	edges := synthMesh(12, nil, map[int]float64{5: 2500})
-	rep := CrossValidate(edges, DefaultCrossValidateConfig())
+	rep := mustCrossValidate(t, edges)
 	want := netsim.HostID("anchor-005")
 	if !rep.IsFlagged(want) {
 		t.Fatalf("position liar %s not flagged; flagged=%v", want, rep.Flagged)
@@ -124,7 +162,7 @@ func TestCrossValidatePaperScale(t *testing.T) {
 	edges := synthMesh(250, map[int]float64{3: 40}, nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rep := CrossValidate(edges, DefaultCrossValidateConfig())
+	rep := mustCrossValidate(t, edges)
 	runtime.ReadMemStats(&after)
 	if want := []netsim.HostID{"anchor-003"}; !reflect.DeepEqual(rep.Flagged, want) {
 		t.Fatalf("flagged %v, want %v", rep.Flagged, want)

@@ -4,10 +4,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"activegeo/internal/detect"
 	"activegeo/internal/measure"
+	"activegeo/internal/netsim"
+	"activegeo/internal/stream"
 )
 
 // TestAdversaryDisabledGoldenSHA: a nil plan and the zero plan must both
@@ -219,5 +225,98 @@ func TestAdversaryDetectionFloors(t *testing.T) {
 	}
 	if serial, _ := sweepAt(1); serial.Fingerprint() != res.Fingerprint() {
 		t.Errorf("serial sweep diverged from the 8-worker sweep:\n--- serial ---\n%s--- 8 workers ---\n%s", serial.Fingerprint(), res.Fingerprint())
+	}
+}
+
+// BenchmarkCrossValidateHostileMesh times landmark cross-validation on
+// the mesh the hostile audit judges: the adversary lab at 10% injected
+// loss, reported under the decoy-blend+byz plan. Unlike the detect
+// package's synthetic line its slopes are rarely tied, so it is the
+// profile target for the whole-mesh and per-anchor fits:
+//
+//	go test -run '^$' -bench '^BenchmarkCrossValidateHostileMesh$' -cpuprofile cpu.out ./internal/experiments
+func BenchmarkCrossValidateHostileMesh(b *testing.B) {
+	cfg := AdversaryBenchConfig()
+	cfg.Faults = netsim.DefaultFaults(0.10)
+	lab, err := NewLab(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var plan *measure.AdversaryPlan
+	for _, p := range DefaultAttackMatrix() {
+		if p.Name == "decoy-blend+byz" {
+			plan = &p.Plan
+		}
+	}
+	if plan == nil {
+		b.Fatal("attack point decoy-blend+byz is missing from the default matrix")
+	}
+	edges := detect.MeshEdges(lab.Cons, plan.ReportedPosition, plan.ReportBiasMs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
+	}
+}
+
+// TestAdversaryStreamingMeshGeneration: the landmark cross-validation
+// runs once per mesh generation. A pass over an unchanged constellation
+// reuses the report; a pass after each kind of churn recomputes it and
+// leaves the store exactly as a fresh auditor's first pass would.
+func TestAdversaryStreamingMeshGeneration(t *testing.T) {
+	lab, err := NewLab(tinyAuditConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab.Adversary = &measure.AdversaryPlan{Seed: 9, Attack: measure.AttackInflate, ProxyFraction: 0.3, Aggressiveness: 1, ByzantineFraction: 0.2}
+	sync := func(a *stream.Auditor) {
+		t.Helper()
+		if _, err := a.Sync(context.Background(), lab.StreamSource()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := lab.StreamingAuditor(8, 2)
+	sync(a)
+	first := a.Landmarks()
+	sync(a)
+	if a.Landmarks() != first {
+		t.Fatal("a pass over an unchanged mesh cross-validated it again")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, churn := range []struct {
+		name  string
+		apply func()
+	}{
+		{"AddAnchors", func() {
+			if _, err := lab.Cons.AddAnchors(2, rng); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Decommission", func() { lab.Cons.Decommission(2, rng) }},
+		{"RefreshCalibration", func() { lab.Cons.RefreshCalibration(2, rng) }},
+	} {
+		prev := a.Landmarks()
+		churn.apply()
+		sync(a)
+		if a.Landmarks() == prev {
+			t.Fatalf("%s: the pass kept the previous mesh's report", churn.name)
+		}
+		fresh := lab.StreamingAuditor(8, 2)
+		sync(fresh)
+		if !reflect.DeepEqual(a.Landmarks(), fresh.Landmarks()) {
+			t.Fatalf("%s: recomputed report differs from a fresh auditor's", churn.name)
+		}
+		if got, want := a.Store().Fingerprint(), fresh.Store().Fingerprint(); got != want {
+			t.Fatalf("%s: store diverged from a fresh auditor's:\n--- incremental ---\n%s--- fresh ---\n%s", churn.name, got, want)
+		}
+	}
+	// With every anchor gone there is no mesh to fit: the armed pass
+	// fails instead of auditing with no landmark judged.
+	lab.Cons.Decommission(len(lab.Cons.Anchors()), rng)
+	if _, err := a.Sync(context.Background(), lab.StreamSource()); !errors.Is(err, detect.ErrDegenerateMesh) {
+		t.Fatalf("pass over an empty mesh: err = %v, want ErrDegenerateMesh", err)
+	}
+	if a.Landmarks() != nil {
+		t.Fatal("failed pass kept the previous mesh's report")
 	}
 }

@@ -1,9 +1,10 @@
 package mathx
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MAD returns the median absolute deviation of xs about its median — the
@@ -19,7 +20,7 @@ func MAD(xs []float64) float64 {
 	for i, v := range xs {
 		devs[i] = math.Abs(v - m)
 	}
-	return Median(devs)
+	return quantileOf(devs, 0.5)
 }
 
 // ErrTrimRange is returned when TrimmedLine's trim fraction is outside
@@ -70,12 +71,11 @@ func TrimmedLine(x, y []float64, trim float64) (Line, error) {
 			idx[i] = i
 			resid[i] = math.Abs(y[i] - line.At(x[i]))
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			ra, rb := resid[idx[a]], resid[idx[b]]
-			if ra != rb {
-				return ra < rb
+		slices.SortFunc(idx, func(a, b int) int {
+			if c := cmp.Compare(resid[a], resid[b]); c != 0 {
+				return c
 			}
-			return idx[a] < idx[b]
+			return cmp.Compare(a, b)
 		})
 		kx, ky = kx[:0], ky[:0]
 		for _, i := range idx[:keep] {

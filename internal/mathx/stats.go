@@ -1,9 +1,6 @@
 package mathx
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs (NaN for an empty slice).
 func Mean(xs []float64) float64 {
@@ -42,19 +39,25 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
+	return quantileOf(append([]float64(nil), xs...), q)
+}
+
+// quantileOf is Quantile over a non-empty scratch slice, which it
+// reorders: it selects the two order statistics it reads rather than
+// sorting them into place.
+func quantileOf(s []float64, q float64) float64 {
+	lo, frac := 0, 0.0
+	switch {
+	case q >= 1:
+		lo = len(s) - 1
+	case q > 0:
+		lo, frac = quantilePos(len(s), q)
 	}
-	if q >= 1 {
-		return s[len(s)-1]
+	a, b := selectPair(s, lo)
+	if q <= 0 || q >= 1 || lo+1 >= len(s) {
+		return a
 	}
-	lo, frac := quantilePos(len(s), q)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return lerp(s[lo], s[lo+1], frac)
+	return lerp(a, b, frac)
 }
 
 // quantilePos locates the q-quantile (0 < q < 1) of n sorted values:

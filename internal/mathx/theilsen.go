@@ -34,12 +34,13 @@ const (
 // which is what the η estimation in the paper's Figure 13 ("a robust
 // linear regression") needs.
 //
-// The median slope is selected without enumerating the n(n−1)/2 pairs:
-// an inversion count ranks a candidate slope in O(n log n), a sampled
-// bracket narrows the median to a few pairs, and only those are
-// computed (see slopeSelector). The result is the float64 that
-// interpolating the fully sorted slope list would give, with one
-// exception: a zero median slope may differ in sign, because the
+// The median slope is selected, never sorted into place. Up to
+// directPairs pairs every slope is listed; beyond that the n(n−1)/2
+// pairs are not enumerated: an inversion count ranks a candidate slope
+// in O(n log n), a sampled bracket narrows the median to a few pairs,
+// and only those are computed (see slopeSelector). The result is the
+// float64 that interpolating the fully sorted slope list would give,
+// with one exception: a zero median slope may differ in sign, because the
 // enumeration computes a tied-y pair over a negative dx as -0 and
 // sorting leaves ±0 in no defined order.
 func TheilSen(x, y []float64) (Line, error) {
@@ -66,7 +67,7 @@ func TheilSen(x, y []float64) (Line, error) {
 	for i := range x {
 		resid = append(resid, y[i]-slope*x[i])
 	}
-	return Line{Slope: slope, Intercept: Median(resid)}, nil
+	return Line{Slope: slope, Intercept: quantileOf(resid, 0.5)}, nil
 }
 
 // slopeSelector selects order statistics of the pairwise slopes of a
@@ -88,7 +89,7 @@ type slopeSelector struct {
 
 	key       []float64 // per-point sort key at the current t
 	perm, tmp []int32   // merge-sort buffers of point positions
-	smp, kept []float64 // the sampled slopes; a scan's kept slopes
+	smp, kept []float64 // the sampled slopes; a scan's kept slopes, or all of them in the base case
 }
 
 // selectors recycles selector buffers across calls: CrossValidate fits
@@ -153,11 +154,30 @@ func (s *slopeSelector) median() float64 {
 }
 
 // selectRanks returns the slopes of ranks k and need−1 (0-based,
-// ascending; need is k+1 or k+2). It brackets them between two sampled
-// slopes by binary search on the inversion count, then widens the
+// ascending; need is k+1 or k+2). In the base case it lists every slope,
+// exactly as scan computes them, and selects.
+func (s *slopeSelector) selectRanks(k, need int) (v0, v1 float64) {
+	if s.pairs > directPairs {
+		return s.selectSampled(k, need)
+	}
+	all := s.kept[:0]
+	for p := range s.x {
+		for q := p + 1; q < len(s.x); q++ {
+			if dx := s.x[q] - s.x[p]; dx != 0 {
+				all = append(all, (s.y[q]-s.y[p])/dx)
+			}
+		}
+	}
+	s.kept = all
+	return pickRanks(all, k, need)
+}
+
+// selectSampled is selectRanks above the base case. It brackets the
+// ranks between two sampled slopes, galloping on the inversion count
+// from the sample rank the ranks' share predicts, then widens the
 // bracket until selectIn verifies it — at the latest at ±Inf, which
 // holds every slope.
-func (s *slopeSelector) selectRanks(k, need int) (v0, v1 float64) {
+func (s *slopeSelector) selectSampled(k, need int) (v0, v1 float64) {
 	smp := s.sample()
 	at := func(i int) float64 {
 		switch {
@@ -168,13 +188,17 @@ func (s *slopeSelector) selectRanks(k, need int) (v0, v1 float64) {
 		}
 		return smp[i]
 	}
-	li := sort.Search(len(smp), func(i int) bool { return s.count(smp[i]) > k }) - 1
-	hi := li + 1 + sort.Search(len(smp)-li-1, func(i int) bool { return s.count(smp[li+1+i]) >= need })
-	// The sampled slope at rank k's share is the first pivot: on a block
-	// of tied slopes it is usually the answer.
-	pivot := math.NaN()
+	// The sampled slope at rank k's share is where the bracket search
+	// starts and the first pivot: on a block of tied slopes it is
+	// usually the answer.
+	guess, pivot := k*len(smp)/s.pairs, math.NaN()
 	if len(smp) > 0 {
-		pivot = smp[k*len(smp)/s.pairs]
+		pivot = smp[guess]
+	}
+	first, c := s.firstAbove(smp, 0, guess, k)
+	li, hi := first-1, first
+	if first < len(smp) && c < need {
+		hi, _ = s.firstAbove(smp, first+1, first+1, need-1)
 	}
 	for step := 1; ; step *= 2 {
 		if v0, v1, ok := s.selectIn(at(li), at(hi), k, need, pivot); ok {
@@ -184,12 +208,56 @@ func (s *slopeSelector) selectRanks(k, need int) (v0, v1 float64) {
 	}
 }
 
+// firstAbove returns the first index i ≥ lo of the sorted sample whose
+// slope counts more than r slopes below it (len(smp) if none) and that
+// count. It probes guess first and gallops away from it, then bisects
+// the last step, so a good guess costs a few counts instead of a full
+// binary search. Equal slopes count alike, so each probe settles the
+// whole run of copies of its slope.
+func (s *slopeSelector) firstAbove(smp []float64, lo, guess, r int) (i, count int) {
+	// The answer lies in (a, b]; cb is the count at b.
+	a, b, cb := lo-1, len(smp), -1
+	if lo >= len(smp) {
+		return b, cb
+	}
+	probe := func(i int) bool {
+		v := smp[i]
+		if c := s.count(v); c > r {
+			b, cb = max(sort.SearchFloat64s(smp, v), a+1), c
+			return true
+		}
+		a = min(sort.Search(len(smp), func(j int) bool { return smp[j] > v })-1, b-1)
+		return false
+	}
+	if probe(min(max(guess, lo), len(smp)-1)) {
+		for step := 1; b-step > a && probe(b-step); step *= 2 {
+		}
+	} else {
+		for step := 1; a+step < b && !probe(a+step); step *= 2 {
+		}
+	}
+	for b-a > 1 {
+		probe(a + (b-a)/2)
+	}
+	return b, cb
+}
+
+// pickRanks selects ranks k and need−1 (need is k+1 or k+2) of v.
+func pickRanks(v []float64, k, need int) (v0, v1 float64) {
+	v0, v1 = selectPair(v, k)
+	if need == k+1 {
+		v1 = v0
+	}
+	return v0, v1
+}
+
 // selectIn selects ranks k and need−1 from the slopes in [lo, hi]. Each
 // pass scans the bracket once, counting its slopes against the pivot v
 // and keeping those that differ from it (thinned past maxKept). The
-// ranks are found at the pivot, or read off the kept slopes when all of
-// them fit; otherwise the bracket narrows to one side of the pivot and
-// the next pivot is the kept slope at the ranks' share of what remains.
+// ranks are found at the pivot, or selected from the kept slopes when
+// all of them fit; otherwise the bracket narrows to one side of the
+// pivot and the next pivot is the kept slope at the ranks' share of
+// what remains.
 // ok is false if the bracket does not hold both ranks.
 func (s *slopeSelector) selectIn(lo, hi float64, k, need int, v float64) (v0, v1 float64, ok bool) {
 	for {
@@ -225,18 +293,18 @@ func (s *slopeSelector) selectIn(lo, hi float64, k, need int, v float64) (v0, v1
 			}
 			return v0, v1, true
 		}
-		sort.Float64s(kept.vals)
 		if kept.n <= maxKept {
 			// The bracket's sorted slopes are the kept ones below v, eq
-			// copies of v, then the kept ones above; the ranks miss v.
-			at := func(r int) float64 {
-				if r -= below; r >= lt-below {
-					r -= eq
-				}
-				return kept.vals[r]
+			// copies of v, then the kept ones above. Both ranks miss v
+			// on the same side, so they are adjacent ranks of the kept.
+			r := k - below
+			if r >= lt-below {
+				r -= eq
 			}
-			return at(k), at(need - 1), true
+			v0, v1 = pickRanks(kept.vals, r, r+need-k)
+			return v0, v1, true
 		}
+		sort.Float64s(kept.vals)
 		inside := kept.n
 		if lo <= v && v <= hi {
 			if lt >= need {
@@ -258,11 +326,8 @@ func (s *slopeSelector) selectIn(lo, hi float64, k, need int, v float64) (v0, v1
 }
 
 // sample returns a sorted fixed-seed sample of about max(1024, √pairs)
-// pairwise slopes, or nil in the base case.
+// pairwise slopes.
 func (s *slopeSelector) sample() []float64 {
-	if s.pairs <= directPairs {
-		return nil
-	}
 	m := max(1024, int(math.Sqrt(float64(s.pairs))))
 	rng := rand.New(rand.NewPCG(1, 2))
 	n := len(s.x)

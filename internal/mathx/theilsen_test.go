@@ -9,52 +9,100 @@ import (
 	"testing"
 )
 
+// sortedQuantile is Quantile's reference: it sorts a copy and
+// interpolates between the two ranks it reads.
+func sortedQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if q <= 0 {
+		return s[0]
+	}
+	if q >= 1 {
+		return s[len(s)-1]
+	}
+	lo, frac := quantilePos(len(s), q)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return lerp(s[lo], s[lo+1], frac)
+}
+
+// oracleSlopes lists every pairwise slope in input order, sorted.
+func oracleSlopes(x, y []float64) []float64 {
+	slopes := make([]float64, 0, len(x)*(len(x)-1)/2)
+	for i := range x {
+		for j := i + 1; j < len(x); j++ {
+			if dx := x[j] - x[i]; dx != 0 {
+				slopes = append(slopes, (y[j]-y[i])/dx)
+			}
+		}
+	}
+	sort.Float64s(slopes)
+	return slopes
+}
+
 // theilSenOracle is the O(n²) reference: it lists every pairwise slope
-// in input order and takes their Median. TheilSen must return the same
-// line, up to the sign of a zero.
-func theilSenOracle(x, y []float64) (Line, error) {
+// and interpolates their sorted median. TheilSen must return the same
+// line, up to the sign of a zero. It also returns the sorted slopes.
+func theilSenOracle(x, y []float64) (Line, []float64, error) {
 	if len(x) != len(y) {
-		return Line{}, errMismatchedLengths
+		return Line{}, nil, errMismatchedLengths
 	}
 	n := len(x)
 	if n < 2 {
-		return Line{}, ErrInsufficientData
+		return Line{}, nil, ErrInsufficientData
 	}
-	slopes := make([]float64, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := x[j] - x[i]
-			if dx == 0 {
-				continue
-			}
-			slopes = append(slopes, (y[j]-y[i])/dx)
-		}
-	}
+	slopes := oracleSlopes(x, y)
 	if len(slopes) == 0 {
-		return Line{}, errDegenerateX
+		return Line{}, nil, errDegenerateX
 	}
-	slope := Median(slopes)
+	slope := sortedQuantile(slopes, 0.5)
 	resid := make([]float64, n)
 	for i := range x {
 		resid[i] = y[i] - slope*x[i]
 	}
-	return Line{Slope: slope, Intercept: Median(resid)}, nil
+	return Line{Slope: slope, Intercept: sortedQuantile(resid, 0.5)}, slopes, nil
 }
 
-// sameLine reports whether two fits agree. == lets ±0 match; a NaN (an
-// infinite slope's intercept) matches NaN.
+// same reports whether two floats agree: == lets ±0 match, and NaN
+// (an infinite slope's intercept) matches NaN.
+func same(u, v float64) bool { return u == v || u != u && v != v }
+
+// sameLine reports whether two fits agree.
 func sameLine(a, b Line) bool {
-	same := func(u, v float64) bool { return u == v || u != u && v != v }
 	return same(a.Slope, b.Slope) && same(a.Intercept, b.Intercept)
 }
 
 // checkTheilSen fails t unless TheilSen and the oracle agree on (x, y).
+// Inputs in the base case never reach the inversion-count machinery,
+// so on those the median ranks are also selected by one scan over the
+// whole slope range and from a sampled bracket. Larger inputs take the
+// sampled path in TheilSen itself.
 func checkTheilSen(t *testing.T, x, y []float64) {
 	t.Helper()
 	got, gotErr := TheilSen(x, y)
-	want, wantErr := theilSenOracle(x, y)
+	want, all, wantErr := theilSenOracle(x, y)
 	if gotErr != wantErr || !sameLine(got, want) {
 		t.Fatalf("n=%d: TheilSen = %+v, %v; oracle = %+v, %v", len(x), got, gotErr, want, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	s := new(slopeSelector)
+	s.load(x, y)
+	if s.pairs > directPairs {
+		return
+	}
+	k, _ := quantilePos(s.pairs, 0.5)
+	need := min(k+2, s.pairs)
+	if v0, v1, ok := s.selectIn(math.Inf(-1), math.Inf(1), k, need, math.NaN()); !ok || !same(v0, all[k]) || !same(v1, all[need-1]) {
+		t.Fatalf("n=%d: whole-range scan = %v, %v, %v; want %v, %v", len(x), v0, v1, ok, all[k], all[need-1])
+	}
+	if v0, v1 := s.selectSampled(k, need); !same(v0, all[k]) || !same(v1, all[need-1]) {
+		t.Fatalf("n=%d: sampled bracket = %v, %v; want %v, %v", len(x), v0, v1, all[k], all[need-1])
 	}
 }
 

@@ -106,9 +106,12 @@ type Auditor struct {
 	pass  uint32
 
 	// lmReport is the current pass's landmark cross-validation (nil when
-	// the adversary layer is disarmed). Recomputed at the top of every
-	// Sync so constellation churn re-judges the mesh.
-	lmReport *detect.LandmarkReport
+	// the adversary layer is disarmed). It is a function of the mesh and
+	// the plan alone, so Sync recomputes it only when the constellation
+	// epoch or the plan signature it was computed under (lmEpoch, lmPlan)
+	// has moved: churn re-judges the mesh, a claim change does not.
+	lmReport        *detect.LandmarkReport
+	lmEpoch, lmPlan uint64
 }
 
 // New builds an Auditor over a fresh store.
@@ -213,16 +216,27 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	caches := a.cacheStats()
 
 	// Stage 0 (adversary plan armed only): cross-validate the anchors
-	// against the as-reported calibration mesh. The flagged set filters
-	// every batch's localization inputs below and is stamped into the
-	// store for the fingerprint; the robust mesh fit doubles as the
-	// honest-noise baseline the per-server detectors compare against.
+	// against the as-reported calibration mesh, once per mesh generation.
+	// The flagged set filters every batch's localization inputs below
+	// and is stamped into the store for the fingerprint; the robust mesh
+	// fit doubles as the honest-noise baseline the per-server detectors
+	// compare against. A mesh with no baseline fails the pass.
 	if plan := a.cfg.Adversary; plan.Enabled() {
-		span := tel.StartStage("audit.crossvalidate")
-		edges := detect.MeshEdges(a.cfg.Cons, plan.ReportedPosition, plan.ReportBiasMs)
-		a.lmReport = detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
+		// The epoch is read before the mesh, so churn landing in between
+		// leaves a stale stamp and a recompute, never a stale report.
+		epoch, planSig := a.cfg.Cons.Epoch(), plan.Signature()
+		if a.lmReport == nil || a.lmEpoch != epoch || a.lmPlan != planSig {
+			span := tel.StartStage("audit.crossvalidate")
+			edges := detect.MeshEdges(a.cfg.Cons, plan.ReportedPosition, plan.ReportBiasMs)
+			rep, err := detect.CrossValidate(edges, detect.DefaultCrossValidateConfig())
+			span.End()
+			if err != nil {
+				a.lmReport = nil
+				return stats, fmt.Errorf("stream: cross-validating the anchors: %w", err)
+			}
+			a.lmReport, a.lmEpoch, a.lmPlan = rep, epoch, planSig
+		}
 		a.store.setAdversary(true, a.lmReport.Flagged)
-		span.End()
 	} else {
 		a.lmReport = nil
 		a.store.setAdversary(false, nil)
