@@ -324,7 +324,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) fitModel(id string) (ModelInfo, error) {
 	epoch := s.epoch.Load()
 	if id == pooledKey {
-		line, err := cbg.BestLine(oneWay(s.cons.Pooled()), s.cfg.Opts.Slowline)
+		line, err := cbg.BestLine(cbg.ToOneWay(s.cons.Pooled()), s.cfg.Opts.Slowline)
 		if err != nil {
 			return ModelInfo{}, fmt.Errorf("pooled fit: %w", err)
 		}
@@ -342,7 +342,7 @@ func (s *Server) fitModel(id string) (ModelInfo, error) {
 	}
 	pts := s.cons.Calibration(lm.Host.ID)
 	if lm.IsAnchor && len(pts) > 0 {
-		line, err := cbg.BestLine(oneWay(pts), s.cfg.Opts.Slowline)
+		line, err := cbg.BestLine(cbg.ToOneWay(pts), s.cfg.Opts.Slowline)
 		if err != nil {
 			return ModelInfo{}, err
 		}

@@ -1,11 +1,6 @@
 package atlasd
 
-import (
-	"sync"
-
-	"activegeo/internal/geo"
-	"activegeo/internal/mathx"
-)
+import "sync"
 
 // pooledKey is the reserved cache key for the pooled fallback bestline.
 // Host IDs never contain a newline, so it cannot collide with a real
@@ -103,14 +98,4 @@ func (c *modelCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// oneWay converts (distance, RTT) calibration samples to the
-// (distance, one-way ms) form cbg.BestLine consumes.
-func oneWay(pts []mathx.XY) []mathx.XY {
-	out := make([]mathx.XY, len(pts))
-	for i, p := range pts {
-		out[i] = mathx.XY{X: p.X, Y: geo.OneWayMs(p.Y)}
-	}
-	return out
 }

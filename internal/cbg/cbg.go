@@ -52,13 +52,13 @@ func Calibrate(cons *atlas.Constellation, opts Options) (*Calibration, error) {
 		if len(pts) == 0 {
 			continue
 		}
-		line, err := BestLine(toOneWay(pts), opts.Slowline)
+		line, err := BestLine(ToOneWay(pts), opts.Slowline)
 		if err != nil {
 			return nil, fmt.Errorf("cbg: calibrating %s: %w", a.Host.ID, err)
 		}
 		cal.lines[a.Host.ID] = line
 	}
-	pooled, err := BestLine(toOneWay(cons.Pooled()), opts.Slowline)
+	pooled, err := BestLine(ToOneWay(cons.Pooled()), opts.Slowline)
 	if err != nil {
 		return nil, fmt.Errorf("cbg: pooled calibration: %w", err)
 	}
@@ -66,8 +66,9 @@ func Calibrate(cons *atlas.Constellation, opts Options) (*Calibration, error) {
 	return cal, nil
 }
 
-// toOneWay converts (distance, RTT) samples to (distance, one-way time).
-func toOneWay(pts []mathx.XY) []mathx.XY {
+// ToOneWay converts (distance, RTT) calibration samples to the
+// (distance, one-way ms) form BestLine consumes.
+func ToOneWay(pts []mathx.XY) []mathx.XY {
 	out := make([]mathx.XY, len(pts))
 	for i, p := range pts {
 		out[i] = mathx.XY{X: p.X, Y: geo.OneWayMs(p.Y)}
@@ -231,50 +232,37 @@ func (c *CBG) Name() string { return "CBG" }
 // figure generators).
 func (c *CBG) Calibration() *Calibration { return c.cal }
 
-// Disks returns the multilateration disks for a measurement set.
-func (c *CBG) Disks(ms []geoloc.Measurement) []geo.Cap {
-	ms = geoloc.Collapse(ms)
-	caps := make([]geo.Cap, 0, len(ms))
-	for _, m := range ms {
-		caps = append(caps, geo.Cap{
-			Center:   m.Landmark,
-			RadiusKm: c.cal.MaxDistanceKm(m.LandmarkID, m.OneWayMs()),
-		})
-	}
-	return caps
-}
+// maxDisks is how many disk constraints Locate holds in its stack
+// buffer; more measurements spill to the heap.
+const maxDisks = 64
 
 // Locate implements geoloc.Algorithm: intersect all bestline disks, then
 // apply the physical exclusions. The result may be empty — CBG fails
-// when some disk underestimates (§5.1). The disks are evaluated against
-// the Env's shared landmark distance fields, so the per-landmark
-// geometry is a cached slice lookup rather than per-cell trigonometry.
+// when some disk underestimates (§5.1). Every disk is padded by the
+// rasterization margin so boundary cells are kept, and is a disk
+// constraint on the landmark's cached masks: the same word-wise strict
+// intersection as CBG++'s strict-first exit.
+//
+// A disk constraint always keeps the landmark's own cell, where a plain
+// cap keeps it only when its center lies within the radius. Every
+// radius here is at least PadKm, which exceeds the distance from a
+// landmark to its own cell's center outside the polar bands, so the two
+// agree there (experiments.TestLandmarkCellWithinPad).
 func (c *CBG) Locate(ms []geoloc.Measurement) (*grid.Region, error) {
 	ms = geoloc.Collapse(ms)
 	if len(ms) == 0 {
 		return nil, geoloc.ErrNoMeasurements
 	}
-	// Pad every disk by the rasterization margin so boundary cells are
-	// kept, then intersect starting from the smallest disk: cheap and
-	// keeps the working region minimal.
 	pad := c.env.PadKm()
-	radii := make([]float64, len(ms))
-	min := 0
-	for i, m := range ms {
-		radii[i] = c.cal.MaxDistanceKm(m.LandmarkID, m.OneWayMs()) + pad
-		if radii[i] < radii[min] {
-			min = i
-		}
+	var buf [maxDisks]grid.Constraint
+	cs := buf[:0]
+	for _, m := range ms {
+		maxKm := c.cal.MaxDistanceKm(m.LandmarkID, m.OneWayMs()) + pad
+		cs = append(cs, grid.Disk(c.env.MasksFor(m.LandmarkID, m.Landmark), c.env.Grid.CellAt(m.Landmark), maxKm))
 	}
-	region := c.env.CapRegionFor(ms[min].LandmarkID, geo.Cap{Center: ms[min].Landmark, RadiusKm: radii[min]})
-	for i, m := range ms {
-		if i == min {
-			continue
-		}
-		c.env.IntersectWithinFor(region, m.LandmarkID, m.Landmark, radii[i])
-		if region.Empty() {
-			return region, nil
-		}
+	region := c.env.Grid.Intersect(cs)
+	if region.Empty() {
+		return region, nil
 	}
 	return c.env.ApplyExclusions(region), nil
 }

@@ -10,6 +10,7 @@ import (
 	"activegeo/internal/atlas"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
+	"activegeo/internal/grid"
 	"activegeo/internal/mathx"
 	"activegeo/internal/netsim"
 )
@@ -294,22 +295,35 @@ func TestCBGLocateNoMeasurements(t *testing.T) {
 	}
 }
 
+// TestCBGDisksMatchMeasurements: a landmark measured twice contributes
+// one disk, sized from its minimum RTT.
 func TestCBGDisksMatchMeasurements(t *testing.T) {
 	cons, env := fixture(t)
 	cal, _ := Calibrate(cons, Options{})
 	alg := New(env, cal)
 	a := cons.Anchors()[0]
-	ms := []geoloc.Measurement{
-		{LandmarkID: a.Host.ID, Landmark: a.Host.Loc, RTTms: 40},
-		{LandmarkID: a.Host.ID, Landmark: a.Host.Loc, RTTms: 30}, // duplicate, lower
+	m := func(rtt float64) geoloc.Measurement {
+		return geoloc.Measurement{LandmarkID: a.Host.ID, Landmark: a.Host.Loc, RTTms: rtt}
 	}
-	disks := alg.Disks(ms)
-	if len(disks) != 1 {
-		t.Fatalf("collapse failed: %d disks", len(disks))
+	locate := func(ms ...geoloc.Measurement) *grid.Region {
+		t.Helper()
+		r, err := alg.Locate(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	want := cal.MaxDistanceKm(a.Host.ID, 15)
-	if disks[0].RadiusKm != want {
-		t.Errorf("radius %f, want %f (from the minimum RTT)", disks[0].RadiusKm, want)
+	got := locate(m(40), m(30)) // duplicate, lower second
+	if want := locate(m(30)); !got.Equal(want) {
+		t.Errorf("duplicate landmark: %d cells, want the minimum RTT's %d", got.Count(), want.Count())
+	}
+	if other := locate(m(40)); got.Equal(other) {
+		t.Errorf("the 40 ms and 30 ms disks give the same %d cells; the test cannot tell them apart", got.Count())
+	}
+	// The disk is the bestline radius plus the rasterization pad.
+	want := env.Grid.Intersect([]grid.Constraint{grid.Disk(env.MasksFor(a.Host.ID, a.Host.Loc), env.Grid.CellAt(a.Host.Loc), cal.MaxDistanceKm(a.Host.ID, 15)+env.PadKm())})
+	if want = env.ApplyExclusions(want); !got.Equal(want) {
+		t.Errorf("region %d cells, want the padded 15 ms bestline disk's %d", got.Count(), want.Count())
 	}
 	if alg.Name() != "CBG" {
 		t.Error("name")

@@ -119,14 +119,9 @@ type Lab struct {
 	foreign map[string][]*atlas.Landmark
 }
 
-// NewLab builds and calibrates everything.
-func NewLab(cfg Config) (*Lab, error) {
-	if cfg.Anchors == 0 {
-		cfg = PaperConfig()
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := netsim.New(cfg.Seed)
-
+// buildConstellation builds the lab's landmarks on net, the first draws
+// from the lab's construction stream rng.
+func buildConstellation(cfg Config, net *netsim.Network, rng *rand.Rand) (*atlas.Constellation, error) {
 	cons, err := atlas.Build(net, atlas.Config{
 		Anchors:        cfg.Anchors,
 		Probes:         cfg.Probes,
@@ -134,6 +129,20 @@ func NewLab(cfg Config) (*Lab, error) {
 	}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building constellation: %w", err)
+	}
+	return cons, nil
+}
+
+// NewLab builds and calibrates everything.
+func NewLab(cfg Config) (*Lab, error) {
+	if cfg.Anchors == 0 {
+		cfg = PaperConfig()
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	net := netsim.New(cfg.Seed)
+	cons, err := buildConstellation(cfg, net, rng)
+	if err != nil {
+		return nil, err
 	}
 
 	env := geoloc.NewEnv(cfg.GridResDeg)
@@ -197,18 +206,6 @@ func NewLab(cfg Config) (*Lab, error) {
 	net.SetFaults(cfg.Faults)
 
 	return lab, nil
-}
-
-// policy returns the measurement resilience policy matching the
-// network's live fault configuration: the default retry/backoff/budget
-// profile when faults are armed, the zero policy (historical fault-free
-// path, byte-identical output) otherwise. Reading the network rather
-// than Cfg lets the robustness sweep re-arm faults on a built lab.
-func (l *Lab) policy() measure.Policy {
-	if l.Net.Faults().Enabled() {
-		return measure.DefaultPolicy()
-	}
-	return measure.Policy{}
 }
 
 // Algorithms returns the four §3 algorithms in paper order (Figure 9).

@@ -58,7 +58,8 @@ func TestQuickAuditGolden(t *testing.T) {
 // CBG++ is also held to its twin on the quick fleet's honest two-phase
 // vectors, on both sides of its strict-first exit: the first 48
 // servers, whose bestline disks mostly share a cell, plus every server
-// whose bestline disks share none.
+// whose bestline disks share none. CBG is held to its twin on every
+// two-phase vector.
 func TestQuickLocateMatchesReference(t *testing.T) {
 	l := lab(t)
 	const nTargets = 3
@@ -88,16 +89,16 @@ func TestQuickLocateMatchesReference(t *testing.T) {
 		}
 	}
 
-	var vecs [][]geoloc.Measurement
-	var measured, strict, counted int
+	var all, vecs [][]geoloc.Measurement
+	var strict, counted int
 	for i, s := range l.Fleet.Servers() {
 		rng := rand.New(rand.NewSource(measure.StreamSeed(l.Cfg.Seed, s.Host.ID)))
 		res, err := measure.ProxiedTwoPhase(l.Cons, l.Client, s.Host.ID, measure.DefaultEta, rng)
 		if err != nil {
 			continue
 		}
-		measured++
 		ms := res.Measurements()
+		all = append(all, ms)
 		shared := bestlinesShareCell(l, ms)
 		if shared && i >= 48 {
 			continue
@@ -109,12 +110,19 @@ func TestQuickLocateMatchesReference(t *testing.T) {
 		}
 		vecs = append(vecs, ms)
 	}
-	t.Logf("CBG++ on %d of %d two-phase vectors: %d with a shared bestline cell, %d without", len(vecs), measured, strict, counted)
+	t.Logf("CBG++ on %d of %d two-phase vectors: %d with a shared bestline cell, %d without", len(vecs), len(all), strict, counted)
 	if strict == 0 || counted == 0 {
 		t.Errorf("two-phase vectors: %d with a shared bestline cell and %d without, want both", strict, counted)
 	}
 	if diff := referenceDiff(t, pairs[1].ref, l.CBGpp, vecs); diff != 0 {
 		t.Errorf("CBG++: regions differ from the reference by %d cells over %d two-phase vectors", diff, len(vecs))
+	}
+	// CBG intersects disk constraints, which always keep a landmark's own
+	// cell, while the reference intersects haversine caps; the two agree
+	// only while every padded radius reaches that cell's center
+	// (TestLandmarkCellWithinPad). Every vector checks it.
+	if diff := referenceDiff(t, pairs[0].ref, l.CBG, all); diff != 0 {
+		t.Errorf("CBG: regions differ from the reference by %d cells over %d two-phase vectors", diff, len(all))
 	}
 }
 

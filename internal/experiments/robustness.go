@@ -163,7 +163,7 @@ func (l *Lab) robustnessAreas(maxHosts int) []AlgorithmArea {
 	for i, lc := range locs {
 		areas[i].Algorithm = lc.Name()
 	}
-	pol := l.policy()
+	pol := measure.PolicyFor(l.Net)
 	for _, h := range l.Crowd[:maxHosts] {
 		rng := l.rngFor(86, h.ID)
 		tool := &measure.CLITool{Net: l.Net}

@@ -5,8 +5,9 @@ import (
 )
 
 // StreamingAuditor wires an audit engine to the lab's constellation,
-// client, environment, calibrated CBG++, fault policy, adversary plan
-// and telemetry, with the audit's measurement stream seed (salt 17).
+// client, environment, calibrated CBG++, adversary plan and telemetry,
+// with the audit's measurement stream seed (salt 17); the auditor
+// derives its fault policy from the network (measure.PolicyFor).
 // Audit is one full-fleet pass of such an auditor; further passes
 // re-measure only the servers whose dependencies changed.
 // batchSize/queueDepth ≤ 0 take the stream package defaults.
@@ -21,7 +22,6 @@ func (l *Lab) streamConfig(batchSize, queueDepth int) stream.Config {
 		Env:         l.Env,
 		Locator:     l.CBGpp,
 		Seed:        l.streamSeed(17),
-		PolicyFn:    l.policy,
 		Adversary:   l.Adversary,
 		Concurrency: l.Concurrency(),
 		BatchSize:   batchSize,

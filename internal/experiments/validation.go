@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"activegeo/internal/cbg"
 	"activegeo/internal/geo"
 	"activegeo/internal/geoloc"
 	"activegeo/internal/grid"
@@ -37,10 +38,7 @@ func (l *Lab) Fig2Calibration() (*Fig2Result, error) {
 	line := l.CBG.Calibration().Line(anchor.Host.ID)
 	model := l.Spotter.Model()
 
-	oneWay := make([]mathx.XY, len(pts))
-	for i, p := range pts {
-		oneWay[i] = mathx.XY{X: p.X, Y: geo.OneWayMs(p.Y)}
-	}
+	oneWay := cbg.ToOneWay(pts)
 	lower := mathx.LowerHull(oneWay)
 	upper := mathx.UpperHull(oneWay)
 

@@ -1,7 +1,7 @@
 package geoloc
 
-// Churn-storm regression for the landmark caches (DistanceField +
-// MaskCache): rounds of decommission / re-provision / recalibration
+// Churn-storm regression for the landmark geometry cache (MaskCache):
+// rounds of decommission / re-provision / recalibration
 // must never leave stale geometry servable. Every check compares
 // against a freshly computed oracle that bypasses both caches, so a
 // stale mask or distance slice surviving churn fails byte-identically.
@@ -25,8 +25,8 @@ func TestMaskCacheChurnStorm(t *testing.T) {
 	}
 	env := NewEnv(4)
 
-	// oracle recomputes the cap region from scratch — no DistanceField,
-	// no masks — with the same predicate the cached paths promise.
+	// oracle recomputes the cap region from scratch — no cached
+	// distances, no masks — with the same predicate the cached paths promise.
 	oracle := func(p geo.Point, radius float64) *grid.Region {
 		return capOracle(env.Grid, geo.Cap{Center: p, RadiusKm: radius})
 	}
@@ -34,7 +34,7 @@ func TestMaskCacheChurnStorm(t *testing.T) {
 	check := func(round int) {
 		for _, lm := range cons.Anchors() {
 			radius := 500 + rng.Float64()*8000
-			got := env.CapRegionFor(lm.Host.ID, geo.Cap{Center: lm.Host.Loc, RadiusKm: radius})
+			got := diskRegion(env, lm.Host.ID, geo.Cap{Center: lm.Host.Loc, RadiusKm: radius})
 			if want := oracle(lm.Host.Loc, radius); !got.Equal(want) {
 				t.Fatalf("round %d: stale geometry served for %s at %v (%d vs %d cells)",
 					round, lm.Host.ID, lm.Host.Loc, got.Count(), want.Count())
@@ -45,10 +45,10 @@ func TestMaskCacheChurnStorm(t *testing.T) {
 	check(0)
 	for round := 1; round <= 12; round++ {
 		// Decommissioned anchors were warmed by the previous check, so
-		// invalidation must find exactly one entry in each cache.
+		// invalidation must find exactly one entry each.
 		for _, id := range cons.Decommission(2, rng) {
-			if f, m := env.InvalidateLandmark(id); f != 1 || m != 1 {
-				t.Fatalf("round %d: InvalidateLandmark(%s) evicted (%d fields, %d masks), want (1, 1)", round, id, f, m)
+			if n := env.InvalidateLandmark(id); n != 1 {
+				t.Fatalf("round %d: InvalidateLandmark(%s) evicted %d entries, want 1", round, id, n)
 			}
 		}
 		if _, err := cons.AddAnchors(2, rng); err != nil {
@@ -62,16 +62,13 @@ func TestMaskCacheChurnStorm(t *testing.T) {
 	if s := env.Masks.Stats(); s.Entries != len(cons.Anchors()) {
 		t.Fatalf("mask cache holds %d entries after the storm, fleet has %d anchors", s.Entries, len(cons.Anchors()))
 	}
-	if s := env.Field.Stats(); s.Entries != len(cons.Anchors()) {
-		t.Fatalf("distance field holds %d entries after the storm, fleet has %d anchors", s.Entries, len(cons.Anchors()))
-	}
 
 	// Moved host: the same ID re-provisioned elsewhere must be served the
 	// new position's geometry even before any invalidation — position is
 	// part of the cache key, so the stale family cannot match.
 	lm := cons.Anchors()[0]
 	moved := geo.DestinationPoint(lm.Host.Loc, 45, 1200)
-	got := env.CapRegionFor(lm.Host.ID, geo.Cap{Center: moved, RadiusKm: 3000})
+	got := diskRegion(env, lm.Host.ID, geo.Cap{Center: moved, RadiusKm: 3000})
 	if want := oracle(moved, 3000); !got.Equal(want) {
 		t.Fatalf("moved host %s served stale masks (%d vs %d cells)", lm.Host.ID, got.Count(), want.Count())
 	}

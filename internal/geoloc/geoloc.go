@@ -45,51 +45,45 @@ type Algorithm interface {
 var ErrNoMeasurements = errors.New("geoloc: no measurements")
 
 // Env bundles the discretization grid, the world-map masks, and the
-// landmark distance-field cache shared by algorithm implementations.
-// Build one per experiment and reuse it; the mask construction dominates
-// setup cost, and the distance cache amortizes landmark geometry across
+// landmark geometry cache shared by algorithm implementations. Build
+// one per experiment and reuse it; the mask construction dominates
+// setup cost, and the geometry cache amortizes landmark geometry across
 // every target and every algorithm that shares the Env.
 type Env struct {
 	Grid *grid.Grid
 	Mask *worldmap.Mask
 
-	// Field caches the distance-to-every-cell slice of each landmark.
-	// All five algorithms draw from it, so a landmark's great-circle
-	// geometry is computed once per Env, not once per (target,
-	// algorithm). Shared slices are immutable.
-	Field *grid.DistanceField
-
-	// Masks caches each landmark's radius-quantized cap-mask family,
-	// built from Field, so cap/ring region construction is word-wise
-	// with the exact distance predicate confined to the quantization
-	// annulus (DESIGN.md §8). Every cap, ring and disk intersection
-	// runs through it.
+	// Masks caches each landmark's distance to every cell and its
+	// radius-quantized cap-mask family (DESIGN.md §8). All five
+	// algorithms draw from it, so a landmark's geometry is computed once
+	// per Env, not once per (target, algorithm): every disk and ring
+	// constraint, and Spotter's distance lookups, run through it.
 	Masks *grid.MaskCache
+
+	// Field is a second name for Masks, the same cache, kept for callers
+	// that read its counters under the name of the distance-field cache
+	// it replaced (the bench module's grid.field.misses).
+	Field *grid.MaskCache
 }
 
-// DefaultFieldEntries bounds the distance cache. The paper-scale
+// DefaultFieldEntries bounds the geometry cache. The paper-scale
 // constellation has ~1050 landmarks (250 anchors + 800 probes); at 1°
-// resolution one entry is ≈165 KB, so the default bound caps the cache
-// near 340 MB in the worst case while never evicting in practice.
+// resolution one entry (distances plus masks) is ≈438 KB, so the
+// default bound caps the cache near 900 MB in the worst case while
+// never evicting in practice (the paper constellation fills ≈460 MB).
 const DefaultFieldEntries = 2048
 
 // NewEnv builds an environment at the given grid resolution (degrees).
-// It is the only constructor: every Env carries a Field and Masks.
+// It is the only constructor: every Env carries its geometry cache.
 func NewEnv(resDeg float64) *Env {
 	g := grid.New(resDeg)
-	f := grid.NewDistanceField(g, DefaultFieldEntries)
-	return &Env{
-		Grid:  g,
-		Mask:  worldmap.NewMask(g),
-		Field: f,
-		Masks: grid.NewMaskCache(f, DefaultFieldEntries),
-	}
+	m := grid.NewMaskCache(g, DefaultFieldEntries)
+	return &Env{Grid: g, Mask: worldmap.NewMask(g), Masks: m, Field: m}
 }
 
-// MasksFor returns the landmark's quantized mask family, the input of
-// every disk or ring constraint around it (grid.Disk, RingConstraint).
-// Take it once per landmark per Locate: each lookup takes the cache's
-// lock.
+// MasksFor returns the landmark's cached geometry, the input of every
+// disk or ring constraint around it (grid.Disk, RingConstraint). Take
+// it once per landmark per Locate: each lookup takes the cache's lock.
 func (e *Env) MasksFor(id netsim.HostID, landmark geo.Point) *grid.CapMasks {
 	return e.Masks.Masks(grid.FieldKey{ID: string(id), Lat: landmark.Lat, Lon: landmark.Lon})
 }
@@ -97,31 +91,16 @@ func (e *Env) MasksFor(id netsim.HostID, landmark geo.Point) *grid.CapMasks {
 // Distances returns the cached distance-from-landmark slice for a
 // measurement's landmark (one float32 km per grid cell, in cell order).
 func (e *Env) Distances(id netsim.HostID, landmark geo.Point) []float32 {
-	return e.Field.Distances(grid.FieldKey{ID: string(id), Lat: landmark.Lat, Lon: landmark.Lon})
+	return e.MasksFor(id, landmark).Distances()
 }
 
-// CapRegionFor builds the cap's region from the landmark's cached
-// distance field, with AddCap's semantics (the cap center's cell is
-// always included): the cells of its disk constraint.
-func (e *Env) CapRegionFor(id netsim.HostID, c geo.Cap) *grid.Region {
-	return e.Grid.Intersect([]grid.Constraint{grid.Disk(e.MasksFor(id, c.Center), e.Grid.CellAt(c.Center), c.RadiusKm)})
-}
-
-// IntersectWithinFor prunes r to the cells within maxKm of the
-// landmark, word-wise against its quantized masks. CBG's
-// per-measurement disk intersection runs through here.
-func (e *Env) IntersectWithinFor(r *grid.Region, id netsim.HostID, landmark geo.Point, maxKm float64) {
-	e.MasksFor(id, landmark).IntersectWithinKm(r, maxKm)
-}
-
-// InvalidateLandmark evicts the host's entries from both the distance
-// field and the mask cache, returning how many of each were dropped.
-// Call it when the fleet churns (a landmark decommissioned, or a host
-// re-provisioned at a new position); the host+position keys already
-// prevent stale entries from being *served* for a moved host, and this
-// reclaims their memory immediately.
-func (e *Env) InvalidateLandmark(id netsim.HostID) (fields, masks int) {
-	return e.Field.Invalidate(string(id)), e.Masks.Invalidate(string(id))
+// InvalidateLandmark evicts the host's entries from the geometry cache
+// and returns how many were dropped. Call it when the fleet churns (a
+// landmark decommissioned, or a host re-provisioned at a new position);
+// the host+position keys already prevent stale entries from being
+// *served* for a moved host, and this reclaims their memory immediately.
+func (e *Env) InvalidateLandmark(id netsim.HostID) int {
+	return e.Masks.Invalidate(string(id))
 }
 
 // RingConstraint is the ring as a constraint on the landmark's masks:

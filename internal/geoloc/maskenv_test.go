@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"activegeo/internal/geo"
@@ -16,8 +17,7 @@ import (
 	"activegeo/internal/netsim"
 )
 
-// The per-cell oracles below bypass both the DistanceField and the mask
-// cache. They copy the grid package's test oracles, which a package
+// The per-cell oracles below bypass the geometry cache. They copy the grid package's test oracles, which a package
 // geoloc test cannot reach (and refimpl imports geoloc, so importing it
 // here would be a cycle).
 
@@ -62,14 +62,10 @@ func ringOracle(g *grid.Grid, ring geo.Ring) *grid.Region {
 	return r
 }
 
-// intersectOracle removes every cell of r farther than maxKm from p.
-func intersectOracle(r *grid.Region, p geo.Point, maxKm float64) {
-	dist := r.Grid().DistancesFrom(p)
-	r.Each(func(i int) {
-		if float64(dist[i]) > maxKm {
-			r.Remove(i)
-		}
-	})
+// diskRegion is the cells of the cap's disk constraint on the
+// landmark's cached masks: AddCap's semantics, center cell included.
+func diskRegion(env *Env, id netsim.HostID, c geo.Cap) *grid.Region {
+	return env.Grid.Intersect([]grid.Constraint{grid.Disk(env.MasksFor(id, c.Center), env.Grid.CellAt(c.Center), c.RadiusKm)})
 }
 
 func randomPoint(rng *rand.Rand) geo.Point {
@@ -79,9 +75,8 @@ func randomPoint(rng *rand.Rand) geo.Point {
 	}
 }
 
-// TestEnvMaskEquivalence: CapRegionFor, the disk constraint of the same
-// cap, RingConstraint and IntersectWithinFor must be byte-identical to
-// the per-cell oracles,
+// TestEnvMaskEquivalence: the disk constraint of a cap, RingConstraint
+// and Distances must be byte-identical to the per-cell oracles,
 // including degenerate radii (≤ 0), rings with no usable inner bound,
 // inverted rings, and radii past the antipode.
 func TestEnvMaskEquivalence(t *testing.T) {
@@ -98,12 +93,7 @@ func TestEnvMaskEquivalence(t *testing.T) {
 		}
 		for _, radius := range radii {
 			cap := geo.Cap{Center: p, RadiusKm: radius}
-			got, want := env.CapRegionFor(id, cap), capOracle(env.Grid, cap)
-			if !got.Equal(want) {
-				t.Fatalf("cap %v r=%v: mask path %d cells, per-cell %d", p, radius, got.Count(), want.Count())
-			}
-			disk := grid.Disk(env.MasksFor(id, p), env.Grid.CellAt(p), radius)
-			if got := env.Grid.Intersect([]grid.Constraint{disk}); !got.Equal(want) {
+			if got, want := diskRegion(env, id, cap), capOracle(env.Grid, cap); !got.Equal(want) {
 				t.Fatalf("disk %v r=%v: constraint %d cells, per-cell %d", p, radius, got.Count(), want.Count())
 			}
 		}
@@ -120,28 +110,30 @@ func TestEnvMaskEquivalence(t *testing.T) {
 				t.Fatalf("ring %+v: mask path %d cells, per-cell %d", ring, got.Count(), want.Count())
 			}
 		}
-		base := env.Grid.CapRegion(geo.Cap{Center: randomPoint(rng), RadiusKm: 4000 + rng.Float64()*8000})
-		maxKm := rng.Float64() * geo.HalfEquatorKm
-		a := base.Clone()
-		env.IntersectWithinFor(a, id, p, maxKm)
-		b := base.Clone()
-		intersectOracle(b, p, maxKm)
-		if !a.Equal(b) {
-			t.Fatalf("intersect maxKm=%v: mask path %d cells, per-cell %d", maxKm, a.Count(), b.Count())
+		if !slices.Equal(env.Distances(id, p), env.Grid.DistancesFrom(p)) {
+			t.Fatalf("Distances(%s, %v) differs from a fresh DistancesFrom", id, p)
 		}
 	}
 }
 
-// TestInvalidateLandmark: eviction must hit both caches for a warmed
-// landmark and report zero for an unknown one.
+// TestInvalidateLandmark: eviction must drop the one entry a warmed
+// landmark holds, whether warmed by a disk or by a distance lookup, and
+// report zero for an unknown one. Field and Masks are one cache.
 func TestInvalidateLandmark(t *testing.T) {
 	env := NewEnv(5)
-	p := geo.Point{Lat: 48.85, Lon: 2.35}
-	env.CapRegionFor("warm", geo.Cap{Center: p, RadiusKm: 1000})
-	if f, m := env.InvalidateLandmark("warm"); f != 1 || m != 1 {
-		t.Fatalf("InvalidateLandmark(warm) = (%d fields, %d masks), want (1, 1)", f, m)
+	if env.Field != env.Masks {
+		t.Fatal("Env.Field is not the Masks cache")
 	}
-	if f, m := env.InvalidateLandmark("cold"); f != 0 || m != 0 {
-		t.Fatalf("InvalidateLandmark(cold) = (%d, %d), want (0, 0)", f, m)
+	p := geo.Point{Lat: 48.85, Lon: 2.35}
+	diskRegion(env, "warm", geo.Cap{Center: p, RadiusKm: 1000})
+	env.Distances("warm", p)
+	if s := env.Masks.Stats(); s.Entries != 1 || s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("after a disk and a distance lookup: %+v, want 1 entry, 1 miss, 1 hit", s)
+	}
+	if n := env.InvalidateLandmark("warm"); n != 1 {
+		t.Fatalf("InvalidateLandmark(warm) = %d, want 1", n)
+	}
+	if n := env.InvalidateLandmark("cold"); n != 0 {
+		t.Fatalf("InvalidateLandmark(cold) = %d, want 0", n)
 	}
 }

@@ -1,5 +1,10 @@
 package grid
 
+// Tests for the distance fields the MaskCache serves: each entry's
+// CapMasks.Distances against the haversine, the shared slice per key,
+// the position-in-key rule, LRU eviction order, concurrent fills under
+// eviction pressure, and ID-wide invalidation.
+
 import (
 	"math/rand"
 	"sync"
@@ -10,9 +15,9 @@ import (
 
 func TestDistanceFieldValues(t *testing.T) {
 	g := New(3.0)
-	f := NewDistanceField(g, 8)
+	c := NewMaskCache(g, 8)
 	p := geo.Point{Lat: 48.85, Lon: 2.35}
-	dist := f.Distances(FieldKey{ID: "paris", Lat: p.Lat, Lon: p.Lon})
+	dist := c.Masks(FieldKey{ID: "paris", Lat: p.Lat, Lon: p.Lon}).Distances()
 	if len(dist) != g.NumCells() {
 		t.Fatalf("len %d, want %d", len(dist), g.NumCells())
 	}
@@ -28,58 +33,58 @@ func TestDistanceFieldValues(t *testing.T) {
 
 func TestDistanceFieldHitMiss(t *testing.T) {
 	g := New(5.0)
-	f := NewDistanceField(g, 4)
+	c := NewMaskCache(g, 4)
 	k1 := FieldKey{ID: "a", Lat: 10, Lon: 20}
 	k2 := FieldKey{ID: "b", Lat: -30, Lon: 40}
 
-	d1 := f.Distances(k1)
-	if s := f.Stats(); s.Misses != 1 || s.Hits != 0 {
+	d1 := c.Masks(k1).Distances()
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 0 {
 		t.Fatalf("after first fill: %+v", s)
 	}
-	if d1b := f.Distances(k1); &d1b[0] != &d1[0] {
+	if d1b := c.Masks(k1).Distances(); &d1b[0] != &d1[0] {
 		t.Error("second request did not return the shared slice")
 	}
-	f.Distances(k2)
-	if s := f.Stats(); s.Misses != 2 || s.Hits != 1 || s.Entries != 2 {
+	c.Masks(k2)
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 1 || s.Entries != 2 {
 		t.Fatalf("after second landmark: %+v", s)
 	}
 	// Same ID at a different position is a different field.
-	f.Distances(FieldKey{ID: "a", Lat: 11, Lon: 20})
-	if s := f.Stats(); s.Misses != 3 {
+	c.Masks(FieldKey{ID: "a", Lat: 11, Lon: 20})
+	if s := c.Stats(); s.Misses != 3 {
 		t.Fatalf("moved landmark should miss: %+v", s)
 	}
 }
 
 func TestDistanceFieldEviction(t *testing.T) {
 	g := New(5.0)
-	f := NewDistanceField(g, 2)
+	c := NewMaskCache(g, 2)
 	ka := FieldKey{ID: "a"}
 	kb := FieldKey{ID: "b"}
 	kc := FieldKey{ID: "c"}
-	f.Distances(ka)
-	f.Distances(kb)
-	f.Distances(ka) // a is now more recently used than b
-	f.Distances(kc) // evicts b (LRU)
-	s := f.Stats()
+	c.Masks(ka)
+	c.Masks(kb)
+	c.Masks(ka) // a is now more recently used than b
+	c.Masks(kc) // evicts b (LRU)
+	s := c.Stats()
 	if s.Entries != 2 || s.Evictions != 1 {
 		t.Fatalf("after overflow: %+v", s)
 	}
-	f.Distances(ka)
-	if s := f.Stats(); s.Misses != 3 {
+	c.Masks(ka)
+	if s := c.Stats(); s.Misses != 3 {
 		t.Fatalf("a should still be cached: %+v", s)
 	}
-	f.Distances(kb)
-	if s := f.Stats(); s.Misses != 4 {
+	c.Masks(kb)
+	if s := c.Stats(); s.Misses != 4 {
 		t.Fatalf("b should have been evicted: %+v", s)
 	}
 }
 
 // TestDistanceFieldConcurrent hammers the cache from many goroutines
-// (run under -race by make race): same-key requests must share one fill
-// and every returned slice must be complete.
+// over more keys than it holds (run under -race by make race): every
+// returned entry must be complete, even while others are evicted.
 func TestDistanceFieldConcurrent(t *testing.T) {
 	g := New(5.0)
-	f := NewDistanceField(g, 8)
+	c := NewMaskCache(g, 8)
 	keys := make([]FieldKey, 16)
 	for i := range keys {
 		keys[i] = FieldKey{ID: string(rune('a' + i)), Lat: float64(i * 5), Lon: float64(i * 10)}
@@ -92,7 +97,7 @@ func TestDistanceFieldConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for n := 0; n < 200; n++ {
 				k := keys[rng.Intn(len(keys))]
-				dist := f.Distances(k)
+				dist := c.Masks(k).Distances()
 				if len(dist) != g.NumCells() {
 					t.Errorf("incomplete slice for %v", k)
 					return
@@ -108,7 +113,7 @@ func TestDistanceFieldConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	s := f.Stats()
+	s := c.Stats()
 	if s.Entries > 8 {
 		t.Errorf("capacity exceeded: %+v", s)
 	}
@@ -119,18 +124,18 @@ func TestDistanceFieldConcurrent(t *testing.T) {
 // other hosts untouched.
 func TestDistanceFieldInvalidate(t *testing.T) {
 	g := New(10)
-	f := NewDistanceField(g, 8)
-	f.Distances(FieldKey{ID: "m", Lat: 1, Lon: 2})
-	f.Distances(FieldKey{ID: "m", Lat: 3, Lon: 4}) // same host, new position
-	f.Distances(FieldKey{ID: "n", Lat: 5, Lon: 6})
-	if n := f.Invalidate("m"); n != 2 {
+	c := NewMaskCache(g, 8)
+	c.Masks(FieldKey{ID: "m", Lat: 1, Lon: 2})
+	c.Masks(FieldKey{ID: "m", Lat: 3, Lon: 4}) // same host, new position
+	c.Masks(FieldKey{ID: "n", Lat: 5, Lon: 6})
+	if n := c.Invalidate("m"); n != 2 {
 		t.Fatalf("Invalidate(m) = %d, want 2", n)
 	}
-	s := f.Stats()
+	s := c.Stats()
 	if s.Entries != 1 || s.Evictions != 2 {
 		t.Fatalf("stats after invalidate = %+v, want 1 entry, 2 evictions", s)
 	}
-	if n := f.Invalidate("m"); n != 0 {
+	if n := c.Invalidate("m"); n != 0 {
 		t.Fatalf("second Invalidate(m) = %d, want 0", n)
 	}
 }

@@ -1,12 +1,12 @@
 package grid
 
-// Native fuzz targets for the word-wise kernel: every CapMasks op and
-// every constraint op must stay byte-identical to its per-cell oracle
-// (oracle_test.go) for any center, radius and grid resolution, and the
-// pruned bit-sliced CoverageArgmax must return the same region and
-// count as a per-cell int count for any set of disk and ring
-// constraints. The seed corpora below run in every plain `go test`;
-// `make fuzz-smoke` explores beyond them.
+// Native fuzz targets for the word-wise kernel: every constraint op
+// must stay byte-identical to its per-cell oracle (oracle_test.go) for
+// any center, radius and grid resolution, and the pruned bit-sliced
+// CoverageArgmax must return the same region and count as a per-cell
+// int count for any set of disk and ring constraints. The seed corpora
+// below run in every plain `go test`; `make fuzz-smoke` explores beyond
+// them.
 //
 // NaN radii are outside the kernel's contract (no caller can produce
 // one, see the CapMasks method docs), so the targets skip them.
@@ -73,6 +73,10 @@ func FuzzFillWithinKm(f *testing.F) {
 	})
 }
 
+// FuzzIntersectWithinKm drives the strict intersection of disk
+// constraints, CBG's multilateration: the fuzzed disk plus one to three
+// more, drawn from seed around its center, against the per-cell
+// intersection of their addWithinKm regions.
 func FuzzIntersectWithinKm(f *testing.F) {
 	for i, c := range fuzzCenters {
 		for _, r := range fuzzRadii() {
@@ -84,13 +88,24 @@ func FuzzIntersectWithinKm(f *testing.F) {
 			t.Skip()
 		}
 		p, g := geo.Point{Lat: lat, Lon: lon}, fuzzGrid(res)
-		dist := g.DistancesFrom(p)
-		r := randomRegion(g, rand.New(rand.NewSource(seed)))
-		a, b := r.Clone(), r.Clone()
-		newCapMasks(g, dist, nil).IntersectWithinKm(a, maxKm)
-		intersectWithinKmReference(b, dist, maxKm)
-		if !a.Equal(b) {
-			t.Fatalf("center %v radius %v res %v: mask intersect %d cells, per-cell %d", p, maxKm, g.Resolution(), a.Count(), b.Count())
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(3)
+		cs := make([]Constraint, n)
+		dists := make([][]float32, n)
+		radii := make([]float64, n)
+		centers := make([]int, n)
+		for i := range cs {
+			q, r := p, maxKm
+			if i > 0 {
+				q = geo.DestinationPoint(p, rng.Float64()*360, rng.Float64()*4000)
+				r = rng.Float64() * 8000
+			}
+			dists[i], radii[i], centers[i] = g.DistancesFrom(q), r, g.CellAt(q)
+			cs[i] = Disk(newCapMasks(g, dists[i], nil), centers[i], r)
+		}
+		a := g.Intersect(cs)
+		if b := disksReference(g, dists, radii, centers); !a.Equal(b) {
+			t.Fatalf("center %v radii %v res %v: intersection %d cells, per-cell %d", p, radii, g.Resolution(), a.Count(), b.Count())
 		}
 	})
 }

@@ -108,7 +108,7 @@ func (g *Grid) UnitVec(i int) geo.Vec3 { return g.units[i] }
 
 // DistancesFrom materializes the great-circle distance from p to every
 // cell center, in cell order, as float32 kilometers. This is the raw
-// material of the DistanceField cache: one pass of dot products + acos
+// material of each MaskCache entry: one pass of dot products + acos
 // over the precomputed unit vectors.
 func (g *Grid) DistancesFrom(p geo.Point) []float32 {
 	u := geo.UnitVec(p)
@@ -297,12 +297,12 @@ func (r *Region) SubtractWith(other *Region) {
 	}
 }
 
-// Filter removes every cell for which keep returns false. Like
-// CapMasks.IntersectWithinKm, the walk is word-wise: zero words are
-// skipped and each surviving word's keep-mask is built locally and
-// stored once, instead of a Remove per rejected cell. The predicate is
-// applied to exactly the same cells in the same order as a bit-by-bit
-// walk, so the resulting bits are identical.
+// Filter removes every cell for which keep returns false. The walk is
+// word-wise: zero words are skipped and each surviving word's
+// keep-mask is built locally and stored once, instead of a Remove per
+// rejected cell. The predicate is applied to exactly the same cells in
+// the same order as a bit-by-bit walk, so the resulting bits are
+// identical.
 func (r *Region) Filter(keep func(center geo.Point) bool) {
 	for w, word := range r.bits {
 		if word == 0 {

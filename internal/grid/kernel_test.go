@@ -78,21 +78,25 @@ func TestAddCapMatchesReference(t *testing.T) {
 	}
 }
 
-// TestIntersectCapRingMatchReference checks the production cap
-// intersection and ring constraint — quantized masks over the float32
-// distance field — against the haversine predicates of geo.Cap and
-// geo.Ring. Float32 distances may flip a cell within ≈1 m of a
-// boundary, and the ring's inner bound is exclusive on one side only;
-// random radii never land on either.
+// TestIntersectCapRingMatchReference checks the production disk and
+// ring constraints — quantized masks over the float32 distance field —
+// against the haversine predicates of geo.Cap and geo.Ring. Float32
+// distances may flip a cell within ≈1 m of a boundary, and the ring's
+// inner bound is exclusive on one side only; random radii never land
+// on either.
 func TestIntersectCapRingMatchReference(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(22))
 	for k := 0; k < 100; k++ {
 		c := randomCap(rng)
 		cm := newCapMasks(g, g.DistancesFrom(c.Center), nil)
-		a, b := g.FullRegion(), g.FullRegion()
-		cm.IntersectWithinKm(a, c.RadiusKm)
+		// The center-cell rule is the constraint's own; compare the
+		// predicate on every other cell.
+		center := g.CellAt(c.Center)
+		a := g.Intersect([]Constraint{Disk(cm, center, c.RadiusKm)})
+		b := g.FullRegion()
 		b.Filter(c.Contains)
+		b.Add(center)
 		if diff := symmetricDiff(a, b); diff != 0 {
 			t.Fatalf("cap %+v: %d cells differ", c, diff)
 		}
@@ -101,9 +105,6 @@ func TestIntersectCapRingMatchReference(t *testing.T) {
 			MinKm:  rng.Float64() * 8000,
 			MaxKm:  rng.Float64() * geo.HalfEquatorKm,
 		}
-		// The center-cell rule is the constraint's own; compare the
-		// predicate on every other cell.
-		center := g.CellAt(c.Center)
 		a = g.Intersect([]Constraint{Ring(cm, center, ring.MinKm, ring.MaxKm, false)})
 		b = g.FullRegion()
 		b.Filter(ring.Contains)

@@ -1,24 +1,24 @@
 package grid
 
-// Per-landmark quantized cap/ring mask cache.
+// Per-landmark geometry cache: one LRU entry per landmark holds its
+// distance to every cell center and its quantized cap/ring masks.
 //
 // Every Locate in the audit pipeline carves caps and rings around the
-// same few hundred landmarks, for every target. The DistanceField
-// already amortizes the great-circle math per landmark; this file
-// amortizes the *geometry* as well: for each landmark it precomputes a
+// same few hundred landmarks, for every target. The cache amortizes
+// both the great-circle math (one dot product + acos per cell, once per
+// landmark) and the *geometry*: for each landmark it precomputes a
 // monotone family of radius-quantized cap bitmasks (level q covers the
 // cells within q·MaskStepKm), so a cap or ring of any radius reduces to
 // word-wise OR/AND/AND-NOT against the two bracketing levels. The exact
 // float64 distance predicate (dist ≤ r, or min < dist ≤ max for a ring)
 // is applied only to cells in the thin annulus between the inner
 // (certainly inside) and outer (certainly covering) bracket, and only
-// to those annulus cells that can still change the op's answer:
-// IntersectWithinKm refines only the annulus cells still in the
-// region, and the constraint ops in constraint.go only the cells that
-// can still reach the coverage maximum or the strict intersection
-// (DESIGN.md §8, "Pruned refinement"). Because every refined cell
-// sees the *identical* per-cell predicate, results are byte-identical
-// to a plain per-cell scan of the distance slice — the masks are an
+// to those annulus cells that can still change the op's answer: the
+// constraint ops in constraint.go refine only the cells that can still
+// reach the coverage maximum or the strict intersection (DESIGN.md §8,
+// "Pruned refinement"). Because every refined cell sees the
+// *identical* per-cell predicate, results are byte-identical to a
+// plain per-cell scan of the distance slice — the masks are an
 // accelerator, never an approximation. The per-cell scans live on as
 // test oracles.
 
@@ -30,6 +30,16 @@ import (
 
 	"activegeo/internal/geo"
 )
+
+// FieldKey identifies one landmark's cache entry: the landmark's host
+// ID plus its position. The position is part of the key so a stale entry
+// can never be served for a host that moved (foreign constellations
+// reuse IDs across experiments), and so ID-less callers can key on
+// position alone.
+type FieldKey struct {
+	ID       string
+	Lat, Lon float64
+}
 
 // MaskStepKm is the quantization step of the cap-mask family. A 400 km
 // step keeps the family small (⌈π·R/step⌉+2 ≈ 53 levels, ≈270 KB per
@@ -55,7 +65,7 @@ var maskLevels = int(math.Floor(math.Pi*geo.EarthRadiusKm/MaskStepKm)) + 3
 // test. CapMasks is immutable after construction and safe for
 // concurrent use.
 type CapMasks struct {
-	dist    []float32 // the landmark's cached distance field (shared, immutable)
+	dist    []float32 // the landmark's distance to every cell center (shared, immutable)
 	words   int
 	levels  []uint64       // flattened maskLevels × words
 	spans   []span         // per level, the words that can be non-zero
@@ -102,6 +112,11 @@ func newCapMasks(g *Grid, dist []float32, refined *atomic.Uint64) *CapMasks {
 	}
 	return cm
 }
+
+// Distances returns the landmark's great-circle distance to every cell
+// center, one float32 km per cell in cell order (Grid.DistancesFrom).
+// The slice is shared and must be treated as immutable.
+func (cm *CapMasks) Distances() []float32 { return cm.dist }
 
 // radiusOf returns the radius of quantization level q.
 func (cm *CapMasks) radiusOf(q int) float64 { return float64(q) * MaskStepKm }
@@ -195,43 +210,20 @@ func (cm *CapMasks) addRefined(n uint64) {
 	}
 }
 
-// IntersectWithinKm removes from r every cell whose cached distance
-// exceeds maxKm — byte-identical to a bit-by-bit walk removing each
-// cell with dist > maxKm. Cells inside the inner bracket are kept and
-// cells outside the outer bracket dropped word-wise; only set bits in
-// the annulus see the exact predicate. A NaN maxKm is outside the
-// contract: the masks empty the region where the per-cell rule would
-// keep every cell.
-func (cm *CapMasks) IntersectWithinKm(r *Region, maxKm float64) {
-	lo, hi := cm.bracket(maxKm)
-	inner, _ := cm.level(lo)
-	outer, _ := cm.level(hi)
-	var refined uint64
-	for w, word := range r.bits {
-		if word == 0 {
-			continue
-		}
-		keep := word & inner[w]
-		if ann := word & outer[w] &^ inner[w]; ann != 0 {
-			refined += uint64(bits.OnesCount64(ann))
-			keep |= cm.pass(w, ann, math.Inf(-1), maxKm)
-		}
-		r.bits[w] = keep
-	}
-	cm.addRefined(refined)
-}
-
 // MaskCache is a concurrency-safe, bounded LRU cache of per-landmark
-// CapMasks, keyed like the DistanceField by host ID *and* position so
-// a moved landmark can never be served stale geometry. The first
-// request for a landmark pulls its distance slice from the underlying
-// DistanceField (warming that cache too) and builds the mask family
-// outside the cache lock; concurrent requests for the same landmark
-// share a single build via sync.Once. Memory is bounded at
-// capacity × maskLevels × words × 8 bytes.
+// geometry over one grid: each entry is a landmark's CapMasks, which
+// holds both its distance to every cell and its mask family. All five
+// algorithms draw from it, so a landmark's great-circle math and masks
+// are computed once per cache, not once per (target, algorithm). Keys
+// carry the host ID *and* the position, so a moved landmark can never
+// be served stale geometry. The first request for a landmark fills the
+// entry outside the cache lock; concurrent requests for the same
+// landmark share that fill via sync.Once, and misses on different
+// landmarks fill in parallel. Memory is bounded at capacity ×
+// (NumCells × 4 + maskLevels × words × 8) bytes.
 type MaskCache struct {
-	field *DistanceField
-	cap   int
+	g   *Grid
+	cap int
 
 	mu      sync.Mutex
 	entries map[FieldKey]*maskEntry
@@ -247,26 +239,21 @@ type maskEntry struct {
 	lastUse uint64 // guarded by MaskCache.mu
 }
 
-// NewMaskCache builds a mask cache over the field's grid holding at
-// most maxEntries landmark families (minimum 1).
-func NewMaskCache(field *DistanceField, maxEntries int) *MaskCache {
+// NewMaskCache builds a cache over g holding at most maxEntries
+// landmarks (minimum 1).
+func NewMaskCache(g *Grid, maxEntries int) *MaskCache {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
 	return &MaskCache{
-		field:   field,
+		g:       g,
 		cap:     maxEntries,
 		entries: make(map[FieldKey]*maskEntry, maxEntries),
 	}
 }
 
-// Field returns the distance-field cache the masks are built from.
-func (c *MaskCache) Field() *DistanceField { return c.field }
-
-// Masks returns the landmark's quantized mask family, building and
-// caching it on first use. The build runs outside the cache lock, so
-// misses on different landmarks build in parallel while concurrent
-// requests for the same landmark share one build.
+// Masks returns the landmark's geometry — its distances and quantized
+// mask family — computing and caching it on first use.
 func (c *MaskCache) Masks(key FieldKey) *CapMasks {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -285,13 +272,15 @@ func (c *MaskCache) Masks(key FieldKey) *CapMasks {
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		dist := c.field.Distances(key)
-		e.masks = newCapMasks(c.field.Grid(), dist, &c.refined)
+		dist := c.g.DistancesFrom(geo.Point{Lat: key.Lat, Lon: key.Lon})
+		e.masks = newCapMasks(c.g, dist, &c.refined)
 	})
 	return e.masks
 }
 
-// evictLocked drops the least-recently-used entry other than keep.
+// evictLocked drops the least-recently-used entry other than keep. An
+// evicted entry may still be mid-fill in another goroutine; that
+// goroutine keeps its own reference and simply loses the caching.
 func (c *MaskCache) evictLocked(keep *maskEntry) {
 	var victim FieldKey
 	var victimEntry *maskEntry
@@ -309,11 +298,12 @@ func (c *MaskCache) evictLocked(keep *maskEntry) {
 	}
 }
 
-// Invalidate evicts every cached mask family whose key carries the
-// given host ID (at any position) and returns how many were dropped.
-// Landmark churn — decommissioned anchors, a host re-provisioned at a
-// new position — calls this alongside DistanceField.Invalidate so no
-// stale geometry outlives the fleet change.
+// Invalidate evicts every cached entry whose key carries the given host
+// ID (at any position) and returns how many were dropped. The
+// position-in-key rule already guarantees a moved host is never served
+// stale geometry; landmark churn — decommissioned anchors, a host
+// re-provisioned at a new position — calls this so dead entries do not
+// squat in the LRU until capacity pressure.
 func (c *MaskCache) Invalidate(id string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -350,7 +340,7 @@ func (c *MaskCache) Stats() MaskStats {
 	// they are derived here rather than read off an entry: an entry's
 	// masks pointer is written inside its sync.Once and must not be
 	// inspected without going through Do.
-	words := (c.field.Grid().total + 63) / 64
+	words := (c.g.total + 63) / 64
 	return MaskStats{
 		Entries:      len(c.entries),
 		Hits:         c.hits,

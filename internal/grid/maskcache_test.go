@@ -3,9 +3,9 @@ package grid
 // Tests for the per-landmark quantized mask cache: the bracket
 // invariant (inner mask ⊆ exact region ⊆ outer mask) across grid
 // resolutions and degenerate radii, byte-identical equivalence of the
-// word-wise fill/intersect/ring ops against the per-cell oracles in
+// disk, multi-disk and ring constraints against the per-cell oracles in
 // oracle_test.go, and the LRU / invalidation / shared-build behaviour of
-// the cache itself.
+// the cache itself (distfield_test.go checks the distances it serves).
 
 import (
 	"math"
@@ -96,24 +96,42 @@ func TestMaskFillWithinKmMatchesAddWithinKm(t *testing.T) {
 	}
 }
 
-// TestMaskIntersectWithinKmMatches: pruning a ragged region through the
-// bracketing masks must be byte-identical to the bit-by-bit oracle.
+// TestMaskIntersectWithinKmMatches: the strict intersection of several
+// disk constraints — CBG's whole multilateration — must be
+// byte-identical to intersecting the per-cell addWithinKm regions, for
+// landmarks clustered enough that the disks often overlap.
 func TestMaskIntersectWithinKmMatches(t *testing.T) {
 	g := New(2.5)
 	rng := rand.New(rand.NewSource(73))
+	nonEmpty := 0
 	for k := 0; k < 40; k++ {
-		r := randomRegion(g, rng)
-		lm := randomCap(rng).Center
-		dist := g.DistancesFrom(lm)
-		cm := newCapMasks(g, dist, nil)
-		for _, rKm := range maskTestRadii(rng) {
-			a, b := r.Clone(), r.Clone()
-			cm.IntersectWithinKm(a, rKm)
-			intersectWithinKmReference(b, dist, rKm)
-			if !a.Equal(b) {
-				t.Fatalf("radius %v: mask intersect differs from oracle (%d vs %d cells)", rKm, a.Count(), b.Count())
+		hub := randomCap(rng).Center
+		n := 2 + rng.Intn(4)
+		cs := make([]Constraint, n)
+		dists := make([][]float32, n)
+		radii := make([]float64, n)
+		centers := make([]int, n)
+		for i := range cs {
+			p := geo.DestinationPoint(hub, rng.Float64()*360, rng.Float64()*3000)
+			dists[i], centers[i] = g.DistancesFrom(p), g.CellAt(p)
+			radii[i] = rng.Float64() * 6000
+			if i == 0 {
+				radii[i] = maskTestRadii(rng)[k%11]
 			}
+			cs[i] = Disk(newCapMasks(g, dists[i], nil), centers[i], radii[i])
 		}
+		a := g.Intersect(cs)
+		b := disksReference(g, dists, radii, centers)
+		if !a.Equal(b) {
+			t.Fatalf("trial %d (%d disks, radii %v): intersection %d cells, per-cell %d", k, n, radii, a.Count(), b.Count())
+		}
+		if !a.Empty() {
+			nonEmpty++
+		}
+	}
+	t.Logf("%d of 40 intersections non-empty", nonEmpty)
+	if nonEmpty < 10 {
+		t.Fatalf("only %d of 40 intersections are non-empty: the trials barely exercise the refinement", nonEmpty)
 	}
 }
 
@@ -177,8 +195,7 @@ func TestMaskLevelSpans(t *testing.T) {
 // positions (the moved-host key shape).
 func TestMaskCacheLRUAndStats(t *testing.T) {
 	g := New(5)
-	f := NewDistanceField(g, 8)
-	c := NewMaskCache(f, 2)
+	c := NewMaskCache(g, 2)
 
 	kA := FieldKey{ID: "a", Lat: 10, Lon: 20}
 	kB := FieldKey{ID: "b", Lat: -30, Lon: 40}
@@ -222,8 +239,7 @@ func TestMaskCacheLRUAndStats(t *testing.T) {
 // share a single build and return the same family.
 func TestMaskCacheSharedBuild(t *testing.T) {
 	g := New(5)
-	f := NewDistanceField(g, 4)
-	c := NewMaskCache(f, 4)
+	c := NewMaskCache(g, 4)
 	key := FieldKey{ID: "x", Lat: 1, Lon: 2}
 
 	const n = 16
@@ -251,8 +267,7 @@ func TestMaskCacheSharedBuild(t *testing.T) {
 // annulus cells they refined, once per call.
 func TestMaskRefinedCounter(t *testing.T) {
 	g := New(5)
-	f := NewDistanceField(g, 4)
-	c := NewMaskCache(f, 4)
+	c := NewMaskCache(g, 4)
 	cm := c.Masks(FieldKey{ID: "x", Lat: 10, Lon: 10})
 	g.Intersect([]Constraint{Disk(cm, 0, 3000)})
 	s := c.Stats()

@@ -28,14 +28,21 @@ func addWithinKm(r *Region, dist []float32, maxKm float64, centerCell int) {
 	}
 }
 
-// intersectWithinKmReference removes every cell whose precomputed
-// distance exceeds maxKm, one Remove per far cell.
-func intersectWithinKmReference(r *Region, dist []float32, maxKm float64) {
-	r.Each(func(i int) {
-		if float64(dist[i]) > maxKm {
-			r.Remove(i)
+// disksReference is the strict intersection of disks as per-cell
+// loops: each disk's addWithinKm region, intersected in turn. No disks
+// give an empty region, like Grid.Intersect.
+func disksReference(g *Grid, dists [][]float32, maxKm []float64, centers []int) *Region {
+	out := g.NewRegion()
+	for i, dist := range dists {
+		r := g.NewRegion()
+		addWithinKm(r, dist, maxKm[i], centers[i])
+		if i == 0 {
+			out = r
+		} else {
+			out.IntersectWith(r)
 		}
-	})
+	}
+	return out
 }
 
 // fillRingReference adds every cell with minExclusiveKm < dist ≤ maxKm.

@@ -73,6 +73,17 @@ func DefaultPolicy() Policy {
 	}
 }
 
+// PolicyFor returns the resilience policy for measuring on n as its
+// faults stand now: DefaultPolicy while fault injection is armed, the
+// zero policy (the fault-free path) otherwise. Callers read it once per
+// batch, so re-arming faults mid-run takes effect on the next batch.
+func PolicyFor(n *netsim.Network) Policy {
+	if n.Faults().Enabled() {
+		return DefaultPolicy()
+	}
+	return Policy{}
+}
+
 // ErrBudget is returned (wrapped) when a campaign's simulated deadline
 // budget is exhausted before a landmark could be measured.
 var ErrBudget = errors.New("measure: campaign budget exhausted")

@@ -37,8 +37,8 @@ func fuzzEnv(res float64) *geoloc.Env {
 	env, ok := fuzzEnvs[res]
 	if !ok {
 		g := grid.New(res)
-		f := grid.NewDistanceField(g, 64)
-		env = &geoloc.Env{Grid: g, Field: f, Masks: grid.NewMaskCache(f, 64)}
+		m := grid.NewMaskCache(g, 64)
+		env = &geoloc.Env{Grid: g, Masks: m, Field: m}
 		fuzzEnvs[res] = env
 	}
 	return env

@@ -1,7 +1,8 @@
 // Package refimpl preserves the pre-kernel implementations of the five
 // localization algorithms: per-cell haversine trigonometry with no
-// distance-field cache, exactly as the algorithms computed before the
-// geometry kernel (internal/geo.Vec3 + grid.DistanceField) landed.
+// landmark geometry cache, exactly as the algorithms computed before
+// the geometry kernel (internal/geo.Vec3 + cached per-landmark
+// distances, now grid.MaskCache) landed.
 //
 // It is a test oracle. The kernel's dot-product membership test is
 // monotone-equivalent to the haversine test, so every algorithm must

@@ -21,7 +21,9 @@ import (
 // Config parameterizes a streaming Auditor. Seed is the base seed of
 // the per-server measurement streams: each server's randomness is
 // measure.StreamSeed(Seed, id), so its verdict does not depend on which
-// batch carries it.
+// batch carries it. Each batch measures under
+// measure.PolicyFor(Cons.Net()), read when the batch forms, so
+// re-arming faults mid-run takes effect on the next batch.
 type Config struct {
 	Cons    *atlas.Constellation
 	Client  netsim.HostID
@@ -30,12 +32,6 @@ type Config struct {
 
 	// Seed is the base seed of the per-server measurement streams.
 	Seed int64
-	// PolicyFn returns the resilience policy for a batch (consulted at
-	// batch formation, so re-arming faults mid-run takes effect on the
-	// next batch). nil means the zero policy — the historical
-	// fault-free path.
-	PolicyFn func() measure.Policy
-
 	// Concurrency bounds the measurement and assessment pools inside
 	// one batch (0 = GOMAXPROCS). Results are identical at any width.
 	Concurrency int
@@ -147,13 +143,6 @@ func (a *Auditor) queueDepth() int {
 	return 2
 }
 
-func (a *Auditor) policy() measure.Policy {
-	if a.cfg.PolicyFn == nil {
-		return measure.Policy{}
-	}
-	return a.cfg.PolicyFn()
-}
-
 // signature folds everything a server's verdict depends on — the
 // constellation epoch (landmark set + calibration generation), the fault
 // ledger, and the server's own claim metadata — into one dependency
@@ -213,7 +202,7 @@ func (a *Auditor) Sync(ctx context.Context, src Source) (PassStats, error) {
 	stats := PassStats{Total: src.Len()}
 	// Cache counters are cumulative over the Env's lifetime; snapshot
 	// them here so the deltas reported below cover this pass only.
-	caches := a.cacheStats()
+	caches := a.cfg.Env.Masks.Stats()
 
 	// Stage 0 (adversary plan armed only): cross-validate the anchors
 	// against the as-reported calibration mesh, once per mesh generation.
@@ -370,7 +359,7 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem, done, total i
 		Eta:         measure.DefaultEta,
 		Concurrency: a.concurrency(),
 		Seed:        a.cfg.Seed,
-		Policy:      a.policy(),
+		Policy:      measure.PolicyFor(a.cfg.Cons.Net()),
 		Adversary:   a.cfg.Adversary,
 		OnProgress: func(n, _ int) {
 			tel.Progress("audit.measure", done+n, total)
@@ -480,21 +469,11 @@ func (a *Auditor) recordBatch(rows []row) {
 	}
 }
 
-// cacheSnapshot holds the Env's cumulative geometry-cache counters.
-type cacheSnapshot struct {
-	field grid.FieldStats
-	mask  grid.MaskStats
-}
-
-func (a *Auditor) cacheStats() cacheSnapshot {
-	return cacheSnapshot{field: a.cfg.Env.Field.Stats(), mask: a.cfg.Env.Masks.Stats()}
-}
-
 // recordPass adds a completed pass's whole-store resolutions (group
 // reclassifications, flagged landmarks, suspected servers) and its
 // geometry-cache deltas to the telemetry. The per-server counters were
 // added batch by batch, so they count the servers measured this pass.
-func (a *Auditor) recordPass(stats PassStats, before cacheSnapshot) {
+func (a *Auditor) recordPass(stats PassStats, before grid.MaskStats) {
 	tel := a.cfg.Telemetry
 	st := a.store.Stats()
 	tel.Add("audit.reclassified.group", int64(st.ReclassifiedByGroup))
@@ -504,14 +483,11 @@ func (a *Auditor) recordPass(stats PassStats, before cacheSnapshot) {
 	}
 	tel.Add("stream.skipped", int64(stats.Skipped))
 	tel.Add("stream.passes", 1)
-	after := a.cacheStats()
-	tel.Add("geo.field.hits", int64(after.field.Hits-before.field.Hits))
-	tel.Add("geo.field.misses", int64(after.field.Misses-before.field.Misses))
-	tel.Add("geo.field.evictions", int64(after.field.Evictions-before.field.Evictions))
-	tel.Add("geo.mask.hits", int64(after.mask.Hits-before.mask.Hits))
-	tel.Add("geo.mask.misses", int64(after.mask.Misses-before.mask.Misses))
-	tel.Add("geo.mask.evictions", int64(after.mask.Evictions-before.mask.Evictions))
-	tel.Add("geo.mask.refined", int64(after.mask.RefinedCells-before.mask.RefinedCells))
+	after := a.cfg.Env.Masks.Stats()
+	tel.Add("geo.mask.hits", int64(after.Hits-before.Hits))
+	tel.Add("geo.mask.misses", int64(after.Misses-before.Misses))
+	tel.Add("geo.mask.evictions", int64(after.Evictions-before.Evictions))
+	tel.Add("geo.mask.refined", int64(after.RefinedCells-before.RefinedCells))
 }
 
 // parallelFor runs fn(i) for i in [0, n) on at most workers goroutines
