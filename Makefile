@@ -13,7 +13,7 @@
 #   make benchvet      vet the benchmark module under bench/, which ./... does not reach
 #   make vuln          govulncheck, if installed; soft-fails offline
 #   make race          full test suite under the race detector
-#   make race-smoke    quick audit pipeline and measure batch, under the race detector
+#   make race-smoke    quick audit pipeline, worker pool and measure batch, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
 #   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel, Theil–Sen, rank selection and netsim.Path
 #   make cover         per-package coverage with an 85% floor on the service packages
@@ -64,17 +64,20 @@ race:
 	$(GO) test -race -timeout 60m ./...
 
 # Race smoke: the quick audit determinism path, the streaming scheduler
-# (tiny constellation, real worker pools, bounded queues) and
-# measure.Batch — the single entry point for honest, resilient and
-# adversarial measurement — under the race detector; fast enough for
-# every CI run, unlike the full `make race` suite. -short keeps the
-# heavy paper-scale audits and the 100k-server streaming pass out. The
-# patterns are anchored so future tests merely containing "TestAudit"
-# don't silently bloat the smoke gate.
+# (tiny constellation, real worker pools, bounded queues), the one
+# worker pool every parallel stage runs on (internal/parallel, three
+# runs) and measure.Batch — the single entry point for honest, resilient
+# and adversarial measurement, twice — under the race detector, so a
+# scheduling-dependent result has more than one chance to show; fast
+# enough for every CI run, unlike the full `make race` suite. -short
+# keeps the heavy paper-scale audits and the 100k-server streaming pass
+# out. The patterns are anchored so future tests merely containing
+# "TestAudit" don't silently bloat the smoke gate.
 race-smoke:
 	$(GO) test -race -short -run '^TestAudit|^TestStreaming' ./internal/experiments
 	$(GO) test -race -short -run '^TestSync|^TestSynth' ./internal/stream
-	$(GO) test -race -run '^TestBatch|^TestResilientBatch' ./internal/measure
+	$(GO) test -race -count=3 ./internal/parallel
+	$(GO) test -race -count=2 -run '^TestBatch|^TestResilientBatch' ./internal/measure
 
 # Service soak (DESIGN.md §11): 32 concurrent clients through the full
 # phase1→phase2→model→report loop under the race detector, asserting

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -13,7 +14,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
+
+	"activegeo/internal/parallel"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -166,7 +168,7 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 
 // LoadPatterns expands the patterns and fully type-checks every
 // package directory that contains buildable Go files. Directories are
-// loaded on min(GOMAXPROCS, len(dirs)) goroutines, with dependency
+// loaded on parallel.For at GOMAXPROCS width, with dependency
 // checks coalescing in the shared singleflight cache. The returned
 // slice is in directory order regardless of completion order, so
 // downstream diagnostic ordering cannot observe the pool.
@@ -175,25 +177,11 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(dirs))
 	loaded := make([]*Package, len(dirs))
 	errs := make([]error, len(dirs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(dirs) {
-					return
-				}
-				loaded[i], errs[i] = l.loadPatternDir(dirs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	parallel.For(context.Background(), len(dirs), parallel.Workers(0), func(i int) {
+		loaded[i], errs[i] = l.loadPatternDir(dirs[i])
+	})
 	var pkgs []*Package
 	for i := range dirs {
 		if errs[i] != nil {

@@ -16,8 +16,9 @@ import (
 //   - a `go` statement whose function literal captures a *rand.Rand
 //     declared outside the literal, or that passes one as an argument;
 //   - a function literal capturing an outer *rand.Rand handed to a
-//     worker-pool-shaped callee (name containing "parallel", "worker",
-//     "pool", "spawn" or "async", e.g. experiments.parallelFor);
+//     worker-pool-shaped callee: its name, or for a package-qualified
+//     call its package's name, contains "parallel", "worker", "pool",
+//     "spawn" or "async" (parallel.For, the module's one pool);
 //   - an HTTP handler — any func or method with the
 //     (http.ResponseWriter, *http.Request) signature — touching a
 //     *rand.Rand declared outside it (typically a server struct
@@ -57,7 +58,7 @@ func NewSharedrand() *Analyzer {
 						}
 					}
 				case *ast.CallExpr:
-					if !isWorkerPoolCallee(s) {
+					if !isWorkerPoolCallee(pass, s) {
 						return true
 					}
 					for _, arg := range s.Args {
@@ -153,21 +154,30 @@ func reportHandlerRand(pass *Pass, body *ast.BlockStmt, name string) {
 }
 
 // isWorkerPoolCallee applies the naming heuristic for callees that run
-// their function-literal arguments concurrently.
-func isWorkerPoolCallee(call *ast.CallExpr) bool {
-	var name string
+// their function-literal arguments concurrently: the callee's own name
+// or, for a package-qualified call such as parallel.For, the imported
+// package's name.
+func isWorkerPoolCallee(pass *Pass, call *ast.CallExpr) bool {
+	var names []string
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		name = fun.Name
+		names = append(names, fun.Name)
 	case *ast.SelectorExpr:
-		name = fun.Sel.Name
+		names = append(names, fun.Sel.Name)
+		if x, ok := fun.X.(*ast.Ident); ok {
+			if pkg, ok := pass.Info.Uses[x].(*types.PkgName); ok {
+				names = append(names, pkg.Imported().Name())
+			}
+		}
 	default:
 		return false
 	}
-	name = strings.ToLower(name)
-	for _, marker := range []string{"parallel", "worker", "pool", "spawn", "async"} {
-		if strings.Contains(name, marker) {
-			return true
+	for _, name := range names {
+		name = strings.ToLower(name)
+		for _, marker := range []string{"parallel", "worker", "pool", "spawn", "async"} {
+			if strings.Contains(name, marker) {
+				return true
+			}
 		}
 	}
 	return false

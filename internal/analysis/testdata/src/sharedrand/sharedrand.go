@@ -6,16 +6,19 @@
 package sharedrand
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
+
+	"activegeo/internal/parallel"
 )
 
-// parallelFor mirrors experiments.parallelFor — the callee-name
-// heuristic treats it as a worker pool.
+// parallelFor is a local pool helper: the callee-name heuristic treats
+// any callee whose name contains "parallel" as a worker pool.
 func parallelFor(n int, fn func(int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
@@ -47,10 +50,22 @@ func sharedIntoPool(rng *rand.Rand, out []float64) {
 	})
 }
 
+// sharedIntoQualifiedPool: the module's pool is parallel.For, whose own
+// name says nothing; the package qualifier marks it as a pool.
+func sharedIntoQualifiedPool(rng *rand.Rand, out []float64) {
+	parallel.For(context.Background(), len(out), 4, func(i int) {
+		out[i] = rng.Float64() // want "shared into a worker-pool closure"
+	})
+}
+
 // perEntityStream derives an independent stream inside the closure —
 // the approved pattern.
 func perEntityStream(seeds []int64, out []float64) {
 	parallelFor(len(out), func(i int) {
+		rng := rand.New(rand.NewSource(seeds[i]))
+		out[i] = rng.Float64()
+	})
+	parallel.For(context.Background(), len(out), 4, func(i int) {
 		rng := rand.New(rand.NewSource(seeds[i]))
 		out[i] = rng.Float64()
 	})

@@ -38,13 +38,18 @@ func fixture(t testing.TB) (*atlas.Constellation, *geoloc.Env) {
 	return fixCons, fixEnv
 }
 
-// measureTarget adds a host at loc and measures min-of-k RTTs to n
-// landmarks (preferring nearby anchors to mimic phase-two selection).
+// measureTarget adds a host at loc (reusing it when an earlier run in
+// this process already added it to the shared fixture network) and
+// measures min-of-k RTTs to n landmarks (preferring nearby anchors to
+// mimic phase-two selection).
 func measureTarget(t testing.TB, cons *atlas.Constellation, id string, loc geo.Point, n int, rng *rand.Rand) []geoloc.Measurement {
 	t.Helper()
-	host := &netsim.Host{ID: netsim.HostID(id), Loc: loc}
-	if err := cons.Net().AddHost(host); err != nil {
-		t.Fatal(err)
+	host := cons.Net().Host(netsim.HostID(id))
+	if host == nil {
+		host = &netsim.Host{ID: netsim.HostID(id), Loc: loc}
+		if err := cons.Net().AddHost(host); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lms := cons.Anchors()
 	// Sort by distance and take a mix: the nearest 2n/3 plus every 5th

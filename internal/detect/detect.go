@@ -195,16 +195,11 @@ func CrossValidate(edges []MeshEdge, cfg CrossValidateConfig) (*LandmarkReport, 
 		dist[i] = e.ClaimedDistKm
 		rtt[i] = e.MinRTTms
 	}
-	fit, err := mathx.TrimmedLine(dist, rtt, cfg.Trim)
+	fit, mad, err := robustFit(dist, rtt, cfg.Trim)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrDegenerateMesh, err)
 	}
-	rep := &LandmarkReport{Fit: fit}
-	resid := make([]float64, len(edges))
-	for i, e := range edges {
-		resid[i] = e.MinRTTms - fit.At(e.ClaimedDistKm)
-	}
-	rep.MADms = mathx.MAD(resid)
+	rep := &LandmarkReport{Fit: fit, MADms: mad}
 
 	// Group edges by owner (own view) and by target (peer view),
 	// first-seen owner order.
@@ -271,15 +266,8 @@ func CrossValidate(edges []MeshEdge, cfg CrossValidateConfig) (*LandmarkReport, 
 					v.FloorViolations++
 				}
 			}
-			ln, ferr := mathx.TrimmedLine(xs, ys, cfg.Trim)
-			if ferr != nil {
-				return mathx.Line{}, 0, false
-			}
-			rs := make([]float64, len(es))
-			for j := range es {
-				rs[j] = ys[j] - ln.At(xs[j])
-			}
-			return ln, mathx.MAD(rs), true
+			ln, mad, ferr := robustFit(xs, ys, cfg.Trim)
+			return ln, mad, ferr == nil
 		}
 		ownFit, ownMAD, ownOK := fitView(own)
 		peerFit, _, peerOK := fitView(peer)
@@ -453,19 +441,29 @@ func InspectServer(ms []geoloc.Measurement, centroid geo.Point, cfg InspectConfi
 		dist[i] = geo.DistanceKm(centroid, m.Landmark)
 		rtt[i] = m.RTTms
 	}
-	fit, err := mathx.TrimmedLine(dist, rtt, cfg.Trim)
+	fit, mad, err := robustFit(dist, rtt, cfg.Trim)
 	if err != nil {
 		return insp
 	}
-	resid := make([]float64, len(ms))
-	for i := range ms {
-		resid[i] = rtt[i] - fit.At(dist[i])
-	}
 	insp.Fitted = true
-	insp.MADms = mathx.MAD(resid)
+	insp.MADms = mad
 	insp.InterceptMs = fit.Intercept
 	insp.SlopeMsPerKm = fit.Slope
 	return insp
+}
+
+// robustFit is the detectors' one robust fit: the trimmed line of RTT
+// on distance and the MAD of every point's residual about it.
+func robustFit(dist, rtt []float64, trim float64) (mathx.Line, float64, error) {
+	fit, err := mathx.TrimmedLine(dist, rtt, trim)
+	if err != nil {
+		return mathx.Line{}, 0, err
+	}
+	resid := make([]float64, len(dist))
+	for i := range dist {
+		resid[i] = rtt[i] - fit.At(dist[i])
+	}
+	return fit, mathx.MAD(resid), nil
 }
 
 // lowerMAD is the median absolute deviation computed over the values

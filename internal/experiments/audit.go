@@ -14,6 +14,7 @@ import (
 	"activegeo/internal/mathx"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
+	"activegeo/internal/parallel"
 	"activegeo/internal/proxy"
 	"activegeo/internal/stream"
 	"activegeo/internal/worldmap"
@@ -38,7 +39,7 @@ func (l *Lab) Fig13Eta() (*Fig13Result, error) {
 	}
 	pairs := make([]etaPair, len(pingable))
 	span := l.Telemetry.StartStage("fig13.measure")
-	parallelFor(len(pingable), l.Concurrency(), func(i int) {
+	parallel.For(context.Background(), len(pingable), l.Concurrency(), func(i int) {
 		s := pingable[i]
 		rng := l.rngFor(13, s.Host.ID)
 		// Direct and indirect measurements both take min-of-8 samples:

@@ -24,6 +24,7 @@ import (
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
 	"activegeo/internal/octant"
+	"activegeo/internal/parallel"
 	"activegeo/internal/proxy"
 	"activegeo/internal/spotter"
 	"activegeo/internal/telemetry"
@@ -239,6 +240,10 @@ func (l *Lab) streamSeed(salt int64) int64 {
 func (l *Lab) rngFor(salt int64, id netsim.HostID) *rand.Rand {
 	return rand.New(rand.NewSource(measure.StreamSeed(l.streamSeed(salt), id)))
 }
+
+// Concurrency resolves the lab's worker count for parallel stages:
+// parallel.Workers(Cfg.Concurrency), so 0 means GOMAXPROCS.
+func (l *Lab) Concurrency() int { return parallel.Workers(l.Cfg.Concurrency) }
 
 // ResetAudit drops the memoized audit so the full pipeline can be
 // re-run (used by benchmarks that time the pipeline itself).

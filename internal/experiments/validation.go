@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"activegeo/internal/mathx"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
+	"activegeo/internal/parallel"
 )
 
 // Fig2Result is one anchor's calibration, with every model's fit: the
@@ -106,7 +108,7 @@ func (l *Lab) Fig4ToolValidation() (*Fig4Result, error) {
 	}
 	slots := make([]fig4Slot, len(anchors))
 	span := l.Telemetry.StartStage("fig4.measure")
-	parallelFor(len(anchors), l.Concurrency(), func(i int) {
+	parallel.For(context.Background(), len(anchors), l.Concurrency(), func(i int) {
 		lm := anchors[i]
 		base, err := l.Net.BaseRTTMs(from, lm.Host.ID)
 		if err != nil {
@@ -247,7 +249,7 @@ func (l *Lab) Fig5Windows() ([]Fig5Row, error) {
 			ok   bool
 		}
 		slots := make([]fig5Slot, rounds*len(anchors))
-		parallelFor(len(slots), l.Concurrency(), func(j int) {
+		parallel.For(context.Background(), len(slots), l.Concurrency(), func(j int) {
 			round, ai := j/len(anchors), j%len(anchors)
 			lm := anchors[ai]
 			base, err := l.Net.BaseRTTMs(from, lm.Host.ID)
@@ -368,7 +370,7 @@ func (l *Lab) Fig9Detailed() ([]Fig9Row, []Fig9HostRecord, error) {
 	// the cohort's samples are independent of worker scheduling.
 	raw := make([]hostMeas, len(l.Crowd))
 	span := l.Telemetry.StartStage("fig9.measure")
-	parallelFor(len(l.Crowd), l.Concurrency(), func(i int) {
+	parallel.For(context.Background(), len(l.Crowd), l.Concurrency(), func(i int) {
 		h := l.Crowd[i]
 		samples := h.MeasureAllAnchors(l.Cons, l.rngFor(9, h.ID))
 		if len(samples) < 8 {
@@ -395,7 +397,7 @@ func (l *Lab) Fig9Detailed() ([]Fig9Row, []Fig9HostRecord, error) {
 	var records []Fig9HostRecord
 	for _, alg := range l.Algorithms() {
 		recs := make([]Fig9HostRecord, len(data))
-		parallelFor(len(data), l.Concurrency(), func(i int) {
+		parallel.For(context.Background(), len(data), l.Concurrency(), func(i int) {
 			d := data[i]
 			rec := Fig9HostRecord{Algorithm: alg.Name(), Host: d.id}
 			region, err := alg.Locate(d.ms)
@@ -475,7 +477,7 @@ func (l *Lab) Fig10EstimateRatios() (*Fig10Result, error) {
 	}
 	parts := make([]fig10Part, len(anchors))
 	span := l.Telemetry.StartStage("fig10.pairs")
-	parallelFor(len(anchors), l.Concurrency(), func(i int) {
+	parallel.For(context.Background(), len(anchors), l.Concurrency(), func(i int) {
 		a := anchors[i]
 		p := &parts[i]
 		for _, pair := range l.Cons.CalibrationPairs(a.Host.ID) {
@@ -560,7 +562,7 @@ func (l *Lab) Fig11LandmarkEffectiveness(maxHosts int) (*Fig11Result, error) {
 	}
 	parts := make([]fig11Part, maxHosts)
 	span := l.Telemetry.StartStage("fig11.measure")
-	parallelFor(maxHosts, l.Concurrency(), func(hi int) {
+	parallel.For(context.Background(), maxHosts, l.Concurrency(), func(hi int) {
 		h := l.Crowd[hi]
 		samples := h.MeasureAllAnchors(l.Cons, l.rngFor(11, h.ID))
 		ms := measure.Measurements(samples)
@@ -674,7 +676,7 @@ func (l *Lab) CBGppCoverage() (*CoverageResult, error) {
 	}
 	slots := make([]covSlot, len(l.Crowd))
 	span := l.Telemetry.StartStage("coverage.measure")
-	parallelFor(len(l.Crowd), l.Concurrency(), func(i int) {
+	parallel.For(context.Background(), len(l.Crowd), l.Concurrency(), func(i int) {
 		h := l.Crowd[i]
 		samples := h.MeasureAllAnchors(l.Cons, l.rngFor(51, h.ID))
 		ms := measure.Measurements(samples)

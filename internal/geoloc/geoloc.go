@@ -94,15 +94,6 @@ func (e *Env) Distances(id netsim.HostID, landmark geo.Point) []float32 {
 	return e.MasksFor(id, landmark).Distances()
 }
 
-// InvalidateLandmark evicts the host's entries from the geometry cache
-// and returns how many were dropped. Call it when the fleet churns (a
-// landmark decommissioned, or a host re-provisioned at a new position);
-// the host+position keys already prevent stale entries from being
-// *served* for a moved host, and this reclaims their memory immediately.
-func (e *Env) InvalidateLandmark(id netsim.HostID) int {
-	return e.Masks.Invalidate(string(id))
-}
-
 // RingConstraint is the ring as a constraint on the landmark's masks:
 // the outer cap minus the inner cap, where the inner cap is shrunk by
 // one cell diagonal so boundary cells that may still contain ring area

@@ -116,10 +116,9 @@ func TestEnvMaskEquivalence(t *testing.T) {
 	}
 }
 
-// TestInvalidateLandmark: eviction must drop the one entry a warmed
-// landmark holds, whether warmed by a disk or by a distance lookup, and
-// report zero for an unknown one. Field and Masks are one cache.
-func TestInvalidateLandmark(t *testing.T) {
+// TestDiskAndDistanceShareOneEntry: Field and Masks are one cache, and
+// a landmark warmed by a disk and by a distance lookup holds one entry.
+func TestDiskAndDistanceShareOneEntry(t *testing.T) {
 	env := NewEnv(5)
 	if env.Field != env.Masks {
 		t.Fatal("Env.Field is not the Masks cache")
@@ -129,11 +128,5 @@ func TestInvalidateLandmark(t *testing.T) {
 	env.Distances("warm", p)
 	if s := env.Masks.Stats(); s.Entries != 1 || s.Misses != 1 || s.Hits != 1 {
 		t.Fatalf("after a disk and a distance lookup: %+v, want 1 entry, 1 miss, 1 hit", s)
-	}
-	if n := env.InvalidateLandmark("warm"); n != 1 {
-		t.Fatalf("InvalidateLandmark(warm) = %d, want 1", n)
-	}
-	if n := env.InvalidateLandmark("cold"); n != 0 {
-		t.Fatalf("InvalidateLandmark(cold) = %d, want 0", n)
 	}
 }

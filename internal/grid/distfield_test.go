@@ -118,24 +118,3 @@ func TestDistanceFieldConcurrent(t *testing.T) {
 		t.Errorf("capacity exceeded: %+v", s)
 	}
 }
-
-// TestDistanceFieldInvalidate: invalidating a host ID must drop its
-// entries at every cached position (the moved-host shape) and leave
-// other hosts untouched.
-func TestDistanceFieldInvalidate(t *testing.T) {
-	g := New(10)
-	c := NewMaskCache(g, 8)
-	c.Masks(FieldKey{ID: "m", Lat: 1, Lon: 2})
-	c.Masks(FieldKey{ID: "m", Lat: 3, Lon: 4}) // same host, new position
-	c.Masks(FieldKey{ID: "n", Lat: 5, Lon: 6})
-	if n := c.Invalidate("m"); n != 2 {
-		t.Fatalf("Invalidate(m) = %d, want 2", n)
-	}
-	s := c.Stats()
-	if s.Entries != 1 || s.Evictions != 2 {
-		t.Fatalf("stats after invalidate = %+v, want 1 entry, 2 evictions", s)
-	}
-	if n := c.Invalidate("m"); n != 0 {
-		t.Fatalf("second Invalidate(m) = %d, want 0", n)
-	}
-}

@@ -298,26 +298,6 @@ func (c *MaskCache) evictLocked(keep *maskEntry) {
 	}
 }
 
-// Invalidate evicts every cached entry whose key carries the given host
-// ID (at any position) and returns how many were dropped. The
-// position-in-key rule already guarantees a moved host is never served
-// stale geometry; landmark churn — decommissioned anchors, a host
-// re-provisioned at a new position — calls this so dead entries do not
-// squat in the LRU until capacity pressure.
-func (c *MaskCache) Invalidate(id string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k := range c.entries {
-		if k.ID == id {
-			delete(c.entries, k)
-			n++
-		}
-	}
-	c.evictions += uint64(n)
-	return n
-}
-
 // MaskStats reports mask-cache effectiveness counters. RefinedCells is
 // the cumulative number of annulus cells the word-wise ops fell back to
 // the exact float64 predicate for — the cost the quantization did not

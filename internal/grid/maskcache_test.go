@@ -191,8 +191,8 @@ func TestMaskLevelSpans(t *testing.T) {
 }
 
 // TestMaskCacheLRUAndStats exercises the bounded cache: hits, misses,
-// LRU eviction beyond capacity, and ID-wide invalidation across
-// positions (the moved-host key shape).
+// LRU eviction beyond capacity, and the moved-host key shape (one ID
+// at two positions is two entries).
 func TestMaskCacheLRUAndStats(t *testing.T) {
 	g := New(5)
 	c := NewMaskCache(g, 2)
@@ -216,22 +216,10 @@ func TestMaskCacheLRUAndStats(t *testing.T) {
 	}
 
 	// Same ID at a new position is a distinct key (moved host): the old
-	// entry can never be served, and Invalidate sweeps both positions.
+	// entry can never be served for it.
 	kB2 := FieldKey{ID: "b", Lat: -31, Lon: 41}
-	c.Masks(kB2)
-	if n := c.Invalidate("b"); n == 0 {
-		t.Fatalf("Invalidate(b) evicted nothing")
-	}
-	for _, e := range []FieldKey{kB, kB2} {
-		c.mu.Lock()
-		_, still := c.entries[e]
-		c.mu.Unlock()
-		if still {
-			t.Fatalf("entry %+v survived Invalidate", e)
-		}
-	}
-	if n := c.Invalidate("nope"); n != 0 {
-		t.Fatalf("Invalidate(nope) = %d, want 0", n)
+	if c.Masks(kB2) == c.Masks(kB) {
+		t.Fatalf("moved host was served the old position's mask family")
 	}
 }
 

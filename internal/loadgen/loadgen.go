@@ -33,12 +33,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"time"
 
 	"activegeo/internal/atlasd"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
+	"activegeo/internal/parallel"
 	"activegeo/internal/telemetry"
 )
 
@@ -182,22 +182,11 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 	stats := make([]ClientStats, cfg.Clients)
 	errs := make([]error, cfg.Clients)
 
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				stats[i], errs[i] = r.runClient(ctx, cfg, i)
-			}
-		}()
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	// Every client starts, whatever ctx says: each one observes ctx
+	// itself and records how it stopped.
+	parallel.For(context.Background(), cfg.Clients, cfg.Concurrency, func(i int) {
+		stats[i], errs[i] = r.runClient(ctx, cfg, i)
+	})
 
 	res := &Result{PerClient: stats}
 	for i, st := range stats {

@@ -3,11 +3,11 @@ package measure
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"activegeo/internal/atlas"
 	"activegeo/internal/netsim"
+	"activegeo/internal/parallel"
 )
 
 // Batch runs the full proxied two-phase pipeline for many proxies
@@ -22,14 +22,15 @@ type Batch struct {
 	Client netsim.HostID
 	// Eta is the client-leg correction factor (DefaultEta when 0).
 	Eta float64
-	// Concurrency bounds parallel proxies (default 8).
+	// Concurrency bounds parallel proxies (0 = GOMAXPROCS). Results are
+	// identical at any width.
 	Concurrency int
 	// Seed derives each proxy's measurement randomness.
 	Seed int64
 	// OnProgress, if non-nil, is called once per finished proxy
 	// (successful, failed, or cancelled) with the completed count so
-	// far and the total. It is invoked from worker goroutines and must
-	// be concurrency-safe; completion order is scheduling-dependent
+	// far and the total. It may be invoked from worker goroutines and
+	// must be concurrency-safe; completion order is scheduling-dependent
 	// even though results are not.
 	OnProgress func(done, total int)
 	// Policy, when enabled, arms fault resilience (retries, backoff,
@@ -49,13 +50,6 @@ type BatchResult struct {
 	Err    error
 }
 
-func (b *Batch) concurrency() int {
-	if b.Concurrency < 1 {
-		return 8
-	}
-	return b.Concurrency
-}
-
 // StreamSeed derives the deterministic per-proxy stream seed from a base
 // seed: a pure function of (seed, id) shared by Batch and the experiment
 // pipelines, so a serial loop and a parallel batch draw identical
@@ -65,55 +59,29 @@ func StreamSeed(seed int64, id netsim.HostID) int64 {
 }
 
 // Run measures every proxy and returns results in the input order. It
-// honors ctx cancellation as a clean cutoff: once ctx is done, every
-// not-yet-dispatched proxy is reported with ctx.Err(), and no proxy is
-// dispatched afterwards. Proxies already in flight run to completion.
+// honors ctx cancellation as a clean cutoff: proxies are dispatched in
+// input order, ctx is checked before each dispatch, and a dispatched
+// proxy runs to completion, so the measured proxies always form a
+// prefix of the input and every proxy after it reports ctx.Err().
 func (b *Batch) Run(ctx context.Context, proxies []netsim.HostID) []BatchResult {
 	out := make([]BatchResult, len(proxies))
-	sem := make(chan struct{}, b.concurrency())
-	var wg sync.WaitGroup
-	var done int64
+	var done atomic.Int64
 	finish := func() {
 		if b.OnProgress != nil {
-			b.OnProgress(int(atomic.AddInt64(&done, 1)), len(proxies))
+			b.OnProgress(int(done.Add(1)), len(proxies))
 		}
 	}
-	for i, p := range proxies {
+	ran := parallel.For(ctx, len(proxies), parallel.Workers(b.Concurrency), func(i int) {
+		p := proxies[i]
+		// Per-proxy deterministic stream: independent of scheduling.
+		rng := rand.New(rand.NewSource(StreamSeed(b.Seed, p)))
 		out[i].Proxy = p
-		// Check cancellation before (and again after) the select: when
-		// ctx is done and a semaphore slot is free at the same time, the
-		// select chooses between its ready cases at random, which would
-		// let some post-cancellation proxies slip through to measurement
-		// nondeterministically. The explicit ctx.Err() checks make
-		// cancellation a deterministic cutoff.
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			finish()
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			out[i].Err = ctx.Err()
-			finish()
-			continue
-		case sem <- struct{}{}:
-			if err := ctx.Err(); err != nil {
-				<-sem
-				out[i].Err = err
-				finish()
-				continue
-			}
-		}
-		wg.Add(1)
-		go func(i int, p netsim.HostID) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Per-proxy deterministic stream: independent of scheduling.
-			rng := rand.New(rand.NewSource(StreamSeed(b.Seed, p)))
-			out[i].Result, out[i].Err = ProxiedTwoPhaseAdversarial(b.Cons, b.Client, p, b.Eta, b.Policy, b.Adversary, rng)
-			finish()
-		}(i, p)
+		out[i].Result, out[i].Err = ProxiedTwoPhaseAdversarial(b.Cons, b.Client, p, b.Eta, b.Policy, b.Adversary, rng)
+		finish()
+	})
+	for i := ran; i < len(proxies); i++ {
+		out[i] = BatchResult{Proxy: proxies[i], Err: ctx.Err()}
+		finish()
 	}
-	wg.Wait()
 	return out
 }

@@ -167,12 +167,16 @@ func TestDegradationCoverageAndConfidence(t *testing.T) {
 	}
 }
 
-// lossyBatchFixture builds a constellation with faults armed and a set
-// of proxies for resilient-batch tests.
+// lossyBatchFixture arms faults on the shared fixture network for the
+// duration of the test (the previous fault config is restored at
+// cleanup, so later tests and repeated runs see the network they
+// expect) and returns a set of proxies for resilient-batch tests.
 func lossyBatchFixture(t *testing.T, loss float64) (*Batch, []netsim.HostID) {
 	t.Helper()
 	cons, _ := algtest.Fixture(t)
+	prev := cons.Net().Faults()
 	cons.Net().SetFaults(netsim.DefaultFaults(loss))
+	t.Cleanup(func() { cons.Net().SetFaults(prev) })
 	client := addTarget(t, cons.Net(), "lossy-client", geo.Point{Lat: 50.11, Lon: 8.68})
 	var proxies []netsim.HostID
 	for i, city := range []geo.Point{

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"activegeo/internal/grid"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
+	"activegeo/internal/parallel"
 	"activegeo/internal/telemetry"
 )
 
@@ -121,13 +121,6 @@ func (a *Auditor) Store() *Store { return a.store }
 // Landmarks returns the last pass's landmark cross-validation report
 // (nil when the adversary layer is disarmed).
 func (a *Auditor) Landmarks() *detect.LandmarkReport { return a.lmReport }
-
-func (a *Auditor) concurrency() int {
-	if a.cfg.Concurrency > 0 {
-		return a.cfg.Concurrency
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 func (a *Auditor) batchSize() int {
 	if a.cfg.BatchSize > 0 {
@@ -357,7 +350,7 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem, done, total i
 		Cons:        a.cfg.Cons,
 		Client:      a.cfg.Client,
 		Eta:         measure.DefaultEta,
-		Concurrency: a.concurrency(),
+		Concurrency: a.cfg.Concurrency,
 		Seed:        a.cfg.Seed,
 		Policy:      measure.PolicyFor(a.cfg.Cons.Net()),
 		Adversary:   a.cfg.Adversary,
@@ -382,7 +375,9 @@ func (a *Auditor) runBatch(ctx context.Context, batch []batchItem, done, total i
 	}
 	rows := make([]row, len(batch))
 	var located atomic.Int64
-	parallelFor(len(batch), a.concurrency(), func(i int) {
+	// Once measurement has returned, the batch is located and written
+	// whole: a cancellation from here on takes effect at the next batch.
+	parallel.For(context.Background(), len(batch), parallel.Workers(a.cfg.Concurrency), func(i int) {
 		it := batch[i]
 		r := row{id: it.spec.ID, claimed: it.spec.Claimed, sig: it.sig, pass: a.pass}
 		region := a.cfg.Env.Grid.NewRegion()
@@ -488,36 +483,4 @@ func (a *Auditor) recordPass(stats PassStats, before grid.MaskStats) {
 	tel.Add("geo.mask.misses", int64(after.Misses-before.Misses))
 	tel.Add("geo.mask.evictions", int64(after.Evictions-before.Evictions))
 	tel.Add("geo.mask.refined", int64(after.RefinedCells-before.RefinedCells))
-}
-
-// parallelFor runs fn(i) for i in [0, n) on at most workers goroutines
-// (inline, in order, when workers ≤ 1). Work is handed out by an atomic
-// counter; fn writes into per-index state, so scheduling cannot affect
-// results.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
