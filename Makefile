@@ -13,9 +13,9 @@
 #   make benchvet      vet the benchmark module under bench/, which ./... does not reach
 #   make vuln          govulncheck, if installed; soft-fails offline
 #   make race          full test suite under the race detector
-#   make race-smoke    quick audit pipeline, worker pool and measure batch, under the race detector
+#   make race-smoke    quick audit pipeline, worker pool, measure batch and netsim's condition writers, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel, Theil–Sen, rank selection and netsim.Path
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel, Theil–Sen, rank selection, netsim.Path, netsim.NewRand and geoloc.Collapse
 #   make cover         per-package coverage with an 85% floor on the service packages
 
 GO ?= go
@@ -67,7 +67,9 @@ race:
 # (tiny constellation, real worker pools, bounded queues), the one
 # worker pool every parallel stage runs on (internal/parallel, three
 # runs) and measure.Batch — the single entry point for honest, resilient
-# and adversarial measurement, twice — under the race detector, so a
+# and adversarial measurement, twice — and netsim's lock-free conditions
+# (episodes and faults swapped while workers sample and probe, twice),
+# under the race detector, so a
 # scheduling-dependent result has more than one chance to show; fast
 # enough for every CI run, unlike the full `make race` suite. -short
 # keeps the heavy paper-scale audits and the 100k-server streaming pass
@@ -78,6 +80,7 @@ race-smoke:
 	$(GO) test -race -short -run '^TestSync|^TestSynth' ./internal/stream
 	$(GO) test -race -count=3 ./internal/parallel
 	$(GO) test -race -count=2 -run '^TestBatch|^TestResilientBatch' ./internal/measure
+	$(GO) test -race -count=2 -run '^TestConditionWriters' ./internal/netsim
 
 # Service soak (DESIGN.md §11): 32 concurrent clients through the full
 # phase1→phase2→model→report loop under the race detector, asserting
@@ -92,8 +95,9 @@ soak:
 # geoloc.IntersectOrArgmax, against their per-cell oracles), over
 # Theil–Sen's median-slope selection (against the all-pairs
 # enumeration) and the rank selection behind it and Quantile (against
-# sorting), and over netsim.Path (a reused leg against fresh by-ID
-# calls), FUZZTIME per target.
+# sorting), over netsim.Path (a reused leg against fresh by-ID
+# calls), netsim.NewRand (against math/rand's own source) and
+# geoloc.Collapse (against a stable sort), FUZZTIME per target.
 # The seed corpora also run (for free) in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
@@ -102,7 +106,8 @@ fuzz-smoke:
 	for f in FuzzFillWithinKm FuzzIntersectWithinKm FuzzFillRingKm FuzzCoverageArgmax; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/grid || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectOrArgmax$$' -fuzztime $(FUZZTIME) ./internal/refimpl
 	for f in FuzzTheilSen FuzzSelectRank; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/mathx || exit 1; done
-	$(GO) test -run '^$$' -fuzz '^FuzzPathMatchesNetwork$$' -fuzztime $(FUZZTIME) ./internal/netsim
+	for f in FuzzPathMatchesNetwork FuzzNewRandMatchesStdlib; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/netsim || exit 1; done
+	$(GO) test -run '^$$' -fuzz '^FuzzCollapse$$' -fuzztime $(FUZZTIME) ./internal/geoloc
 
 # Coverage floor on the service packages: the coordination server and
 # the load generator are concurrency-heavy, so untested branches there

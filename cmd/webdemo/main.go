@@ -105,7 +105,7 @@ func (d *demoServer) handleLocate(w http.ResponseWriter, r *http.Request) {
 	// Per-target noise stream, a pure function of (seed, target): no
 	// handler-shared *rand.Rand, so concurrent locates never perturb
 	// each other's measurements (sharedrand analyzer, DESIGN.md §6).
-	rng := rand.New(rand.NewSource(measure.StreamSeed(d.seed, target)))
+	rng := netsim.NewRand(measure.StreamSeed(d.seed, target))
 
 	tp := &measure.TwoPhase{Cons: d.cons, Tool: &measure.WebTool{Net: d.cons.Net()}}
 	res, err := tp.Run(target, rng)

@@ -9,6 +9,8 @@ package detrand
 import (
 	"math/rand"
 	"time"
+
+	"activegeo/internal/netsim"
 )
 
 func globalDraw(n int) int {
@@ -95,4 +97,27 @@ func liarSelectionHardSeed(n int) []int {
 // so the same plan forges the same bytes at any concurrency.
 func forgedPaddingFromPlan(rng *rand.Rand, aggressiveness float64, maxMs float64) float64 {
 	return aggressiveness * maxMs * rng.Float64()
+}
+
+// netsim.NewRand is the per-entity stream constructor: the same
+// generator as rand.New(rand.NewSource(seed)), seeded faster. Its seed
+// obeys the same two rules as rand.NewSource's.
+func wallClockStream() *rand.Rand {
+	return netsim.NewRand(time.Now().UnixNano()) // want "netsim.NewRand seeded from time.Now"
+}
+
+func hardCodedStream() *rand.Rand {
+	return netsim.NewRand(2018) // want "hard-coded seed"
+}
+
+// A named constant is as hard-coded as a literal.
+const fixedStreamSeed = 99
+
+func namedConstantStream() *rand.Rand {
+	return netsim.NewRand(fixedStreamSeed) // want "hard-coded seed"
+}
+
+// streamFromConfig is the approved shape for the constructor too.
+func streamFromConfig(seed int64, id netsim.HostID) *rand.Rand {
+	return netsim.NewRand(seed ^ int64(netsim.HashID(id)))
 }

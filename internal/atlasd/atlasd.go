@@ -214,7 +214,7 @@ func (s *Server) Reports() []Report {
 // requests always receive identical responses, at any concurrency.
 func (s *Server) drawRNG(phase, continent string, n int, draw string) *rand.Rand {
 	key := fmt.Sprintf("%d|%s|%s|%d|%s", s.cfg.Seed, phase, continent, n, draw)
-	return rand.New(rand.NewSource(int64(netsim.HashID(netsim.HostID(key)))))
+	return netsim.NewRand(int64(netsim.HashID(netsim.HostID(key))))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -219,7 +219,7 @@ func (l *Lab) Algorithms() []geoloc.Algorithm {
 // It is only suitable for serial single-consumer use; parallel stages
 // must use rngFor so every entity gets its own stream.
 func (l *Lab) rng(salt int64) *rand.Rand {
-	return rand.New(rand.NewSource(l.streamSeed(salt)))
+	return netsim.NewRand(l.streamSeed(salt))
 }
 
 // streamSeed is the base seed of an experiment's randomness — the same
@@ -238,7 +238,7 @@ func (l *Lab) streamSeed(salt int64) int64 {
 // even a locked shared stream would make results depend on scheduling
 // order.
 func (l *Lab) rngFor(salt int64, id netsim.HostID) *rand.Rand {
-	return rand.New(rand.NewSource(measure.StreamSeed(l.streamSeed(salt), id)))
+	return netsim.NewRand(measure.StreamSeed(l.streamSeed(salt), id))
 }
 
 // Concurrency resolves the lab's worker count for parallel stages:

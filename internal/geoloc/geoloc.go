@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 
 	"activegeo/internal/geo"
 	"activegeo/internal/grid"
@@ -137,20 +138,52 @@ func (e *Env) ApplyExclusions(r *grid.Region) *grid.Region {
 	return sea
 }
 
+// collapseStack is how many measurements Collapse orders without
+// allocating: its index buffer lives on the stack up to this length.
+const collapseStack = 64
+
 // Collapse deduplicates measurements by landmark, keeping the minimum RTT
 // for each — the standard treatment, since queueing can only add delay.
 // Among equal RTTs the first occurrence wins. The result is a new slice
 // sorted by landmark ID for determinism; ms itself is never reordered,
 // since callers may share it across goroutines. NaN RTTs are outside
 // the contract.
+//
+// It sorts int32 indices, not the 40-byte measurements, by (landmark
+// ID, RTT, index). The index makes that order total, so it is the order
+// a stable sort by (ID, RTT) gives, and the first index of each
+// landmark's run is its earliest minimum. The result is the one
+// allocation.
 func Collapse(ms []Measurement) []Measurement {
-	out := slices.Clone(ms)
-	// A stable sort keeps equal (landmark, RTT) pairs in input order, so
-	// the first of each landmark's run is its earliest minimum.
-	slices.SortStableFunc(out, func(a, b Measurement) int {
-		return cmp.Or(cmp.Compare(a.LandmarkID, b.LandmarkID), cmp.Compare(a.RTTms, b.RTTms))
+	var buf [collapseStack]int32
+	idx := buf[:0]
+	if len(ms) > len(buf) {
+		idx = make([]int32, 0, len(ms))
+	}
+	for i := range ms {
+		idx = append(idx, int32(i))
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		x, y := &ms[a], &ms[b]
+		if c := strings.Compare(string(x.LandmarkID), string(y.LandmarkID)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.RTTms, y.RTTms); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	return slices.CompactFunc(out, func(a, b Measurement) bool { return a.LandmarkID == b.LandmarkID })
+	firsts := idx[:0]
+	for _, i := range idx {
+		if len(firsts) == 0 || ms[i].LandmarkID != ms[firsts[len(firsts)-1]].LandmarkID {
+			firsts = append(firsts, i)
+		}
+	}
+	out := make([]Measurement, len(firsts))
+	for k, i := range firsts {
+		out[k] = ms[i]
+	}
+	return out
 }
 
 // IntersectOrArgmax multilaterates ring/disk constraints: the strict

@@ -204,7 +204,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 // newClientRNG derives the client's measurement-noise stream from the
 // run seed and the vantage host, the repo's per-entity stream pattern.
 func newClientRNG(seed int64, from netsim.HostID) *rand.Rand {
-	return rand.New(rand.NewSource(measure.StreamSeed(seed, from)))
+	return netsim.NewRand(measure.StreamSeed(seed, from))
 }
 
 // runClient walks one client through its campaigns.

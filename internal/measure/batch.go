@@ -2,7 +2,6 @@ package measure
 
 import (
 	"context"
-	"math/rand"
 	"sync/atomic"
 
 	"activegeo/internal/atlas"
@@ -74,7 +73,7 @@ func (b *Batch) Run(ctx context.Context, proxies []netsim.HostID) []BatchResult 
 	ran := parallel.For(ctx, len(proxies), parallel.Workers(b.Concurrency), func(i int) {
 		p := proxies[i]
 		// Per-proxy deterministic stream: independent of scheduling.
-		rng := rand.New(rand.NewSource(StreamSeed(b.Seed, p)))
+		rng := netsim.NewRand(StreamSeed(b.Seed, p))
 		out[i].Proxy = p
 		out[i].Result, out[i].Err = ProxiedTwoPhaseAdversarial(b.Cons, b.Client, p, b.Eta, b.Policy, b.Adversary, rng)
 		finish()

@@ -178,17 +178,16 @@ func (c *Clock) Advance(d float64) {
 }
 
 // SetFaults arms (or, with the zero config, disarms) the fault layer.
+// Probes already in flight finish under the configuration they loaded.
 func (n *Network) SetFaults(cfg FaultConfig) {
 	n.mu.Lock()
-	n.faults = cfg
+	n.publish(func(s *netState) { s.faults = cfg })
 	n.mu.Unlock()
 }
 
-// Faults returns the active fault configuration.
+// Faults returns the active fault configuration. It takes no lock.
 func (n *Network) Faults() FaultConfig {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.faults
+	return n.state.Load().faults
 }
 
 // Outage returns the host's outage window [startMs, endMs) in campaign

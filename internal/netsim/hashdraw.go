@@ -16,16 +16,13 @@ package netsim
 // the stdlib table rngCooked[i]. Draw j (j < 3) of a fresh source adds
 // vec[333−j] and vec[606−j], and neither entry has been overwritten by
 // an earlier draw. An LCG jumps ahead n steps by multiplying by 48271ⁿ,
-// so each draw needs six modular multiplications and two table
-// constants; the six table entries are copied below. Float64 divides the
+// so each draw needs six modular multiplications and two entries of
+// rngCooked (rand.go), shared with NewRand's Seed. Float64 divides the
 // 63-bit draw by 2⁶³ and retries when the quotient rounds to 1.0; in that
 // case (probability 2⁻⁵³ per draw) SeedFloat64s falls back to the real
 // generator, so its results are bit-identical for every seed.
 
-import (
-	"math/rand"
-	"strconv"
-)
+import "strconv"
 
 // FNV-1a 64-bit parameters, as in hash/fnv's New64a.
 const (
@@ -61,15 +58,10 @@ func (h KeyHash) Int(v int64) KeyHash {
 	return h
 }
 
-// Constants of math/rand's rngSource (src/math/rand/rng.go).
+// Register indices a fresh source's draws read (see rand.go).
 const (
-	lcgMod     = 1<<31 - 1 // int32max: the seeding LCG's modulus
-	lcgMul     = 48271     // the seeding LCG's multiplier
-	lcgZero    = 89482311  // Seed's replacement for a seed ≡ 0
-	lcgWarmup  = 20        // LCG steps Seed discards before vec[0]
-	rngTapLast = 606       // rngLen-1: the tap index of the first draw
-	rngFeed    = 333       // rngLen-rngTap-1: the feed index of the first draw
-	int63Mask  = 1<<63 - 1
+	rngTapLast = rngLen - 1          // the tap index of the first draw
+	rngFeed    = rngLen - rngTap - 1 // the feed index of the first draw
 	// float64RetryMin is the least 63-bit draw whose float64 conversion
 	// rounds up to 2⁶³, making Float64's quotient 1.0 and its retry
 	// fire. Just below 2⁶³ float64s are 2¹⁰ apart, so the 512 integers
@@ -80,13 +72,6 @@ const (
 
 // maxSeedDraws is how many draws SeedFloat64s computes in closed form.
 const maxSeedDraws = 3
-
-// cookedFeed and cookedTap are rngCooked[333−j] and rngCooked[606−j]:
-// the table entries draw j of a fresh source reads.
-var (
-	cookedFeed = [maxSeedDraws]int64{-4633371852008891965, 4287360518296753003, -1072987336855386047}
-	cookedTap  = [maxSeedDraws]int64{4152330101494654406, 9103922860780351547, 8382142935188824023}
-)
 
 // jumpFeed and jumpTap are 48271^(21+3i) mod (2³¹−1) for the vec indices
 // i that draw j reads: the LCG jump from the normalized seed to the
@@ -99,40 +84,19 @@ var jumpFeed, jumpTap = func() (feed, tap [maxSeedDraws]uint64) {
 	return feed, tap
 }()
 
-// lcgPow returns 48271ⁿ mod (2³¹−1).
-func lcgPow(n int) uint64 {
-	r, b := uint64(1), uint64(lcgMul)
-	for ; n > 0; n >>= 1 {
-		if n&1 == 1 {
-			r = r * b % lcgMod
-		}
-		b = b * b % lcgMod
-	}
-	return r
-}
-
 // seedVec returns vec[i] of a source seeded at x0 (normalized), given
-// jump = 48271^(21+3i) and cooked = rngCooked[i].
-func seedVec(x0, jump uint64, cooked int64) int64 {
-	hi := x0 * jump % lcgMod
-	mid := hi * lcgMul % lcgMod
-	lo := mid * lcgMul % lcgMod
-	return (int64(hi)<<40 ^ int64(mid)<<20 ^ int64(lo)) ^ cooked
+// jump = 48271^(21+3i).
+func seedVec(x0, jump uint64, i int) int64 {
+	w, _ := seedWord(mulMod(x0, jump), rngCooked[i])
+	return w
 }
 
 // seedInt63s returns the first k (≤ 3) Int63 values of
 // rand.NewSource(seed).
 func seedInt63s(seed int64, k int) (out [maxSeedDraws]uint64) {
-	s := seed % lcgMod
-	if s < 0 {
-		s += lcgMod
-	}
-	if s == 0 {
-		s = lcgZero
-	}
-	x0 := uint64(s)
+	x0 := lcgNorm(seed)
 	for j := 0; j < k; j++ {
-		sum := seedVec(x0, jumpFeed[j], cookedFeed[j]) + seedVec(x0, jumpTap[j], cookedTap[j])
+		sum := seedVec(x0, jumpFeed[j], rngFeed-j) + seedVec(x0, jumpTap[j], rngTapLast-j)
 		out[j] = uint64(sum) & int63Mask
 	}
 	return out
@@ -158,7 +122,7 @@ func SeedFloat64s(seed int64, k int) (out [maxSeedDraws]float64) {
 // seedFloat64sSlow draws from the real generator: the exact answer when
 // a draw would hit Float64's retry and shift every later draw.
 func seedFloat64sSlow(seed int64, k int) (out [maxSeedDraws]float64) {
-	r := rand.New(rand.NewSource(seed))
+	r := NewRand(seed)
 	for j := 0; j < k; j++ {
 		out[j] = r.Float64()
 	}

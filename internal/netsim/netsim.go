@@ -25,15 +25,28 @@
 // All randomness is split in two: path properties are derived
 // deterministically from the simulator seed and the host pair (stable
 // across calls), while per-measurement noise comes from the caller's
-// *rand.Rand so experiments can be replayed.
+// *rand.Rand so experiments can be replayed. NewRand builds such a
+// stream: math/rand's own generator, draw for draw, with a faster exact
+// seeding (rand.go).
+//
+// Measurement takes no lock for the network's conditions. Congestion
+// episodes and the fault configuration form an immutable snapshot that
+// writers (StartCongestion, its stop handle, SetFaults) copy and swap
+// under the network's mutex and that every sample and probe loads
+// once. Hosts stay under the read lock, since AddHost and RemoveHost
+// churn; AddHost records each host's connectivity grade and, for an
+// island, its nearest hub, so a path profile computes only what
+// depends on the pair.
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"activegeo/internal/geo"
 	"activegeo/internal/worldmap"
@@ -90,19 +103,48 @@ var (
 
 // Network is a simulated Internet.
 type Network struct {
-	mu    sync.RWMutex
-	seed  int64
-	hosts map[HostID]*Host
+	seed int64
 
 	// hubs are the well-connected exchange points used for hub routing.
 	hubs []geo.Point
 
-	// congestion holds active congestion episodes.
-	congestion []CongestionEpisode
+	// state holds the congestion episodes and the fault configuration
+	// that every sample and probe reads. It is an immutable snapshot:
+	// writers copy it, edit the copy and swap the pointer under mu, so
+	// readers load it once and never take a lock or write a shared
+	// counter. New stores the first, empty one.
+	state atomic.Pointer[netState]
 
+	// The fields above are read on every sample. Every Path writes mu's
+	// reader count, so the pad keeps that write off their cache line.
+	_ [64]byte
+
+	// mu guards hosts and serializes the writers of state.
+	mu    sync.RWMutex
+	hosts map[HostID]hostEntry
+}
+
+// netState is one published snapshot of a Network's mutable
+// conditions. It is never modified after it is stored.
+type netState struct {
+	// episodes are the active congestion episodes in start order; each
+	// is identified by its pointer, which its stop handle removes.
+	episodes []*CongestionEpisode
 	// faults is the fault-injection configuration (zero = disabled);
 	// see faults.go.
 	faults FaultConfig
+}
+
+// hostEntry is the network's record of a registered host: the caller's
+// Host plus the per-host inputs to every path profile, computed once by
+// AddHost. Nothing in the module edits a Host's Country or Loc after
+// AddHost, and a Path's profile does not follow later edits anyway.
+type hostEntry struct {
+	*Host
+	quality Quality
+	// hub is the nearest exchange point, set only for QualityIsland
+	// hosts: the only endpoints whose hub a profile reads.
+	hub geo.Point
 }
 
 // CongestionEpisode is a transient regional overload: every path with
@@ -119,29 +161,39 @@ type CongestionEpisode struct {
 }
 
 // StartCongestion activates an episode and returns a handle to stop it.
+// Samples already in flight finish under the snapshot they loaded.
 func (n *Network) StartCongestion(ep CongestionEpisode) (stop func()) {
+	live := &ep
 	n.mu.Lock()
-	n.congestion = append(n.congestion, ep)
-	idx := len(n.congestion) - 1
+	n.publish(func(s *netState) { s.episodes = append(s.episodes, live) })
 	n.mu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			// Mark dead rather than reslice: other handles hold indices.
-			n.congestion[idx].ExtraJitterMeanMs = 0
-			n.congestion[idx].ExtraBaseMs = 0
-			n.congestion[idx].Area.RadiusKm = 0
+			// The survivors keep their start order, so every sum over
+			// them adds in the same order as before the stop.
+			n.publish(func(s *netState) {
+				s.episodes = slices.DeleteFunc(s.episodes, func(e *CongestionEpisode) bool { return e == live })
+			})
 		})
 	}
 }
 
-// congestionFor sums the active episodes touching either endpoint.
-func (n *Network) congestionFor(a, b *Host) (extraBase, extraJitter float64) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for _, ep := range n.congestion {
+// publish stores a copy of the current snapshot changed by edit, which
+// may append to or delete from its own copy of the episodes. The caller
+// holds n.mu, so no write is lost between the load and the store.
+func (n *Network) publish(edit func(*netState)) {
+	next := *n.state.Load()
+	next.episodes = slices.Clone(next.episodes)
+	edit(&next)
+	n.state.Store(&next)
+}
+
+// congestionFor sums the episodes touching either endpoint.
+func (s *netState) congestionFor(a, b *Host) (extraBase, extraJitter float64) {
+	for _, ep := range s.episodes {
 		if ep.Area.RadiusKm <= 0 {
 			continue
 		}
@@ -157,9 +209,9 @@ func (n *Network) congestionFor(a, b *Host) (extraBase, extraJitter float64) {
 // per-path properties; two networks with the same seed and hosts produce
 // identical base delays.
 func New(seed int64) *Network {
-	return &Network{
+	n := &Network{
 		seed:  seed,
-		hosts: make(map[HostID]*Host),
+		hosts: make(map[HostID]hostEntry),
 		hubs: []geo.Point{
 			{Lat: 50.11, Lon: 8.68},    // Frankfurt
 			{Lat: 52.37, Lon: 4.89},    // Amsterdam
@@ -174,6 +226,8 @@ func New(seed int64) *Network {
 			{Lat: -26.20, Lon: 28.05},  // Johannesburg
 		},
 	}
+	n.state.Store(&netState{})
+	return n
 }
 
 // Seed returns the network's seed.
@@ -201,7 +255,11 @@ func (n *Network) AddHost(h *Host) error {
 	if h.AccessDelayMs == 0 {
 		h.AccessDelayMs = 1.0
 	}
-	n.hosts[h.ID] = h
+	e := hostEntry{Host: h, quality: countryQuality(h.Country)}
+	if e.quality == QualityIsland {
+		e.hub = n.nearestHub(h.Loc)
+	}
+	n.hosts[h.ID] = e
 	return nil
 }
 
@@ -226,7 +284,7 @@ func (n *Network) RemoveHost(id HostID) bool {
 func (n *Network) Host(id HostID) *Host {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.hosts[id]
+	return n.hosts[id].Host
 }
 
 // Hosts returns all hosts sorted by ID.
@@ -234,8 +292,8 @@ func (n *Network) Hosts() []*Host {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	out := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		out = append(out, h)
+	for _, e := range n.hosts {
+		out = append(out, e.Host)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -288,18 +346,22 @@ type pathProfile struct {
 }
 
 // profile computes the deterministic path profile for a pair of hosts.
-func (n *Network) profile(a, b *Host) pathProfile {
+// Only the pair's own work happens here, its distance and its hash; the
+// endpoints' qualities and hubs were computed by AddHost.
+func (n *Network) profile(a, b *hostEntry) pathProfile {
 	d := geo.DistanceKm(a.Loc, b.Loc)
-	qa, qb := countryQuality(a.Country), countryQuality(b.Country)
+	qa, qb := a.quality, b.quality
 
 	// Hub routing: island or poorly connected territories in different
 	// countries reach each other through the nearest hub, inflating the
 	// effective routed distance — possibly enormously for neighbors.
+	// The route goes via the asking end's hub when it is an island, else
+	// via the other end's.
 	eff := d
 	if a.Country != b.Country && (qa == QualityIsland || qb == QualityIsland) {
-		hub := n.nearestHub(a.Loc)
-		if qb == QualityIsland && qa != QualityIsland {
-			hub = n.nearestHub(b.Loc)
+		hub := a.hub
+		if qa != QualityIsland {
+			hub = b.hub
 		}
 		viaHub := geo.DistanceKm(a.Loc, hub) + geo.DistanceKm(hub, b.Loc)
 		if viaHub > eff {
@@ -460,14 +522,14 @@ var ErrTimeout = errors.New("netsim: connection timed out")
 // must cope with.
 func (n *Network) TCPConnect(from, to HostID, port int, rng *rand.Rand) (float64, error) {
 	p := n.Path(from, to)
-	return p.connect(port, rng)
+	return p.connect(p.n.state.Load(), port, rng)
 }
 
 // CanTraceroute reports whether time-exceeded-based route tracing through
 // the host is possible.
 func (n *Network) CanTraceroute(through HostID) (bool, error) {
 	n.mu.RLock()
-	h := n.hosts[through]
+	h := n.hosts[through].Host
 	n.mu.RUnlock()
 	if h == nil {
 		return false, ErrUnknownHost

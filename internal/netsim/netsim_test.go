@@ -381,12 +381,20 @@ func TestRTTQuickProperties(t *testing.T) {
 
 // TestHotPathsDoNotAllocate: the primitives every measurement goes
 // through, by ID and on a resolved Path, allocate nothing on their
-// success paths.
+// success paths, and neither does reading the fault configuration or
+// sampling a path an active congestion episode touches.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	n := newTestNet(t)
 	rng := rand.New(rand.NewSource(3))
 	clk := &Clock{}
 	path := n.Path("fra", "pek")
+	congested := n.Path("ams", "nyc")
+	stop := n.StartCongestion(CongestionEpisode{
+		Area:        geo.Cap{Center: geo.Point{Lat: 52.37, Lon: 4.89}, RadiusKm: 200},
+		ExtraBaseMs: 10,
+	})
+	defer stop()
+	var cfg FaultConfig
 	for _, c := range []struct {
 		name string
 		f    func()
@@ -400,10 +408,15 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		{"Path.BaseRTTMs", func() { benchSink, _ = path.BaseRTTMs() }},
 		{"Path.SampleRTTMs", func() { benchSink, _ = path.SampleRTTMs(rng) }},
 		{"Path.Probe", func() { benchSink, _ = path.Probe(80, rng, clk) }},
+		{"Faults", func() { cfg = n.Faults() }},
+		{"Path.SampleRTTMs congested", func() { benchSink, _ = congested.SampleRTTMs(rng) }},
 	} {
 		if a := testing.AllocsPerRun(200, c.f); a != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", c.name, a)
 		}
+	}
+	if cfg.Enabled() {
+		t.Errorf("Faults() = %+v on a network that never armed them", cfg)
 	}
 }
 

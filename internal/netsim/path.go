@@ -8,11 +8,13 @@ import (
 
 // Path is one directed measurement leg, resolved once: both hosts are
 // looked up under one read lock and, for two distinct known hosts, the
-// pair's path profile is computed once. Every attempt of a measurement
-// then reuses it, and draws exactly what the by-ID primitive would
-// draw: congestion episodes are read on each sample, each Probe takes
-// its own snapshot of the fault configuration, and an unknown host
-// fails at the same call with the same error.
+// pair's path profile is computed once from the per-host values AddHost
+// recorded. Every attempt of a measurement then reuses it, and draws
+// exactly what the by-ID primitive would draw: each sample loads the
+// network's current snapshot of congestion episodes without locking,
+// each Probe loads one snapshot of the fault configuration and episodes
+// for the whole probe, and an unknown host fails at the same call with
+// the same error.
 //
 // A Path lives for one measurement. It does not see RemoveHost, its
 // profile does not follow later edits to either host, and it is not a
@@ -32,9 +34,9 @@ func (n *Network) Path(from, to HostID) Path {
 	n.mu.RLock()
 	src, dst := n.hosts[from], n.hosts[to]
 	n.mu.RUnlock()
-	p := Path{n: n, from: from, to: to, src: src, dst: dst}
-	if src != nil && dst != nil && src != dst {
-		p.prof = n.profile(src, dst)
+	p := Path{n: n, from: from, to: to, src: src.Host, dst: dst.Host}
+	if p.src != nil && p.dst != nil && p.src != p.dst {
+		p.prof = n.profile(&src, &dst)
 		p.base = p.prof.baseRTT()
 	}
 	return p
@@ -59,12 +61,13 @@ func (p *Path) SampleRTTMs(rng *rand.Rand) (float64, error) {
 	if p.src == p.dst {
 		return selfRTTMs, nil
 	}
-	return p.sample(rng), nil
+	return p.sample(p.n.state.Load(), rng), nil
 }
 
-// sample draws one RTT of a path between distinct known hosts.
-func (p *Path) sample(rng *rand.Rand) float64 {
-	extraBase, extraJitter := p.n.congestionFor(p.src, p.dst)
+// sample draws one RTT of a path between distinct known hosts under
+// the congestion episodes of st.
+func (p *Path) sample(st *netState, rng *rand.Rand) float64 {
+	extraBase, extraJitter := st.congestionFor(p.src, p.dst)
 	rtt := p.base + extraBase + rng.ExpFloat64()*(p.prof.jitterMean+extraJitter)
 	if rng.Float64() < p.prof.spikeProb {
 		rtt += rng.ExpFloat64() * p.prof.spikeMean
@@ -72,8 +75,8 @@ func (p *Path) sample(rng *rand.Rand) float64 {
 	return rtt
 }
 
-// connect is Network.TCPConnect for the path's hosts.
-func (p *Path) connect(port int, rng *rand.Rand) (float64, error) {
+// connect is Network.TCPConnect for the path's hosts, sampled under st.
+func (p *Path) connect(st *netState, port int, rng *rand.Rand) (float64, error) {
 	if p.src == nil || p.dst == nil {
 		return 0, ErrUnknownHost
 	}
@@ -86,7 +89,7 @@ func (p *Path) connect(port int, rng *rand.Rand) (float64, error) {
 	var penalty, timeout float64 = 0, synRetransmitMs
 	for try := 0; try <= maxSynRetries; try++ {
 		if rng.Float64() >= p.prof.lossProb {
-			return p.sample(rng) + penalty, nil
+			return p.sample(st, rng) + penalty, nil
 		}
 		penalty += timeout
 		timeout *= 2
@@ -95,10 +98,11 @@ func (p *Path) connect(port int, rng *rand.Rand) (float64, error) {
 }
 
 // Probe is Network.Probe for the path's hosts: one snapshot of the
-// fault configuration judges the whole probe, even while SetFaults
-// re-arms the network.
+// fault configuration and the congestion episodes judges the whole
+// probe, even while SetFaults or StartCongestion changes the network.
 func (p *Path) Probe(port int, rng *rand.Rand, clk *Clock) (float64, error) {
-	cfg := p.n.Faults()
+	st := p.n.state.Load()
+	cfg := st.faults
 	if at := clk.NowMs(); p.n.down(cfg, p.to, at) {
 		clk.Advance(LostProbeTimeoutMs)
 		return 0, fmt.Errorf("%s at t=%.0fms: %w", p.to, at, ErrHostOutage)
@@ -107,7 +111,7 @@ func (p *Path) Probe(port int, rng *rand.Rand, clk *Clock) (float64, error) {
 		clk.Advance(LostProbeTimeoutMs)
 		return 0, fmt.Errorf("%s→%s: %w", p.from, p.to, ErrProbeLost)
 	}
-	rtt, err := p.connect(port, rng)
+	rtt, err := p.connect(st, port, rng)
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
 			// A full SYN-retransmission cycle ran before the give-up:

@@ -49,7 +49,7 @@ func (s *SynthSource) Len() int { return s.n }
 // in the repo.
 func (s *SynthSource) rngFor(i int) *rand.Rand {
 	id := netsim.HostID(fmt.Sprintf("synth-%07d", i))
-	return rand.New(rand.NewSource(s.seed ^ int64(netsim.HashID(id))))
+	return netsim.NewRand(s.seed ^ int64(netsim.HashID(id)))
 }
 
 // gen derives server i's spec and host in one draw sequence, so the
