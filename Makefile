@@ -15,7 +15,7 @@
 #   make race          full test suite under the race detector
 #   make race-smoke    quick audit pipeline, worker pool, measure batch and netsim's condition writers, under the race detector
 #   make soak          32-client atlasd soak (determinism + graceful drain) under -race
-#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface, the geometry kernel, Theil–Sen, rank selection, netsim.Path, netsim.NewRand and geoloc.Collapse
+#   make fuzz-smoke    30s/target fuzz pass over the atlasd wire surface and client source, the geometry kernel, Theil–Sen, rank selection, netsim.Path, netsim.NewRand and geoloc.Collapse
 #   make cover         per-package coverage with an 85% floor on the service packages
 
 GO ?= go
@@ -90,7 +90,8 @@ soak:
 	$(GO) test -race -count=1 -run '^TestSoak' ./internal/loadgen
 
 # Native fuzzing over the atlasd wire surface (query parsing, model
-# path handling and report decoding), over the geometry kernel (each
+# path handling and report decoding) and its client source (arbitrary
+# served landmark lists), over the geometry kernel (each
 # quantized-mask op, the ring constraint, the pruned coverage argmax and
 # geoloc.IntersectOrArgmax, against their per-cell oracles), over
 # Theil–Sen's median-slope selection (against the all-pairs
@@ -103,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhase2Query$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzModelPath$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime $(FUZZTIME) ./internal/atlasd
+	$(GO) test -run '^$$' -fuzz '^FuzzServedLandmarks$$' -fuzztime $(FUZZTIME) ./internal/atlasd
 	for f in FuzzFillWithinKm FuzzIntersectWithinKm FuzzFillRingKm FuzzCoverageArgmax; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/grid || exit 1; done
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectOrArgmax$$' -fuzztime $(FUZZTIME) ./internal/refimpl
 	for f in FuzzTheilSen FuzzSelectRank; do $(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/mathx || exit 1; done

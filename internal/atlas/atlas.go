@@ -93,9 +93,11 @@ type Constellation struct {
 	// reads the epoch to stamp dependency signatures.
 	epoch atomic.Uint64
 
-	// byCont is the landmark set grouped by continent, rebuilt by
+	// byCont is the landmark set grouped by continent, in All's order,
+	// and anchorsByCont its anchors alone: Select's pools, rebuilt by
 	// regroup wherever the landmark set changes.
-	byCont map[worldmap.Continent][]*Landmark
+	byCont        map[worldmap.Continent][]*Landmark
+	anchorsByCont map[worldmap.Continent][]*Landmark
 
 	// anchorSeq numbers anchors minted by AddAnchors. A monotonic
 	// counter — never an rng draw — so churned-in anchor IDs are unique
@@ -311,24 +313,54 @@ func (c *Constellation) Pooled() []mathx.XY {
 	return out
 }
 
-// ByContinent groups all landmarks by the continent of their country,
-// each group in All's order. The grouping is computed when the landmark
-// set changes (Build, Decommission, AddAnchors) and shared by every
-// caller, which must not mutate the map or its slices.
-func (c *Constellation) ByContinent() map[worldmap.Continent][]*Landmark {
-	return c.byCont
-}
-
-// regroup recomputes ByContinent's grouping from All. It runs before
-// the epoch bump that publishes a landmark-set change.
+// regroup recomputes Select's pools from All. It runs before the epoch
+// bump that publishes a landmark-set change.
 func (c *Constellation) regroup() {
 	out := map[worldmap.Continent][]*Landmark{}
+	anchors := map[worldmap.Continent][]*Landmark{}
 	for _, lm := range c.All() {
 		wc := worldmap.ByCode(lm.Host.Country)
 		if wc == nil {
 			continue
 		}
 		out[wc.Continent] = append(out[wc.Continent], lm)
+		if lm.IsAnchor {
+			anchors[wc.Continent] = append(anchors[wc.Continent], lm)
+		}
 	}
-	c.byCont = out
+	c.byCont, c.anchorsByCont = out, anchors
+}
+
+// Phase names a two-phase draw's pool: Phase1 draws from a continent's
+// anchors, Phase2 from all its landmarks (§4.1).
+type Phase int
+
+// The two phases.
+const Phase1, Phase2 Phase = 1, 2
+
+// Select is the two-phase selection rule that local campaigns and the
+// coordination server both run: the first min(n, len(pool)) entries of
+// rng.Perm over continent cont's anchors (Phase1) or all its landmarks
+// (Phase2), in All's order. It draws exactly what rng.Perm draws, into
+// one slice the caller owns.
+func (c *Constellation) Select(ph Phase, cont worldmap.Continent, n int, rng *rand.Rand) []*Landmark {
+	pool := c.byCont[cont]
+	if ph == Phase1 {
+		pool = c.anchorsByCont[cont]
+	}
+	// rng.Perm's loop (frozen by the Go 1 compatibility promise),
+	// permuting landmarks instead of indices: out[k] = pool[perm[k]].
+	out := make([]*Landmark, len(pool))
+	for i := range out {
+		j := rng.Intn(i + 1)
+		out[i] = out[j]
+		out[j] = pool[i]
+	}
+	return out[:min(n, len(out))]
+}
+
+// Draw is Select behind the landmark-source interface two-phase
+// campaigns draw from (measure.Source); a local draw cannot fail.
+func (c *Constellation) Draw(ph Phase, cont worldmap.Continent, n int, rng *rand.Rand) ([]*Landmark, error) {
+	return c.Select(ph, cont, n, rng), nil
 }

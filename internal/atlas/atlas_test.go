@@ -65,19 +65,15 @@ func TestBuildDeterministic(t *testing.T) {
 
 func TestEuropeanSkew(t *testing.T) {
 	c := buildSmall(t)
-	byCont := c.ByContinent()
-	eu := len(byCont[worldmap.Europe])
-	if eu < len(c.All())/3 {
+	byCont := map[worldmap.Continent]int{}
+	for _, lm := range c.All() {
+		byCont[worldmap.ByCode(lm.Host.Country).Continent]++
+	}
+	if eu := byCont[worldmap.Europe]; eu < len(c.All())/3 {
 		t.Errorf("Europe has %d of %d landmarks; expected the paper's European skew", eu, len(c.All()))
 	}
 	// At least five continent groups should be populated.
-	populated := 0
-	for _, lms := range byCont {
-		if len(lms) > 0 {
-			populated++
-		}
-	}
-	if populated < 5 {
+	if populated := len(byCont); populated < 5 {
 		t.Errorf("only %d continents populated", populated)
 	}
 }
@@ -301,10 +297,10 @@ func TestEpochTracksCalibration(t *testing.T) {
 	}
 }
 
-// TestByContinentTracksLandmarkSet: the precomputed grouping equals a
-// fresh grouping of All, slice order included, after Build, Decommission
-// and AddAnchors — also when AddAnchors stops at a duplicate host
-// partway through.
+// TestByContinentTracksLandmarkSet: Select draws from a grouping equal
+// to a fresh grouping of All by continent, slice order included, after
+// Build, Decommission and AddAnchors — also when AddAnchors stops at a
+// duplicate host partway through.
 func TestByContinentTracksLandmarkSet(t *testing.T) {
 	c := buildSmall(t)
 	check := func(step string) {
@@ -315,19 +311,9 @@ func TestByContinentTracksLandmarkSet(t *testing.T) {
 				want[wc.Continent] = append(want[wc.Continent], lm)
 			}
 		}
-		got := c.ByContinent()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d continent groups, want %d", step, len(got), len(want))
-		}
-		for cont, lms := range want {
-			g := got[cont]
-			if len(g) != len(lms) {
-				t.Fatalf("%s: %v has %d landmarks, want %d", step, cont, len(g), len(lms))
-			}
-			for i := range lms {
-				if g[i] != lms[i] {
-					t.Fatalf("%s: %v[%d] is %s, want %s", step, cont, i, g[i].Host.ID, lms[i].Host.ID)
-				}
+		for _, cont := range worldmap.AllContinents() {
+			if !checkSelect(t, c, cont, want[cont]) {
+				t.Fatalf("after %s", step)
 			}
 		}
 	}
@@ -350,4 +336,44 @@ func TestByContinentTracksLandmarkSet(t *testing.T) {
 		t.Fatalf("AddAnchors over a taken ID: ids %v, err %v", ids, err)
 	}
 	check("failed AddAnchors")
+}
+
+// checkSelect pins Select to its definition over one continent's
+// landmarks lms: the first min(n, len) entries of rng.Perm over the
+// anchors (Phase1) or over lms (Phase2), leaving rng exactly where
+// rng.Perm leaves it. It reports whether all held.
+func checkSelect(t *testing.T, c *Constellation, cont worldmap.Continent, lms []*Landmark) bool {
+	t.Helper()
+	var anchors []*Landmark
+	for _, lm := range lms {
+		if lm.IsAnchor {
+			anchors = append(anchors, lm)
+		}
+	}
+	for _, ph := range []Phase{Phase1, Phase2} {
+		pool := lms
+		if ph == Phase1 {
+			pool = anchors
+		}
+		for _, n := range []int{1, 3, 25, len(pool) + 1} {
+			got, ref := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+			drawn := c.Select(ph, cont, n, got)
+			perm := ref.Perm(len(pool))
+			if want := min(n, len(pool)); len(drawn) != want {
+				t.Errorf("Select(%d, %v, %d) drew %d landmarks, want %d", ph, cont, n, len(drawn), want)
+				return false
+			}
+			for k, lm := range drawn {
+				if lm != pool[perm[k]] {
+					t.Errorf("Select(%d, %v, %d)[%d] = %s, want %s", ph, cont, n, k, lm.Host.ID, pool[perm[k]].Host.ID)
+					return false
+				}
+			}
+			if got.Int63() != ref.Int63() {
+				t.Errorf("Select(%d, %v, %d) left rng elsewhere than rng.Perm", ph, cont, n)
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -22,6 +22,11 @@
 // does ("the commercial proxy servers we are studying offer only IPv4
 // connectivity").
 //
+// Neither side has a procedure of its own: the phase handlers select
+// with atlas.Constellation.Select and models are fitted with cbg.Fit,
+// as local campaigns and cbg.Calibrate do, and a tool's campaign is
+// measure.TwoPhase drawing from the client's Source (RemoteTwoPhase).
+//
 // # Operational properties
 //
 // The server is built to be driven hard by many concurrent tools:
@@ -240,22 +245,11 @@ func (s *Server) handlePhase1(w http.ResponseWriter, r *http.Request) {
 		perCont = n
 	}
 	draw := r.URL.Query().Get("draw")
-	byCont := s.cons.ByContinent()
 	var out []LandmarkInfo
 	for _, cont := range worldmap.AllContinents() {
-		var anchors []*atlas.Landmark
-		for _, lm := range byCont[cont] {
-			if lm.IsAnchor {
-				anchors = append(anchors, lm)
-			}
-		}
-		if len(anchors) == 0 {
-			continue
-		}
 		rng := s.drawRNG("phase1", cont.String(), perCont, draw)
-		perm := rng.Perm(len(anchors))
-		for i := 0; i < perCont && i < len(anchors); i++ {
-			out = append(out, toInfo(anchors[perm[i]], cont))
+		for _, lm := range s.cons.Select(atlas.Phase1, cont, perCont, rng) {
+			out = append(out, toInfo(lm, cont))
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -267,7 +261,7 @@ func (s *Server) handlePhase2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	contName := r.URL.Query().Get("continent")
-	cont, ok := continentByName(contName)
+	cont, ok := worldmap.ParseContinent(contName)
 	if !ok {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown continent %q", contName))
 		return
@@ -281,16 +275,15 @@ func (s *Server) handlePhase2(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	pool := s.cons.ByContinent()[cont]
-	if len(pool) == 0 {
+	rng := s.drawRNG("phase2", cont.String(), n, r.URL.Query().Get("draw"))
+	lms := s.cons.Select(atlas.Phase2, cont, n, rng)
+	if len(lms) == 0 {
 		httpError(w, http.StatusNotFound, "no landmarks on that continent")
 		return
 	}
-	rng := s.drawRNG("phase2", cont.String(), n, r.URL.Query().Get("draw"))
-	perm := rng.Perm(len(pool))
-	var out []LandmarkInfo
-	for i := 0; i < n && i < len(pool); i++ {
-		out = append(out, toInfo(pool[perm[i]], cont))
+	out := make([]LandmarkInfo, len(lms))
+	for i, lm := range lms {
+		out[i] = toInfo(lm, cont)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -318,54 +311,39 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // fitModel is the expensive per-landmark operation the cache coalesces:
-// fit the landmark's bestline from its calibration mesh, falling back
-// to the pooled line (itself fitted once per epoch, under the cache key
-// pooledKey) for landmarks without their own scatter.
+// cbg.Fit over the landmark's mesh, or the pooled line (fitted once per
+// epoch under pooledKey) without one — cbg.Calibrate's Line for it.
 func (s *Server) fitModel(id string) (ModelInfo, error) {
-	epoch := s.epoch.Load()
+	m := ModelInfo{LandmarkID: id, Epoch: s.epoch.Load()}
 	if id == pooledKey {
-		line, err := cbg.BestLine(cbg.ToOneWay(s.cons.Pooled()), s.cfg.Opts.Slowline)
+		line, err := cbg.Fit(s.cons.Pooled(), s.cfg.Opts)
 		if err != nil {
 			return ModelInfo{}, fmt.Errorf("pooled fit: %w", err)
 		}
-		return ModelInfo{
-			LandmarkID:   pooledKey,
-			SlopeMsPerKm: line.Slope,
-			InterceptMs:  line.Intercept,
-			Pooled:       true,
-			Epoch:        epoch,
-		}, nil
+		m.SlopeMsPerKm, m.InterceptMs, m.Pooled = line.Slope, line.Intercept, true
+		return m, nil
 	}
 	lm := s.cons.Landmark(netsim.HostID(id))
 	if lm == nil {
 		return ModelInfo{}, fmt.Errorf("unknown landmark %s", id)
 	}
-	pts := s.cons.Calibration(lm.Host.ID)
-	if lm.IsAnchor && len(pts) > 0 {
-		line, err := cbg.BestLine(cbg.ToOneWay(pts), s.cfg.Opts.Slowline)
+	if pts := s.cons.Calibration(lm.Host.ID); len(pts) > 0 {
+		line, err := cbg.Fit(pts, s.cfg.Opts)
 		if err != nil {
 			return ModelInfo{}, err
 		}
-		return ModelInfo{
-			LandmarkID:   id,
-			SlopeMsPerKm: line.Slope,
-			InterceptMs:  line.Intercept,
-			Epoch:        epoch,
-		}, nil
+		m.SlopeMsPerKm, m.InterceptMs = line.Slope, line.Intercept
+		return m, nil
 	}
 	pooled, err := s.models.get(pooledKey)
 	if err != nil {
 		return ModelInfo{}, err
 	}
-	return ModelInfo{
-		LandmarkID:   id,
-		SlopeMsPerKm: pooled.SlopeMsPerKm,
-		InterceptMs:  pooled.InterceptMs,
-		// Anchors without mesh data are served the pooled line but not
-		// flagged, matching cbg.Calibration semantics.
-		Pooled: !lm.IsAnchor,
-		Epoch:  epoch,
-	}, nil
+	m.SlopeMsPerKm, m.InterceptMs = pooled.SlopeMsPerKm, pooled.InterceptMs
+	// Anchors without mesh data are served the pooled line but not
+	// flagged: only probes are pooled by nature.
+	m.Pooled = !lm.IsAnchor
+	return m, nil
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -425,15 +403,6 @@ func toInfo(lm *atlas.Landmark, cont worldmap.Continent) LandmarkInfo {
 		Continent: cont.String(),
 		Anchor:    lm.IsAnchor,
 	}
-}
-
-func continentByName(name string) (worldmap.Continent, bool) {
-	for _, c := range worldmap.AllContinents() {
-		if strings.EqualFold(c.String(), name) {
-			return c, true
-		}
-	}
-	return 0, false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

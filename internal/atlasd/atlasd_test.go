@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"activegeo/internal/geo"
 	"activegeo/internal/measure"
 	"activegeo/internal/netsim"
+	"activegeo/internal/worldmap"
 )
 
 // cbgOptions mirrors the slowline calibration the old up-front fixture
@@ -72,71 +74,70 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestPhase1Landmarks: the phase-one list, read through the client
+// Source, is the constellation's own Select on the handler's stateless
+// stream — anchors only, at most 3 per continent, IPv4 addresses.
 func TestPhase1Landmarks(t *testing.T) {
-	ts, _ := testServer(t)
-	lms, err := client(ts).Phase1Landmarks(context.Background(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lms) == 0 {
-		t.Fatal("no landmarks")
-	}
-	perCont := map[string]int{}
-	for _, lm := range lms {
-		if !lm.Anchor {
-			t.Errorf("phase 1 must serve anchors only, got probe %s", lm.ID)
+	ts, srv := testServer(t)
+	src := client(ts).Source(context.Background(), "")
+	served := 0
+	for _, cont := range worldmap.AllContinents() {
+		lms, err := src.Draw(atlas.Phase1, cont, 3, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if lm.Addr == "" || strings.Contains(lm.Addr, ":") {
-			t.Errorf("landmark %s addr %q not a bare IPv4", lm.ID, lm.Addr)
+		want := srv.cons.Select(atlas.Phase1, cont, 3, srv.drawRNG("phase1", cont.String(), 3, ""))
+		if len(lms) != len(want) {
+			t.Fatalf("%v: served %d anchors, Select draws %d", cont, len(lms), len(want))
 		}
-		perCont[lm.Continent]++
-	}
-	for cont, n := range perCont {
-		if n > 3 {
-			t.Errorf("continent %s served %d anchors, max 3", cont, n)
+		for i, lm := range lms {
+			if lm.Host.ID != want[i].Host.ID || !lm.IsAnchor {
+				t.Errorf("%v[%d]: served %s (anchor %v), Select draws %s", cont, i, lm.Host.ID, lm.IsAnchor, want[i].Host.ID)
+			}
+			if lm.Host.Addr == "" || strings.Contains(lm.Host.Addr, ":") {
+				t.Errorf("landmark %s addr %q not a bare IPv4", lm.Host.ID, lm.Host.Addr)
+			}
+		}
+		if len(lms) > 0 {
+			served++
 		}
 	}
-	if len(perCont) < 4 {
-		t.Errorf("only %d continents served", len(perCont))
+	if served < 4 {
+		t.Errorf("only %d continents served", served)
 	}
 }
 
+// TestPhase2Landmarks: a phase-two draw stays on its continent and is
+// stateless — the same draw key always yields the same set, a different
+// key (almost surely) a different one.
 func TestPhase2Landmarks(t *testing.T) {
 	ts, _ := testServer(t)
 	c := client(ts)
-	lms, err := c.Phase2Landmarks(context.Background(), "Europe", 10, "client-a")
-	if err != nil {
-		t.Fatal(err)
+	draw := func(key string) []*atlas.Landmark {
+		t.Helper()
+		lms, err := c.Source(context.Background(), key).Draw(atlas.Phase2, worldmap.Europe, 10, nil)
+		if err != nil {
+			t.Fatal(err) // ErrMalformed covers a landmark off the continent
+		}
+		return lms
 	}
+	lms := draw("client-a")
 	if len(lms) == 0 || len(lms) > 10 {
 		t.Fatalf("landmarks = %d", len(lms))
 	}
-	for _, lm := range lms {
-		if lm.Continent != "Europe" {
-			t.Errorf("landmark %s on %s", lm.ID, lm.Continent)
-		}
-	}
-	// Selection is stateless: the same draw key always yields the same
-	// set, a different key (almost surely) a different one.
-	again, err := c.Phase2Landmarks(context.Background(), "Europe", 10, "client-a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := draw("client-a")
 	if len(again) != len(lms) {
 		t.Fatalf("repeat draw size %d != %d", len(again), len(lms))
 	}
 	for i := range lms {
-		if lms[i].ID != again[i].ID {
-			t.Errorf("repeat draw differs at %d: %s != %s", i, lms[i].ID, again[i].ID)
+		if lms[i].Host.ID != again[i].Host.ID {
+			t.Errorf("repeat draw differs at %d: %s != %s", i, lms[i].Host.ID, again[i].Host.ID)
 		}
 	}
-	other, err := c.Phase2Landmarks(context.Background(), "Europe", 10, "client-b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := draw("client-b")
 	same := true
 	for i := range lms {
-		if i >= len(other) || lms[i].ID != other[i].ID {
+		if i >= len(other) || lms[i].Host.ID != other[i].Host.ID {
 			same = false
 			break
 		}
@@ -148,17 +149,15 @@ func TestPhase2Landmarks(t *testing.T) {
 
 func TestPhase2Errors(t *testing.T) {
 	ts, _ := testServer(t)
-	c := client(ts)
-	if _, err := c.Phase2Landmarks(context.Background(), "Atlantis", 10, ""); err == nil {
-		t.Error("unknown continent should fail")
-	}
-	resp, err := http.Get(ts.URL + "/v1/landmarks/phase2?continent=Europe&n=99999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("huge n: status %d", resp.StatusCode)
+	for _, q := range []string{"continent=Atlantis&n=10", "continent=Europe&n=99999"} {
+		resp, err := http.Get(ts.URL + "/v1/landmarks/phase2?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d", q, resp.StatusCode)
+		}
 	}
 }
 
@@ -522,7 +521,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := testServer(t)
 	c := client(ts)
 	ctx := context.Background()
-	if _, err := c.Phase1Landmarks(ctx, "m"); err != nil {
+	if _, err := c.Source(ctx, "m").Draw(atlas.Phase1, worldmap.Europe, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Model(ctx, string(fixCons.Anchors()[0].Host.ID)); err != nil {
@@ -549,55 +548,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestEndToEndTwoPhaseOverHTTP(t *testing.T) {
-	// A client walks the full §4.1 protocol over the wire: phase 1 →
-	// deduce continent → phase 2 → fetch a model → upload results.
-	ts, srv := testServer(t)
-	c := client(ts)
-	ctx := context.Background()
-
-	p1, err := c.Phase1Landmarks(ctx, "e2e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pretend the lowest simulated RTT came from a European anchor.
-	continent := "Europe"
-	p2, err := c.Phase2Landmarks(ctx, continent, 5, "e2e")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var samples []ReportSample
-	for _, lm := range p2 {
-		m, err := c.Model(ctx, lm.ID)
-		if err != nil {
-			t.Fatalf("model for %s: %v", lm.ID, err)
-		}
-		_ = m
-		samples = append(samples, ReportSample{LandmarkID: lm.ID, RTTms: 30})
-	}
-	if err := c.Upload(ctx, Report{Client: "e2e", Samples: samples}); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(srv.Reports()); n == 0 {
-		t.Error("no reports stored")
-	}
-	_ = p1
-}
-
 func TestRemoteTwoPhase(t *testing.T) {
 	ts, srv := testServer(t)
 	c := client(ts)
 	ctx := context.Background()
 
-	// A target in Berlin measured via HTTP-served landmarks.
-	net := fixCons.Net()
-	from := netsim.HostID("remote-tp-berlin")
-	if net.Host(from) == nil {
-		if err := net.AddHost(&netsim.Host{ID: from, Loc: geoPoint(52.52, 13.405)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tool := &measure.CLITool{Net: net}
+	from := berlin(t)
+	tool := &measure.CLITool{Net: fixCons.Net()}
 	res, err := RemoteTwoPhase(ctx, c, tool, from, 10, 1, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -644,6 +601,128 @@ func TestRemoteTwoPhase(t *testing.T) {
 		if !m.Landmark.Valid() || m.RTTms <= 0 {
 			t.Fatalf("bad measurement %+v", m)
 		}
+	}
+}
+
+// berlin returns a measurement target in Berlin, added to the fixture's
+// network on first use.
+func berlin(t *testing.T) netsim.HostID {
+	t.Helper()
+	net := testCons().Net()
+	from := netsim.HostID("remote-tp-berlin")
+	if net.Host(from) == nil {
+		if err := net.AddHost(&netsim.Host{ID: from, Loc: geoPoint(52.52, 13.405)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return from
+}
+
+// TestRemoteWebToolCountsSecondTrip: the web tool over served landmarks
+// measures each one as it measures the local landmark — a port-80
+// landmark costs a second round trip (Trips == 2) — so the campaign's
+// samples equal, RTT bit for bit, the tool's local measurements of the
+// same landmarks drawn from the same seed (the served draw takes
+// nothing from the stream).
+func TestRemoteWebToolCountsSecondTrip(t *testing.T) {
+	ts, _ := testServer(t)
+	from := berlin(t)
+	tool := &measure.WebTool{Net: fixCons.Net()}
+	res, err := RemoteTwoPhase(context.Background(), client(ts), tool, from, 25, 1, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	twoTrips := 0
+	for i, got := range res.Samples() {
+		want, err := tool.Measure(from, fixCons.Landmark(got.LandmarkID), rng)
+		if err != nil {
+			t.Fatalf("sample %d (%s): local measurement failed: %v", i, got.LandmarkID, err)
+		}
+		if got != want {
+			t.Fatalf("sample %d: served %+v, local %+v", i, got, want)
+		}
+		if got.Trips == 2 {
+			twoTrips++
+		}
+	}
+	if twoTrips == 0 {
+		t.Fatalf("none of %d samples counted a second round trip", len(res.Samples()))
+	}
+	t.Logf("%d of %d samples measured two round trips", twoTrips, len(res.Samples()))
+}
+
+// TestModelMatchesCalibrate: every served model is, bit for bit, the
+// line cbg.Calibrate fits for the same landmark, and Pooled marks
+// exactly the probes.
+func TestModelMatchesCalibrate(t *testing.T) {
+	ts, _ := testServer(t)
+	c := client(ts)
+	cal, err := cbg.Calibrate(testCons(), cbgOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lm := range fixCons.All() {
+		m, err := c.Model(context.Background(), string(lm.Host.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := cal.Line(lm.Host.ID)
+		if math.Float64bits(m.SlopeMsPerKm) != math.Float64bits(line.Slope) ||
+			math.Float64bits(m.InterceptMs) != math.Float64bits(line.Intercept) {
+			t.Errorf("%s: served %v + %v·d, Calibrate %v + %v·d", lm.Host.ID, m.InterceptMs, m.SlopeMsPerKm, line.Intercept, line.Slope)
+		}
+		if m.Pooled != !lm.IsAnchor {
+			t.Errorf("%s: pooled = %v for anchor = %v", lm.Host.ID, m.Pooled, lm.IsAnchor)
+		}
+	}
+}
+
+// TestSourceUnknownContinent: a served landmark on a continent the
+// client does not know ends the campaign with ErrUnknownContinent, in
+// either phase, instead of being measured as some default continent.
+func TestSourceUnknownContinent(t *testing.T) {
+	anchor := fixCons.Anchors()[0].Host
+	list := func(continent string) []byte {
+		b, err := json.Marshal([]LandmarkInfo{{ID: string(anchor.ID), Addr: anchor.Addr,
+			Lat: anchor.Loc.Lat, Lon: anchor.Loc.Lon, Continent: continent, Anchor: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, c := range map[string]*Client{
+		"phase 1": stubClient(list("Atlantis"), list("Europe")),
+		"phase 2": stubClient(list("Europe"), list("Atlantis")),
+	} {
+		_, err := RemoteTwoPhase(context.Background(), c, &measure.CLITool{Net: fixCons.Net()}, berlin(t), 10, 1, rand.New(rand.NewSource(3)))
+		if !errors.Is(err, ErrUnknownContinent) {
+			t.Errorf("%s: err = %v, want ErrUnknownContinent", name, err)
+		}
+	}
+}
+
+// TestRemoteSourceErrorEndsCampaign: a landmark fetch that fails for
+// good ends the campaign with that error — it is not skipped like an
+// unreachable landmark — and nothing is reported.
+func TestRemoteSourceErrorEndsCampaign(t *testing.T) {
+	_, srv := testServer(t)
+	h := srv.Handler()
+	failing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/landmarks/phase2" {
+			httpError(w, http.StatusInternalServerError, "boom")
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+	c := &Client{BaseURL: "http://inproc", HTTPClient: &http.Client{Transport: handlerTransport{failing}}}
+	_, err := RemoteTwoPhase(context.Background(), c, &measure.CLITool{Net: fixCons.Net()}, berlin(t), 10, 1, rand.New(rand.NewSource(3)))
+	var he *HTTPError
+	if !errors.As(err, &he) || he.Status != http.StatusInternalServerError {
+		t.Fatalf("err = %v, want the phase-2 fetch's 500", err)
+	}
+	if n := len(srv.Reports()); n != 0 {
+		t.Errorf("%d reports ledgered by a failed campaign", n)
 	}
 }
 

@@ -32,6 +32,12 @@ func (e *HTTPError) Is(target error) bool { return target == ErrServer }
 // (429). A 503 means the server is draining for shutdown — terminal.
 func (e *HTTPError) Temporary() bool { return e.Status == http.StatusTooManyRequests }
 
+// ErrMalformed is returned for a 2xx response the client cannot use: a
+// body that does not decode, or a served landmark list that breaks the
+// draw's contract (a probe in phase one, a landmark off the requested
+// continent, a missing ID or an invalid location).
+var ErrMalformed = errors.New("atlasd: malformed response")
+
 // Client talks to a coordination server.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
@@ -64,7 +70,10 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 		_, err := io.Copy(io.Discard, resp.Body) // drain for keep-alive
 		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	return nil
 }
 
 func (c *Client) get(ctx context.Context, path string, out interface{}) error {
@@ -83,41 +92,6 @@ func readErr(r io.Reader) string {
 		return e.Error
 	}
 	return "unknown error"
-}
-
-// drawParam encodes the optional stateless-selection draw key.
-func drawParam(draw string) string {
-	if draw == "" {
-		return ""
-	}
-	return "&draw=" + url.QueryEscape(draw)
-}
-
-// Phase1Landmarks fetches the widely dispersed phase-one anchor set.
-// The draw key selects which deterministic permutation the server
-// serves; distinct clients pass distinct keys to spread load.
-func (c *Client) Phase1Landmarks(ctx context.Context, draw string) ([]LandmarkInfo, error) {
-	var out []LandmarkInfo
-	path := "/v1/landmarks/phase1"
-	if draw != "" {
-		path += "?draw=" + url.QueryEscape(draw)
-	}
-	if err := c.get(ctx, path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Phase2Landmarks fetches n landmarks on a continent, permuted by the
-// draw key.
-func (c *Client) Phase2Landmarks(ctx context.Context, continent string, n int, draw string) ([]LandmarkInfo, error) {
-	var out []LandmarkInfo
-	path := fmt.Sprintf("/v1/landmarks/phase2?continent=%s&n=%d%s",
-		url.QueryEscape(continent), n, drawParam(draw))
-	if err := c.get(ctx, path, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Model fetches a landmark's delay-distance model.

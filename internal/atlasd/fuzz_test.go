@@ -2,7 +2,9 @@ package atlasd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -15,6 +17,7 @@ import (
 	"activegeo/internal/atlas"
 	"activegeo/internal/cbg"
 	"activegeo/internal/netsim"
+	"activegeo/internal/worldmap"
 )
 
 // The fuzz fixture is deliberately tiny — fuzzing throughput matters
@@ -214,5 +217,82 @@ func FuzzReportDecode(f *testing.F) {
 		default:
 			t.Fatalf("unexpected status %d for %q", rec.Code, body)
 		}
+	})
+}
+
+// handlerTransport serves a Client's requests straight from a handler,
+// in process.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// stubClient is a Client of a stub server that answers the phase-one
+// and phase-two landmark routes with fixed bodies.
+func stubClient(phase1, phase2 []byte) *Client {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/landmarks/phase1", func(w http.ResponseWriter, _ *http.Request) { w.Write(phase1) })
+	mux.HandleFunc("/v1/landmarks/phase2", func(w http.ResponseWriter, _ *http.Request) { w.Write(phase2) })
+	return &Client{BaseURL: "http://stub", HTTPClient: &http.Client{Transport: handlerTransport{mux}}}
+}
+
+// FuzzServedLandmarks serves arbitrary phase-one and phase-two bodies
+// to a client Source. Invariants: Draw never panics; every success
+// returns at most n landmarks, each with an ID, a valid location and a
+// served description on the continent asked for (anchors only in phase
+// one); every failure is ErrUnknownContinent or ErrMalformed; and a
+// decodable list naming an unknown continent never succeeds.
+func FuzzServedLandmarks(f *testing.F) {
+	good := `[{"id":"a","addr":"192.0.2.1","lat":52.5,"lon":13.4,"continent":"Europe","anchor":true}]`
+	f.Add([]byte(good), []byte(good))
+	f.Add([]byte(`[{"id":"a","lat":1,"lon":1,"continent":"Atlantis","anchor":true}]`), []byte(good))
+	f.Add([]byte(good), []byte(`[{"id":"b","lat":1,"lon":1,"continent":"Asia"}]`))
+	f.Add([]byte(`[{"id":"a","lat":91,"lon":1,"continent":"europe","anchor":true}]`), []byte(`null`))
+	f.Add([]byte(`[{"id":"p","lat":1,"lon":1,"continent":"Asia"}]`), []byte(`[{"id":"","lat":1,"lon":1,"continent":"Europe"}]`))
+	f.Add([]byte(`{"id":"a"}`), []byte(`[1,2`))
+	f.Add([]byte(``), []byte(`[{"lat":"x"}]`))
+
+	f.Fuzz(func(t *testing.T, phase1, phase2 []byte) {
+		src := stubClient(phase1, phase2).Source(context.Background(), "fuzz|1")
+		check := func(ph atlas.Phase, cont worldmap.Continent, body []byte) {
+			const n = 3
+			lms, err := src.Draw(ph, cont, n, nil)
+			var infos []LandmarkInfo
+			decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&infos) == nil
+			if err != nil {
+				if !errors.Is(err, ErrUnknownContinent) && !errors.Is(err, ErrMalformed) {
+					t.Fatalf("phase %d %v: untyped error %v", ph, cont, err)
+				}
+				return
+			}
+			for _, info := range infos {
+				if _, ok := worldmap.ParseContinent(info.Continent); decoded && !ok {
+					t.Fatalf("phase %d %v: succeeded over unknown continent %q", ph, cont, info.Continent)
+				}
+			}
+			if len(lms) > n {
+				t.Fatalf("phase %d %v: %d landmarks for n=%d", ph, cont, len(lms), n)
+			}
+			for _, lm := range lms {
+				if lm.Host.ID == "" || !lm.Host.Loc.Valid() || (ph == atlas.Phase1 && !lm.IsAnchor) {
+					t.Fatalf("phase %d %v: bad landmark %+v (anchor %v)", ph, cont, lm.Host, lm.IsAnchor)
+				}
+				onCont := false
+				for _, info := range infos {
+					c, ok := worldmap.ParseContinent(info.Continent)
+					onCont = onCont || (ok && c == cont && netsim.HostID(info.ID) == lm.Host.ID)
+				}
+				if !onCont {
+					t.Fatalf("phase %d: landmark %s not served on %v", ph, lm.Host.ID, cont)
+				}
+			}
+		}
+		for _, cont := range worldmap.AllContinents() {
+			check(atlas.Phase1, cont, phase1)
+		}
+		check(atlas.Phase2, worldmap.Europe, phase2)
 	})
 }

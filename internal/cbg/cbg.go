@@ -52,18 +52,25 @@ func Calibrate(cons *atlas.Constellation, opts Options) (*Calibration, error) {
 		if len(pts) == 0 {
 			continue
 		}
-		line, err := BestLine(ToOneWay(pts), opts.Slowline)
+		line, err := Fit(pts, opts)
 		if err != nil {
 			return nil, fmt.Errorf("cbg: calibrating %s: %w", a.Host.ID, err)
 		}
 		cal.lines[a.Host.ID] = line
 	}
-	pooled, err := BestLine(ToOneWay(cons.Pooled()), opts.Slowline)
+	pooled, err := Fit(cons.Pooled(), opts)
 	if err != nil {
 		return nil, fmt.Errorf("cbg: pooled calibration: %w", err)
 	}
 	cal.pooled = pooled
 	return cal, nil
+}
+
+// Fit is the per-landmark fit: the bestline of one (distance km, RTT
+// ms) scatter, a landmark's own mesh or the pooled samples. Calibrate
+// and the coordination server's models both fit with it.
+func Fit(pts []mathx.XY, opts Options) (mathx.Line, error) {
+	return BestLine(ToOneWay(pts), opts.Slowline)
 }
 
 // ToOneWay converts (distance, RTT) calibration samples to the

@@ -54,11 +54,13 @@ func TestLocateAllocs(t *testing.T) {
 }
 
 // TestMeasureAllocs holds the allocation savings of the constellation's
-// precomputed continent grouping (atlas.Constellation.ByContinent): the
+// precomputed continent groups (atlas.Constellation.Select's pools): the
 // mean allocations of one honest measure.ProxiedTwoPhase over the quick
 // fleet's first 48 servers, each on its own stream re-seeded in place so
 // that building the streams is not counted. When every run regrouped the
-// landmarks a run made 95; now it makes 53. Resolving each leg once
+// landmarks a run made 95; with the landmarks grouped, 53; with the
+// anchors grouped too and each draw permuting landmarks in one slice,
+// 24. Resolving each leg once
 // (netsim.Path) saves time, not allocations: the netsim primitives
 // allocate nothing either way (TestHotPathsDoNotAllocate).
 func TestMeasureAllocs(t *testing.T) {

@@ -73,18 +73,19 @@ type CLITool struct {
 	Clock *netsim.Clock
 }
 
-func (t *CLITool) attempts() int {
-	if t.Attempts < 1 {
+// attempts is a tool's Attempts setting, 3 when unset.
+func attempts(n int) int {
+	if n < 1 {
 		return 3
 	}
-	return t.Attempts
+	return n
 }
 
 // Measure implements Tool.
 func (t *CLITool) Measure(from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (Sample, error) {
 	leg := t.Net.Path(from, lm.Host.ID)
 	best := -1.0
-	for i := 0; i < t.attempts(); i++ {
+	for i := 0; i < attempts(t.Attempts); i++ {
 		rtt, err := leg.Probe(HTTPPort, rng, t.Clock)
 		if err != nil {
 			return Sample{}, fmt.Errorf("measure: cli %s→%s: %w", from, lm.Host.ID, err)
@@ -150,23 +151,18 @@ type WebTool struct {
 	Clock *netsim.Clock
 }
 
-func (t *WebTool) attempts() int {
-	if t.Attempts < 1 {
-		return 3
-	}
-	return t.Attempts
-}
-
 // Measure implements Tool.
 func (t *WebTool) Measure(from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand) (Sample, error) {
 	jitter, outlierProb, outlierMean := webNoise(t.OS, t.Browser)
+	// Port 80 is read from the host probed: a served landmark's
+	// description does not carry it.
+	leg := t.Net.Path(from, lm.Host.ID)
 	trips := 1
-	if lm.Host.ListensHTTP {
+	if leg.ListensHTTP() {
 		trips = 2
 	}
-	leg := t.Net.Path(from, lm.Host.ID)
 	best := -1.0
-	for i := 0; i < t.attempts(); i++ {
+	for i := 0; i < attempts(t.Attempts); i++ {
 		rtt, err := leg.Probe(HTTPPort, rng, t.Clock)
 		if err != nil {
 			return Sample{}, fmt.Errorf("measure: web %s→%s: %w", from, lm.Host.ID, err)
@@ -191,9 +187,17 @@ func (t *WebTool) Measure(from netsim.HostID, lm *atlas.Landmark, rng *rand.Rand
 	return Sample{LandmarkID: lm.Host.ID, Landmark: lm.Host.Loc, RTTms: best, Trips: trips}, nil
 }
 
+// Source is where a two-phase campaign draws its landmark sets: up to
+// n landmarks on continent cont from phase ph's pool. A
+// *atlas.Constellation draws locally with rng; atlasd's client Source
+// fetches the server's draw. An error ends the campaign.
+type Source interface {
+	Draw(ph atlas.Phase, cont worldmap.Continent, n int, rng *rand.Rand) ([]*atlas.Landmark, error)
+}
+
 // TwoPhase is the §4.1 measurement procedure.
 type TwoPhase struct {
-	Cons *atlas.Constellation
+	Cons Source // a constellation, or atlasd's client Source
 	Tool Tool
 	// PerContinent is the number of anchors measured per continent in
 	// phase one (paper: 3).
@@ -234,8 +238,21 @@ func (r *Result) Measurements() []geoloc.Measurement {
 // landmarks for a phase.
 var ErrNoLandmarks = errors.New("measure: no usable landmarks")
 
-// Run executes the two-phase procedure for a client (or proxy) host.
+// Run executes the two-phase procedure for a client (or proxy) host,
+// and seals the resilient session's ledger, if any, into the result.
 func (tp *TwoPhase) Run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
+	res, err := tp.run(from, rng)
+	tp.Session.finish()
+	if err == nil && tp.Session != nil {
+		res.Deg = &tp.Session.Deg
+	}
+	return res, err
+}
+
+// run is Run before the ledger is sealed. Phase one asks the source for
+// each continent's anchors just before measuring them, so a local draw
+// interleaves each continent's rng.Perm with its measurements.
+func (tp *TwoPhase) run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
 	perCont := tp.PerContinent
 	if perCont < 1 {
 		perCont = 3
@@ -244,19 +261,18 @@ func (tp *TwoPhase) Run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
 	if second < 1 {
 		second = 25
 	}
-	byCont := tp.Cons.ByContinent()
 
 	// Phase one: a few widely dispersed anchors per continent.
 	res := &Result{}
 	bestRTT := -1.0
 	bestCont := worldmap.Europe
 	for _, cont := range worldmap.AllContinents() {
-		lms := anchorsOf(byCont[cont])
-		if len(lms) == 0 {
-			continue
+		lms, err := tp.Cons.Draw(atlas.Phase1, cont, perCont, rng)
+		if err != nil {
+			return nil, err
 		}
-		for _, i := range rng.Perm(len(lms))[:min(perCont, len(lms))] {
-			s, err := tp.Session.route(tp.Tool, from, lms[i], rng)
+		for _, lm := range lms {
+			s, err := tp.Session.route(tp.Tool, from, lm, rng)
 			if err != nil {
 				continue // unreachable landmark: skip, like the real tool
 			}
@@ -267,52 +283,22 @@ func (tp *TwoPhase) Run(from netsim.HostID, rng *rand.Rand) (*Result, error) {
 		}
 	}
 	if len(res.Phase1) == 0 {
-		tp.Session.finish()
 		return nil, ErrNoLandmarks
 	}
 	res.Continent = bestCont
 
 	// Phase two: random landmarks (anchors + stable probes) on the
 	// deduced continent.
-	pool := byCont[bestCont]
-	if len(pool) == 0 {
-		tp.seal(res)
-		return res, nil
+	lms, err := tp.Cons.Draw(atlas.Phase2, bestCont, second, rng)
+	if err != nil {
+		return nil, err
 	}
-	for _, i := range rng.Perm(len(pool))[:min(second, len(pool))] {
-		s, err := tp.Session.route(tp.Tool, from, pool[i], rng)
+	for _, lm := range lms {
+		s, err := tp.Session.route(tp.Tool, from, lm, rng)
 		if err != nil {
 			continue
 		}
 		res.Phase2 = append(res.Phase2, s)
 	}
-	tp.seal(res)
 	return res, nil
-}
-
-// seal closes the resilient session's ledger (if any) and attaches it
-// to the result.
-func (tp *TwoPhase) seal(res *Result) {
-	if tp.Session == nil {
-		return
-	}
-	tp.Session.finish()
-	res.Deg = &tp.Session.Deg
-}
-
-func anchorsOf(lms []*atlas.Landmark) []*atlas.Landmark {
-	out := lms[:0:0]
-	for _, lm := range lms {
-		if lm.IsAnchor {
-			out = append(out, lm)
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,13 @@
 package measure
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"activegeo/internal/algtest"
+	"activegeo/internal/atlas"
 	"activegeo/internal/geo"
 	"activegeo/internal/mathx"
 	"activegeo/internal/netsim"
@@ -187,5 +189,38 @@ func TestTwoPhaseRespectsSecondPhaseCount(t *testing.T) {
 	}
 	if len(res.Phase2) > 7 {
 		t.Errorf("phase 2 used %d landmarks, cap was 7", len(res.Phase2))
+	}
+}
+
+// failingSource draws phase one from a constellation and fails phase
+// two.
+type failingSource struct {
+	cons  *atlas.Constellation
+	calls []atlas.Phase
+}
+
+var errPhase2 = errors.New("phase two unavailable")
+
+func (s *failingSource) Draw(ph atlas.Phase, cont worldmap.Continent, n int, rng *rand.Rand) ([]*atlas.Landmark, error) {
+	s.calls = append(s.calls, ph)
+	if ph == atlas.Phase2 {
+		return nil, errPhase2
+	}
+	return s.cons.Draw(ph, cont, n, rng)
+}
+
+// TestTwoPhaseSourceErrorEndsRun: Run asks for phase one once per
+// continent, and a source error ends the campaign with that error
+// instead of being skipped like an unreachable landmark.
+func TestTwoPhaseSourceErrorEndsRun(t *testing.T) {
+	cons, _ := algtest.Fixture(t)
+	from := addTarget(t, cons.Net(), "m-tp-fail-berlin", geo.Point{Lat: 52.52, Lon: 13.405})
+	src := &failingSource{cons: cons}
+	tp := &TwoPhase{Cons: src, Tool: &CLITool{Net: cons.Net()}}
+	if res, err := tp.Run(from, rand.New(rand.NewSource(6))); !errors.Is(err, errPhase2) {
+		t.Fatalf("Run = %v, %v; want the source's error", res, err)
+	}
+	if len(src.calls) != worldmap.NumContinents+1 || src.calls[worldmap.NumContinents] != atlas.Phase2 {
+		t.Errorf("draws %v, want one phase-one draw per continent, then phase two", src.calls)
 	}
 }

@@ -51,13 +51,6 @@ func (t *ProxiedTool) legs() (out, back *netsim.Path) {
 	return &t.out, &t.back
 }
 
-func (t *ProxiedTool) attempts() int {
-	if t.Attempts < 1 {
-		return 3
-	}
-	return t.Attempts
-}
-
 // Measure implements Tool. The from argument is ignored — the client
 // configured on the tool originates every measurement, matching the
 // paper's single-client setup in Frankfurt.
@@ -65,7 +58,7 @@ func (t *ProxiedTool) Measure(_ netsim.HostID, lm *atlas.Landmark, rng *rand.Ran
 	client, _ := t.legs()
 	landmark := t.Net.Path(t.Proxy, lm.Host.ID)
 	best := -1.0
-	for i := 0; i < t.attempts(); i++ {
+	for i := 0; i < attempts(t.Attempts); i++ {
 		leg1, err := client.SampleRTTMs(rng)
 		if err != nil {
 			return Sample{}, fmt.Errorf("measure: proxied %s→%s: %w", t.Client, t.Proxy, err)
@@ -89,7 +82,7 @@ func (t *ProxiedTool) Measure(_ netsim.HostID, lm *atlas.Landmark, rng *rand.Ran
 func (t *ProxiedTool) SelfPing(rng *rand.Rand) (float64, error) {
 	outLeg, backLeg := t.legs()
 	best := -1.0
-	for i := 0; i < t.attempts(); i++ {
+	for i := 0; i < attempts(t.Attempts); i++ {
 		out, err := outLeg.SampleRTTMs(rng)
 		if err != nil {
 			return 0, err

@@ -45,14 +45,11 @@ func MinConnectRTT(ctx context.Context, addr string, attempts int) (time.Duratio
 // minRTT is MinConnectRTT over an injectable probe — the same min-of-k
 // loop, parameterized so the loss/partial-failure paths are testable
 // without a lossy real network.
-func minRTT(ctx context.Context, addr string, attempts int, probe func(context.Context, string) (time.Duration, error)) (time.Duration, error) {
-	if attempts < 1 {
-		attempts = 3
-	}
+func minRTT(ctx context.Context, addr string, tries int, probe func(context.Context, string) (time.Duration, error)) (time.Duration, error) {
 	var best time.Duration
 	var lastErr error
 	ok := false
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < attempts(tries); i++ {
 		rtt, err := probe(ctx, addr)
 		if err != nil {
 			lastErr = err

@@ -42,6 +42,10 @@ func (n *Network) Path(from, to HostID) Path {
 	return p
 }
 
+// ListensHTTP reports whether the path's destination host listens on
+// TCP port 80 (false when it is unknown).
+func (p *Path) ListensHTTP() bool { return p.dst != nil && p.dst.ListensHTTP }
+
 // BaseRTTMs is Network.BaseRTTMs for the path's hosts.
 func (p *Path) BaseRTTMs() (float64, error) {
 	if p.src == nil || p.dst == nil {

@@ -163,6 +163,24 @@ func TestPathUnknownHost(t *testing.T) {
 	}
 }
 
+// TestPathListensHTTP: the accessor reports the destination host's own
+// port-80 flag, whoever asks, and false for an unknown destination.
+func TestPathListensHTTP(t *testing.T) {
+	n := pathTestNet(t, 7)
+	if err := n.AddHost(&Host{ID: "web", Loc: geo.Point{Lat: 52.52, Lon: 13.40}, Country: "de", ListensHTTP: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		from, to HostID
+		want     bool
+	}{{"fra", "web", true}, {"ghost", "web", true}, {"web", "fra", false}, {"fra", "ghost", false}} {
+		p := n.Path(c.from, c.to)
+		if got := p.ListensHTTP(); got != c.want {
+			t.Errorf("%s→%s ListensHTTP = %v, want %v", c.from, c.to, got, c.want)
+		}
+	}
+}
+
 // TestBaseRTTSymmetricOffIslandPairs: a round trip's base RTT does not
 // depend on which end asks, for every pair of pathTestNet's hosts but
 // one kind. Two islands in different countries route through the

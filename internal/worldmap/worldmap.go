@@ -14,6 +14,7 @@ package worldmap
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"activegeo/internal/geo"
@@ -50,6 +51,17 @@ func (c Continent) String() string {
 		return "Unknown"
 	}
 	return continentNames[c]
+}
+
+// ParseContinent returns the continent whose String matches name, case
+// insensitively; ok is false for any other name.
+func ParseContinent(name string) (c Continent, ok bool) {
+	for i, s := range continentNames {
+		if strings.EqualFold(s, name) {
+			return Continent(i), true
+		}
+	}
+	return 0, false
 }
 
 // AllContinents lists every continent in Figure 22 order.

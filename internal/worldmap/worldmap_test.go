@@ -1,6 +1,7 @@
 package worldmap
 
 import (
+	"strings"
 	"testing"
 
 	"activegeo/internal/datacenter"
@@ -180,6 +181,23 @@ func TestContinentString(t *testing.T) {
 	}
 	if len(AllContinents()) != NumContinents {
 		t.Error("AllContinents size")
+	}
+}
+
+// TestParseContinent: every continent round-trips through its name in
+// any case, and no other name parses — "Unknown" included.
+func TestParseContinent(t *testing.T) {
+	for _, c := range AllContinents() {
+		for _, name := range []string{c.String(), strings.ToUpper(c.String()), strings.ToLower(c.String())} {
+			if got, ok := ParseContinent(name); !ok || got != c {
+				t.Errorf("ParseContinent(%q) = %v, %v; want %v", name, got, ok, c)
+			}
+		}
+	}
+	for _, name := range []string{"", "Atlantis", "Unknown", "NorthAmerica", " Europe"} {
+		if _, ok := ParseContinent(name); ok {
+			t.Errorf("ParseContinent(%q) parsed", name)
+		}
 	}
 }
 
